@@ -41,15 +41,8 @@ from .core import (
     FeasibleSet,
     Iterate,
     ProductSet,
-    add,
-    average_iterates,
     average_vectors,
-    dot,
     norm,
-    norm2,
-    project,
-    scale,
-    sub,
 )
 from .datagen import (
     QuadraticGenSpec,
@@ -85,7 +78,6 @@ from .problems import (
     closed_form_minimax,
     estimate_constants,
     finite_difference_gradients,
-    global_grad,
 )
 
 __version__ = "0.1.0"

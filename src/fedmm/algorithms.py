@@ -353,22 +353,21 @@ def conservative_eta(mu: float, L: float, K: int) -> float:
     return 0.5 * min(2.0 * mu / L**2, 1.0 / (2.0 * mu * K))
 
 
-def fedgda_round_map(problem: MinimaxProblem, eta: float, K: int) -> np.ndarray:
-    """Exact linear round map of the gradient-tracking scheme on quadratic
-    families (identical for the x and y blocks).
-
-    With B_i = I - eta Q_i and S_i = sum_{j<K} B_i^j, the averaged endpoint
-    depends on the synchronized iterate through
-    (1/m) sum_i [B_i^K - eta S_i (Qbar - Q_i)].
-    """
+def _round_map_spectra(problem: MinimaxProblem) -> list[tuple[np.ndarray, ...]]:
+    """The stepsize-independent part of ``fedgda_round_map``: per agent, the
+    eigendecomposition (w_i, V_i) of Q_i and the difference Qbar - Q_i."""
     if not all(hasattr(a, "hess_x") for a in problem.agents):
         raise ValueError("round map is only available for quadratic-family problems")
     Qs = [np.atleast_2d(np.asarray(a.hess_x, dtype=np.float64)) for a in problem.agents]
     d = Qs[0].shape[0]
     Qbar = average_vectors([Q.reshape(-1) for Q in Qs]).reshape(d, d)
+    return [(*np.linalg.eigh(Q), Qbar - Q) for Q in Qs]
+
+
+def _round_map(spectra: list[tuple[np.ndarray, ...]], eta: float, K: int) -> np.ndarray:
+    d = spectra[0][0].shape[0]
     M = np.zeros((d, d))
-    for Q in Qs:
-        w, V = np.linalg.eigh(Q)
+    for w, V, spread in spectra:
         shrink = (1.0 - eta * w) ** K
         # eta * sum_{j<K} (1 - eta w)^j = (1 - (1 - eta w)^K) / w, except the
         # quotient cancels catastrophically as eta*w -> 0; switch to its series
@@ -380,8 +379,19 @@ def fedgda_round_map(problem: MinimaxProblem, eta: float, K: int) -> np.ndarray:
         )
         P = (V * shrink) @ V.T
         T = (V * geo) @ V.T
-        M += P - T @ (Qbar - Q)
-    return M / len(Qs)
+        M += P - T @ spread
+    return M / len(spectra)
+
+
+def fedgda_round_map(problem: MinimaxProblem, eta: float, K: int) -> np.ndarray:
+    """Exact linear round map of the gradient-tracking scheme on quadratic
+    families (identical for the x and y blocks).
+
+    With B_i = I - eta Q_i and S_i = sum_{j<K} B_i^j, the averaged endpoint
+    depends on the synchronized iterate through
+    (1/m) sum_i [B_i^K - eta S_i (Qbar - Q_i)].
+    """
+    return _round_map(_round_map_spectra(problem), eta, K)
 
 
 def fedgda_round_map_norm(problem: MinimaxProblem, eta: float, K: int) -> float:
@@ -396,12 +406,15 @@ def auto_eta_fedgda(problem: MinimaxProblem, K: int, *, grid_size: int = 46) -> 
     stepsize wins ties). The closed-form conservative value is always among
     the candidates, so the selection never does worse than it.
     """
+    # mu and L come from eigvalsh, not from the eigh spectra below: the two
+    # differ in the last bits, and the grid is built from these values
     mu, L = estimate_constants(problem)
     candidates = [2.0 / L * 0.5**j for j in range(1, grid_size + 1)]
     candidates.append(conservative_eta(mu, L, K))
+    spectra = _round_map_spectra(problem)
     best: EtaSelection | None = None
     for eta in candidates:
-        s = fedgda_round_map_norm(problem, eta, K)
+        s = float(np.linalg.norm(_round_map(spectra, eta, K), 2))
         if best is None or s < best.round_map_norm - 1e-12 or (
             abs(s - best.round_map_norm) <= 1e-12 and eta > best.eta
         ):

@@ -42,14 +42,10 @@ def optimality_gap(z: Iterate, z_star: Iterate) -> float:
 # fixed points of the uncorrected local scheme on the two-agent scalar problem
 # ---------------------------------------------------------------------------
 
-_SCALAR_CURVS = (2.0, 8.0)
-_SCALAR_OFFSETS = (1.0, 32.0)
-
-
 def _scalar_fixed_coordinate(K: int, eta: float) -> float:
     num = 0.0
     den = 0.0
-    for curv, offset in zip(_SCALAR_CURVS, _SCALAR_OFFSETS):
+    for curv, offset in ScalarTwoAgent.AGENT_CONSTANTS:
         ratio = 1.0 - eta * curv
         if abs(ratio) >= 1.0:
             raise UnstableStepsizeError(
@@ -168,74 +164,30 @@ def fixed_point_report(
 class RobustLossResult:
     value: float
     y: Vector
-    converged: bool
-    iterations: int
+    iterations: int  # always 0: the maximizer is found in closed form
 
 
-def robust_loss(
-    problem: RobustLinearRegression,
-    x_hat,
-    *,
-    tol: float = 1e-10,
-    max_iters: int = 10_000,
-) -> RobustLossResult:
+def robust_loss(problem: RobustLinearRegression, x_hat) -> RobustLossResult:
     """Worst-case total loss of the model ``x_hat`` over the feasible shift ball.
 
-    The inner maximization runs projected gradient ascent on y from a zero
-    warm start with stepsize 1/L_y, where L_y is a power-iteration estimate of
-    the y-curvature at ``x_hat``. Note this is the SUM of per-agent losses,
-    not their mean: it exceeds the averaged objective by a factor of m.
-
-    If the ascent has not converged after ``max_iters`` steps the best value
-    found is returned with ``converged=False``.
+    Every agent's loss depends on the shift y only through t = x'y and is
+    convex in it (the y-Hessian is 2 x x'), so the maximum over the ball
+    ||y - center|| <= R lies at one of the two points center +- R x/||x||.
+    Both are evaluated and the larger is returned; for x = 0 the loss is
+    constant in y and the center is returned. Note this is the SUM of
+    per-agent losses, not their mean: it exceeds the averaged objective by a
+    factor of m.
     """
     x = as_vector(x_hat, problem.p, "x_hat")
     ball = problem.sets.set_y
-
-    def total_value(y: Vector) -> float:
-        return float(sum(a.value(x, y) for a in problem.agents))
-
-    def total_grad(y: Vector) -> Vector:
-        g = np.zeros(problem.q)
-        for a in problem.agents:
-            g += a.grad_y(x, y)
-        return g
-
-    y0 = np.zeros(problem.q)
-    if not np.any(x):
-        # objective is constant in y when the model is zero
-        return RobustLossResult(total_value(y0), y0, True, 0)
-
-    # power iteration on the (exact, since the loss is quadratic in y)
-    # Hessian-vector product v -> grad(y0 + v) - grad(y0)
-    g_base = total_grad(y0)
-    v = x / norm(x)
-    curvature = 0.0
-    for _ in range(100):
-        w = total_grad(y0 + v) - g_base
-        lam = norm(w)
-        if lam <= 0.0:
-            return RobustLossResult(total_value(y0), y0, True, 0)
-        v_next = w / lam
-        if abs(lam - curvature) <= 1e-12 * max(1.0, lam):
-            curvature = lam
-            break
-        curvature = lam
-        v = v_next
-    step = 1.0 / curvature
-
-    y = y0
-    converged = False
-    iterations = 0
-    for s in range(1, max_iters + 1):
-        y_next = ball.project(y + step * total_grad(y))
-        moved = norm(y_next - y)
-        y = y_next
-        iterations = s
-        if moved <= tol:
-            converged = True
-            break
-    return RobustLossResult(total_value(y), y, converged, iterations)
+    if np.any(x):
+        step = x * (ball.radius / norm(x))
+        candidates = [ball.center + step, ball.center - step]
+    else:
+        candidates = [ball.center.copy()]
+    values = [float(sum(a.value(x, y) for a in problem.agents)) for y in candidates]
+    best = int(np.argmax(values))
+    return RobustLossResult(values[best], candidates[best], 0)
 
 
 # ---------------------------------------------------------------------------

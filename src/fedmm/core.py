@@ -45,40 +45,9 @@ def check_finite(arr: Vector, what: str = "vector") -> Vector:
     return arr
 
 
-# ---------------------------------------------------------------------------
-# elementary vector operations (dimension-checked)
-# ---------------------------------------------------------------------------
-
-def add(a, b) -> Vector:
-    a = as_vector(a)
-    b = as_vector(b, dim=a.shape[0], what="second operand")
-    return a + b
-
-
-def sub(a, b) -> Vector:
-    a = as_vector(a)
-    b = as_vector(b, dim=a.shape[0], what="second operand")
-    return a - b
-
-
-def scale(c: float, v) -> Vector:
-    return float(c) * as_vector(v)
-
-
-def dot(a, b) -> float:
-    a = as_vector(a)
-    b = as_vector(b, dim=a.shape[0], what="second operand")
-    return float(np.dot(a, b))
-
-
-def norm2(v) -> float:
-    """Squared Euclidean norm."""
-    v = as_vector(v)
-    return float(np.dot(v, v))
-
-
 def norm(v) -> float:
-    return float(np.sqrt(norm2(v)))
+    v = as_vector(v)
+    return float(np.sqrt(np.dot(v, v)))
 
 
 def average_vectors(vectors: Sequence[Vector]) -> Vector:
@@ -136,13 +105,6 @@ class Iterate:
         return Iterate(np.zeros(p), np.zeros(q))
 
 
-def average_iterates(iterates: Sequence[Iterate]) -> Iterate:
-    return Iterate(
-        average_vectors([it.x for it in iterates]),
-        average_vectors([it.y for it in iterates]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # feasible sets and projections
 # ---------------------------------------------------------------------------
@@ -191,10 +153,6 @@ class FeasibleSet:
         if self.kind == UNCONSTRAINED:
             return True
         return norm(v - self.center) <= self.radius + tol
-
-
-def project(feasible_set: FeasibleSet, v) -> Vector:
-    return feasible_set.project(v)
 
 
 @dataclass(frozen=True)

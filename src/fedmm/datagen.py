@@ -35,6 +35,7 @@ from .problems import (
     RobustLinearRegression,
     SingularProblemError,
     UncoupledQuadratic,
+    closed_form_minimax,
 )
 
 PROBLEM_STREAM = 0
@@ -92,8 +93,9 @@ def _quadratic_agent_data(seed: int, i: int, d: int, n: int, alpha: float):
 def gen_quadratic(spec: QuadraticGenSpec) -> UncoupledQuadratic:
     """Generate the uncoupled quadratic federation for ``spec``.
 
-    If the summed curvature turns out numerically singular (solve residual
-    above 1e-6), regeneration is retried with seed+1 up to three times.
+    If the summed curvature turns out numerically singular, so that
+    ``closed_form_minimax`` rejects the problem, regeneration is retried with
+    seed+1 up to three times.
     """
     last_error: Exception | None = None
     for attempt in range(4):
@@ -106,16 +108,9 @@ def gen_quadratic(spec: QuadraticGenSpec) -> UncoupledQuadratic:
             cs.append(c)
         try:
             problem = UncoupledQuadratic(Qs, cs)
-            SQ = problem.curvature_sum()
-            Sc = problem.offset_sum()
-            sol = np.linalg.solve(SQ, Sc)
-            residual = float(np.linalg.norm(SQ @ sol - Sc))
-            if residual > 1e-6 * (1.0 + float(np.linalg.norm(Sc))):
-                raise SingularProblemError(
-                    f"solve residual {residual:.3e} exceeds 1e-6"
-                )
+            closed_form_minimax(problem)
             return problem
-        except (SingularProblemError, np.linalg.LinAlgError) as exc:
+        except SingularProblemError as exc:
             last_error = exc
     raise SingularProblemError(
         f"could not generate a well-conditioned problem from seed {spec.seed} "

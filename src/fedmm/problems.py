@@ -158,8 +158,10 @@ class RlrAgent(LocalObjective):
 
     f(x, y) = (1/n) sum_j (x'(a_j + y) - b_j)^2 + 1/2 ||x||^2.
 
-    Raw samples are kept because both gradients couple x and y through every
-    sample; no joint sufficient statistic exists.
+    The data enter only through the O(d^2) statistics A'A, A'1, A'b, 1'b and
+    b'b, so a sample-free oracle is possible; this one keeps the raw samples
+    and evaluates the definition directly, which is what the dataset
+    container stores and replays.
     """
 
     def __init__(self, features, targets):
@@ -248,10 +250,6 @@ class MinimaxProblem:
         return np.concatenate([gx, -gy])
 
 
-def global_grad(problem: MinimaxProblem, z: Iterate) -> tuple[Vector, Vector]:
-    return problem.global_grad(z)
-
-
 class ScalarTwoAgent(MinimaxProblem):
     """Two heterogeneous scalar agents with minimax point x* = y* = 3.3.
 
@@ -259,9 +257,12 @@ class ScalarTwoAgent(MinimaxProblem):
     unconstrained, p = q = 1.
     """
 
+    # (curvature, offset) of each agent's ScalarSaddleAgent, in agent order
+    AGENT_CONSTANTS = ((2.0, 1.0), (8.0, 32.0))
+
     def __init__(self):
         super().__init__(
-            [ScalarSaddleAgent(2.0, 1.0), ScalarSaddleAgent(8.0, 32.0)],
+            [ScalarSaddleAgent(curv, offset) for curv, offset in self.AGENT_CONSTANTS],
             ProductSet.unconstrained(1, 1),
         )
 

@@ -7,6 +7,7 @@ from fedmm.algorithms import (
     LOCAL_SGDA,
     AlgoConfig,
     DivergenceError,
+    EtaSelection,
     auto_eta_fedgda,
     conservative_eta,
     fedgda_gt,
@@ -331,6 +332,23 @@ class TestStepsizeSelection:
         sel = auto_eta_fedgda(prob, K)
         fallback = fedgda_round_map_norm(prob, conservative_eta(mu, L, K), K)
         assert sel.round_map_norm <= fallback + 1e-12
+
+    def test_auto_eta_is_argmin_of_public_round_map_norm_bitwise(self):
+        # the public norm decomposes every Q_i per call; the selection reuses
+        # one decomposition per agent and must pick the identical candidate
+        prob = small_quadratic(m=4, d=5, seed=10)
+        mu, L = estimate_constants(prob)
+        K = 10
+        candidates = [2.0 / L * 0.5**j for j in range(1, 47)]
+        candidates.append(conservative_eta(mu, L, K))
+        best = None
+        for eta in candidates:
+            s = fedgda_round_map_norm(prob, eta, K)
+            if best is None or s < best.round_map_norm - 1e-12 or (
+                abs(s - best.round_map_norm) <= 1e-12 and eta > best.eta
+            ):
+                best = EtaSelection(eta, s)
+        assert auto_eta_fedgda(prob, K) == best
 
     def test_scalar_two_agent_selection_is_stable(self):
         prob = ScalarTwoAgent()

@@ -119,7 +119,7 @@ class TestRobustLoss:
         res = robust_loss(prob, np.zeros(2))
         expected = sum(float(np.dot(a.b, a.b)) / a.n for a in prob.agents)
         assert res.value == pytest.approx(expected, rel=1e-12)
-        assert res.converged
+        np.testing.assert_array_equal(res.y, np.zeros(2))  # the ball center
 
     def test_matches_grid_search_oracle_in_1d(self):
         prob = tiny_rlr(m=3, d=1, n=1, seed=3)
@@ -139,6 +139,21 @@ class TestRobustLoss:
             res = robust_loss(prob, x_hat)
             at_zero = sum(a.value(x_hat, np.zeros(3)) for a in prob.agents)
             assert res.value >= at_zero - 1e-10
+
+    def test_dominates_sampled_shifts_inside_and_on_the_ball(self):
+        prob = tiny_rlr(m=3, d=3, n=4, seed=13)
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            x_hat = rng.normal(size=3)
+            res = robust_loss(prob, x_hat)
+            assert np.linalg.norm(res.y) == pytest.approx(1.0, rel=1e-12)
+            dirs = rng.normal(size=(2000, 3))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            radii = rng.uniform(size=2000) ** (1.0 / 3.0)
+            radii[:1000] = 1.0
+            for y in dirs * radii[:, None]:
+                total = sum(a.value(x_hat, y) for a in prob.agents)
+                assert res.value >= total * (1.0 - 1e-12)
 
     def test_deterministic(self):
         prob = tiny_rlr(m=2, d=3, n=4, seed=6)

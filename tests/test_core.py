@@ -8,10 +8,6 @@ from fedmm.core import (
     Iterate,
     ProductSet,
     average_vectors,
-    dot,
-    norm2,
-    project,
-    scale,
 )
 
 
@@ -31,10 +27,6 @@ class TestProjection:
     def test_offset_ball(self):
         s = FeasibleSet.ball([5.0, 0.0], 2.0)
         np.testing.assert_allclose(s.project([9.0, 0.0]), [7.0, 0.0], atol=1e-14)
-
-    def test_module_level_alias(self):
-        s = FeasibleSet.unconstrained(1)
-        np.testing.assert_array_equal(project(s, [2.5]), [2.5])
 
     def test_dimension_mismatch_names_dims(self):
         s = FeasibleSet.ball(np.zeros(3), 1.0)
@@ -92,19 +84,6 @@ class TestProjection:
 
 
 class TestVecOps:
-    def test_dot(self):
-        assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-
-    def test_norm2(self):
-        assert norm2([3.0, 4.0]) == 25.0
-
-    def test_scale(self):
-        np.testing.assert_array_equal(scale(2.0, [1.0, -1.0]), [2.0, -2.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            dot([1.0, 2.0], [1.0, 2.0, 3.0])
-
     def test_average_is_ascending_and_deterministic(self):
         rng = np.random.default_rng(3)
         vs = [rng.normal(size=6) for _ in range(7)]

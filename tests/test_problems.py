@@ -14,7 +14,6 @@ from fedmm.problems import (
     closed_form_minimax,
     estimate_constants,
     finite_difference_gradients,
-    global_grad,
 )
 
 
@@ -57,7 +56,7 @@ class TestScalarTwoAgent:
 
     def test_global_grad_vanishes_at_minimax_point(self):
         prob = ScalarTwoAgent()
-        gx, gy = global_grad(prob, Iterate(np.array([3.3]), np.array([3.3])))
+        gx, gy = prob.global_grad(Iterate(np.array([3.3]), np.array([3.3])))
         assert abs(gx[0]) <= 1e-12
         assert abs(gy[0]) <= 1e-12
 
