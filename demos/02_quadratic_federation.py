@@ -25,11 +25,9 @@ from fedmm import (
     QuadraticGenSpec,
     auto_eta_fedgda,
     closed_form_minimax,
-    fedgda_gt,
     fedgda_round_map_norm,
     gen_quadratic,
-    local_sgda,
-    run_gda,
+    run_algorithm,
 )
 
 spec = QuadraticGenSpec(m=20, d=50, n_i=500, seed=7)
@@ -44,11 +42,8 @@ print(f"certified round-map norm at this eta: "
 print()
 
 runs = [
-    ("GDA", run_gda(problem, AlgoConfig(GDA, eta, eta, 1, rounds, init), z_star=star)),
-    ("LocalSGDA", local_sgda(problem, AlgoConfig(LOCAL_SGDA, eta, eta, K, rounds, init),
-                             z_star=star)),
-    ("FedGDAGT", fedgda_gt(problem, AlgoConfig(FEDGDA_GT, eta, eta, K, rounds, init),
-                           z_star=star)),
+    (algo, run_algorithm(problem, AlgoConfig(algo, eta, eta, k, rounds, init), z_star=star))
+    for algo, k in ((GDA, 1), (LOCAL_SGDA, K), (FEDGDA_GT, K))
 ]
 
 checkpoints = (0, 25, 50, 100, 200, 400)
@@ -63,7 +58,7 @@ print()
 sel = auto_eta_fedgda(problem, K)
 print(f"auto-selected stepsize for the tracked method: eta={sel.eta:.3e} "
       f"(round-map norm {sel.round_map_norm:.3f})")
-fast = fedgda_gt(problem, AlgoConfig(FEDGDA_GT, sel.eta, sel.eta, K, 40, init),
-                 z_star=star)
+fast = run_algorithm(problem, AlgoConfig(FEDGDA_GT, sel.eta, sel.eta, K, 40, init),
+                     z_star=star)
 print(f"with it, the squared optimality gap after 40 rounds: "
       f"{fast.records[-1].gap_sq:.3e}")

@@ -19,10 +19,9 @@ from fedmm import (
     LOCAL_SGDA,
     Iterate,
     RlrGenSpec,
-    fedgda_gt,
     gen_rlr,
-    local_sgda,
     robust_loss,
+    run_algorithm,
 )
 
 m, d, n, seed, K, rounds = 10, 5, 50, 11, 10, 300
@@ -34,10 +33,10 @@ print(f"{'alpha':>6} {'eta':>8} {'LocalSGDA':>14} {'FedGDAGT':>14} {'gap':>9}")
 for alpha, eta in cases:
     problem = gen_rlr(RlrGenSpec(m=m, d=d, n_i=n, alpha=alpha, seed=seed))
     init = Iterate.zeros(d, d)
-    uncorrected = local_sgda(
+    uncorrected = run_algorithm(
         problem, AlgoConfig(LOCAL_SGDA, eta, eta, K, rounds, init)
     )
-    tracked = fedgda_gt(
+    tracked = run_algorithm(
         problem, AlgoConfig(FEDGDA_GT, eta, eta, K, rounds, init)
     )
     loss_u = robust_loss(problem, uncorrected.final.x).value

@@ -12,15 +12,11 @@ from .algorithms import (
     RunTrace,
     auto_eta_fedgda,
     conservative_eta,
-    fedgda_gt,
     fedgda_round_map,
     fedgda_round_map_norm,
     gda_step,
-    local_sgda,
     local_sgda_residual,
-    operator_compose,
     run_algorithm,
-    run_gda,
 )
 from .analysis import (
     ContractionReport,

@@ -1,10 +1,16 @@
 """The three optimization procedures and their fixed-point diagnostics.
 
-* ``gda_step`` / ``run_gda`` -- centralized simultaneous descent/ascent.
-* ``local_sgda`` -- uncorrected K-step local updates, then server averaging
+One round engine and one runner, ``run_algorithm``, serve all three methods;
+``AlgoConfig.algo`` names the method:
+
+* GDA -- centralized simultaneous descent/ascent, projected onto X x Y.
+* Local SGDA -- uncorrected K-step local updates, then server averaging
   (full gradients, no projection anywhere, matching its pseudocode literally).
-* ``fedgda_gt`` -- gradient-tracking corrected local updates; the server
-  projects the averaged iterate onto the feasible product set.
+* FedGDA-GT -- the same local updates plus the gradient-tracking correction;
+  the server projects the averaged iterate onto the feasible product set.
+
+``gda_step`` is a separately written centralized step that tests hold the
+engine against.
 
 Within one communication round the m agent loops share nothing and may run
 concurrently; every server aggregation is a deterministic ascending-index
@@ -102,32 +108,8 @@ class RunTrace:
 
 
 # ---------------------------------------------------------------------------
-# local update operators
+# centralized reference step
 # ---------------------------------------------------------------------------
-
-def _local_path(
-    agent: LocalObjective, k: int, eta_x: float, eta_y: float, x: Vector, y: Vector
-) -> tuple[Vector, Vector]:
-    """k simultaneous uncorrected descent/ascent steps under one agent."""
-    for _ in range(k):
-        gx = agent.grad_x(x, y)
-        gy = agent.grad_y(x, y)
-        x = x - eta_x * gx
-        y = y + eta_y * gy
-    return x, y
-
-
-def operator_compose(
-    agent: LocalObjective, k: int, eta_x: float, eta_y: float, z: Iterate
-) -> Iterate:
-    """k joint local descent/ascent steps under ``agent``; k = 0 is the identity."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return z.copy()
-    x, y = _local_path(agent, k, eta_x, eta_y, z.x, z.y)
-    return Iterate(x, y)
-
 
 def gda_step(
     problem: MinimaxProblem, z: Iterate, eta_x: float, eta_y: float
@@ -136,87 +118,114 @@ def gda_step(
     then project onto the feasible product set.
 
     Computed as the ascending-index average of per-agent single steps, which
-    shares the federated reduction arithmetic.
+    shares the federated reduction arithmetic. Written independently of the
+    round engine below, so tests can hold the engine against it.
     """
     problem._check(z)
-    xs, ys = [], []
-    for agent in problem.agents:
-        x, y = _local_path(agent, 1, eta_x, eta_y, z.x, z.y)
-        xs.append(x)
-        ys.append(y)
+    xs = [z.x - eta_x * agent.grad_x(z.x, z.y) for agent in problem.agents]
+    ys = [z.y + eta_y * agent.grad_y(z.x, z.y) for agent in problem.agents]
     return problem.sets.project(Iterate(average_vectors(xs), average_vectors(ys)))
 
 
-def local_sgda_round(
-    problem: MinimaxProblem, x: Vector, y: Vector, K: int, eta_x: float, eta_y: float
+# ---------------------------------------------------------------------------
+# round engine
+# ---------------------------------------------------------------------------
+
+def _agent_grads(
+    problem: MinimaxProblem, x: Vector, y: Vector
+) -> list[tuple[Vector, Vector]]:
+    """Every agent's (grad_x, grad_y) at the synchronized iterate, in agent order."""
+    return [(agent.grad_x(x, y), agent.grad_y(x, y)) for agent in problem.agents]
+
+
+def _local_path(
+    agent: LocalObjective, K: int, eta_x: float, eta_y: float,
+    x: Vector, y: Vector, gx: Vector, gy: Vector,
+    corr: tuple[Vector, Vector] | None = None,
 ) -> tuple[Vector, Vector]:
-    """One communication round of uncorrected local updates: every agent starts
-    from the server iterate, walks K steps under its own objective, and the
-    server averages the endpoints. No projection is applied."""
-    xs, ys = [], []
-    for agent in problem.agents:
-        xi, yi = _local_path(agent, K, eta_x, eta_y, x, y)
-        xs.append(xi)
-        ys.append(yi)
-    return average_vectors(xs), average_vectors(ys)
+    """K simultaneous descent/ascent steps under one agent from (x, y).
 
-
-def fedgda_round(
-    problem: MinimaxProblem, x: Vector, y: Vector, K: int, eta: float
-) -> tuple[Vector, Vector]:
-    """One gradient-tracking round.
-
-    The per-agent correction (averaged gradient minus local gradient, both at
-    the synchronized iterate) is computed once and added to every local
-    gradient, so it vanishes identically in the homogeneous case. The averaged
-    endpoint is projected onto X and Y.
+    The first step uses the supplied gradient (gx, gy), which must be the
+    agent's gradient at (x, y); ``corr`` is the gradient-tracking correction
+    added to every step's gradient.
     """
-    gx_list = [agent.grad_x(x, y) for agent in problem.agents]
-    gy_list = [agent.grad_y(x, y) for agent in problem.agents]
-    gbar_x = average_vectors(gx_list)
-    gbar_y = average_vectors(gy_list)
+    for step in range(K):
+        if step:
+            gx = agent.grad_x(x, y)
+            gy = agent.grad_y(x, y)
+        if corr is not None:
+            gx = gx + corr[0]
+            gy = gy + corr[1]
+        x = x - eta_x * gx
+        y = y + eta_y * gy
+    return x, y
+
+
+def _round(
+    problem: MinimaxProblem, config: AlgoConfig, x: Vector, y: Vector,
+    grads: list[tuple[Vector, Vector]],
+) -> tuple[Vector, Vector]:
+    """One communication round of ``config.algo`` from the synchronized
+    iterate (x, y), where ``grads`` is ``_agent_grads`` at (x, y).
+
+    Every agent walks K local steps and the server averages the endpoints.
+    FedGDA-GT adds to each local gradient the correction (averaged gradient
+    minus local gradient, both at the synchronized iterate), which vanishes
+    identically in the homogeneous case. GDA and FedGDA-GT project the
+    average onto X and Y; Local SGDA applies no projection.
+    """
+    corrs = [None] * problem.m
+    if config.algo == FEDGDA_GT:
+        gbar_x = average_vectors([gx for gx, _ in grads])
+        gbar_y = average_vectors([gy for _, gy in grads])
+        corrs = [(gbar_x - gx, gbar_y - gy) for gx, gy in grads]
     xs, ys = [], []
-    for i, agent in enumerate(problem.agents):
-        corr_x = gbar_x - gx_list[i]
-        corr_y = gbar_y - gy_list[i]
-        xi, yi = x, y
-        for _ in range(K):
-            gx = agent.grad_x(xi, yi)
-            gy = agent.grad_y(xi, yi)
-            xi = xi - eta * (gx + corr_x)
-            yi = yi + eta * (gy + corr_y)
+    for agent, (gx, gy), corr in zip(problem.agents, grads, corrs):
+        xi, yi = _local_path(
+            agent, config.K, config.eta_x, config.eta_y, x, y, gx, gy, corr
+        )
         xs.append(xi)
         ys.append(yi)
-    x_next = problem.sets.set_x.project(average_vectors(xs))
-    y_next = problem.sets.set_y.project(average_vectors(ys))
-    return x_next, y_next
+    x, y = average_vectors(xs), average_vectors(ys)
+    if config.algo == LOCAL_SGDA:
+        return x, y
+    return problem.sets.set_x.project(x), problem.sets.set_y.project(y)
 
 
-# ---------------------------------------------------------------------------
-# runners
-# ---------------------------------------------------------------------------
-
-def _magnitude(x: Vector, y: Vector) -> float:
-    mx = float(np.max(np.abs(x), initial=0.0))
-    my = float(np.max(np.abs(y), initial=0.0))
-    return max(mx, my)
+def _check_divergence(algo: str, round_index: int, x: Vector, y: Vector) -> None:
+    # np.maximum, unlike max(), keeps a NaN from either block
+    magnitude = float(np.maximum(np.max(np.abs(x)), np.max(np.abs(y))))
+    if not np.isfinite(magnitude) or magnitude > DIVERGENCE_LIMIT:
+        raise DivergenceError(algo, round_index, magnitude)
 
 
-def _run(
+def run_algorithm(
     problem: MinimaxProblem,
     config: AlgoConfig,
-    round_fn: Callable[[Vector, Vector], tuple[Vector, Vector]],
-    z_star: Iterate | None,
-    robust_loss_fn: Callable[[Iterate], float] | None,
+    *,
+    z_star: Iterate | None = None,
+    robust_loss_fn: Callable[[Iterate], float] | None = None,
 ) -> RunTrace:
+    """Run ``config.algo`` for ``config.rounds`` rounds from ``config.init``.
+
+    Every agent's gradient is taken once per synchronized iterate: it gives
+    the recorded gradient norm and the next round's first local step (and,
+    for FedGDA-GT, the tracking correction). Local SGDA with K = 1 is exactly
+    the centralized method: its trace coincides bitwise with iterating
+    ``gda_step`` on unconstrained problems.
+    """
     problem._check(config.init)
     start = time.perf_counter_ns()
     trace = RunTrace(config)
     x, y = config.init.x.copy(), config.init.y.copy()
-
-    def record(t: int):
+    for t in range(config.rounds + 1):
+        if t:
+            x, y = _round(problem, config, x, y, grads)
+            _check_divergence(config.algo, t, x, y)
+        grads = _agent_grads(problem, x, y)
         z = Iterate(x.copy(), y.copy())
-        gx, gy = problem.global_grad(z)
+        gx = average_vectors([g for g, _ in grads])
+        gy = average_vectors([g for _, g in grads])
         gap = None
         if z_star is not None:
             gap = float(np.dot(z.x - z_star.x, z.x - z_star.x)
@@ -230,73 +239,12 @@ def _run(
             robust_loss=loss,
             elapsed_ns=time.perf_counter_ns() - start,
         ))
-
-    record(0)
-    for t in range(1, config.rounds + 1):
-        x, y = round_fn(x, y)
-        magnitude = _magnitude(x, y)
-        if not np.isfinite(magnitude) or magnitude > DIVERGENCE_LIMIT:
-            raise DivergenceError(config.algo, t, magnitude)
-        record(t)
     return trace
 
 
-def local_sgda(
-    problem: MinimaxProblem,
-    config: AlgoConfig,
-    *,
-    z_star: Iterate | None = None,
-    robust_loss_fn: Callable[[Iterate], float] | None = None,
-) -> RunTrace:
-    """Run the uncorrected multi-local-update scheme for ``config.rounds`` rounds.
-
-    With K = 1 this is exactly the centralized method: the trace coincides
-    bitwise with iterating ``gda_step`` on unconstrained problems.
-    """
-    return _run(
-        problem, config,
-        lambda x, y: local_sgda_round(problem, x, y, config.K, config.eta_x, config.eta_y),
-        z_star, robust_loss_fn,
-    )
-
-
-def fedgda_gt(
-    problem: MinimaxProblem,
-    config: AlgoConfig,
-    *,
-    z_star: Iterate | None = None,
-    robust_loss_fn: Callable[[Iterate], float] | None = None,
-) -> RunTrace:
-    """Run the gradient-tracking corrected scheme for ``config.rounds`` rounds."""
-    eta = config.eta
-    return _run(
-        problem, config,
-        lambda x, y: fedgda_round(problem, x, y, config.K, eta),
-        z_star, robust_loss_fn,
-    )
-
-
-def run_gda(
-    problem: MinimaxProblem,
-    config: AlgoConfig,
-    *,
-    z_star: Iterate | None = None,
-    robust_loss_fn: Callable[[Iterate], float] | None = None,
-) -> RunTrace:
-    """Run the centralized method: one projected global step per round."""
-
-    def one_round(x: Vector, y: Vector):
-        z = gda_step(problem, Iterate(x, y), config.eta_x, config.eta_y)
-        return z.x, z.y
-
-    return _run(problem, config, one_round, z_star, robust_loss_fn)
-
-
-_RUNNERS = {GDA: run_gda, LOCAL_SGDA: local_sgda, FEDGDA_GT: fedgda_gt}
-
-
-def run_algorithm(problem: MinimaxProblem, config: AlgoConfig, **kwargs) -> RunTrace:
-    return _RUNNERS[config.algo](problem, config, **kwargs)
+# ``AlgoConfig.algo`` names the method; the per-method names stay for callers
+# that import them
+run_gda = local_sgda = fedgda_gt = run_algorithm
 
 
 # ---------------------------------------------------------------------------

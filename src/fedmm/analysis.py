@@ -11,10 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import (
-    DIVERGENCE_LIMIT,
-    DivergenceError,
+    LOCAL_SGDA,
+    AlgoConfig,
+    _agent_grads,
+    _check_divergence,
+    _round,
     local_sgda_residual,
-    local_sgda_round,
 )
 from .core import Iterate, Vector, as_vector, norm
 from .problems import (
@@ -94,12 +96,11 @@ def local_sgda_limit(
     """Iterate the uncorrected scheme until the per-round displacement falls
     below ``tol * (1 + |z|)``; an independent oracle for the closed form."""
     z = init if init is not None else Iterate.zeros(problem.p, problem.q)
+    config = AlgoConfig(LOCAL_SGDA, eta_x, eta_y, K, max_rounds, z)
     x, y = z.x.copy(), z.y.copy()
     for t in range(1, max_rounds + 1):
-        x_next, y_next = local_sgda_round(problem, x, y, K, eta_x, eta_y)
-        magnitude = max(np.max(np.abs(x_next)), np.max(np.abs(y_next)))
-        if not np.isfinite(magnitude) or magnitude > DIVERGENCE_LIMIT:
-            raise DivergenceError("LocalSGDA", t, float(magnitude))
+        x_next, y_next = _round(problem, config, x, y, _agent_grads(problem, x, y))
+        _check_divergence(LOCAL_SGDA, t, x_next, y_next)
         moved = float(np.sqrt(
             np.dot(x_next - x, x_next - x) + np.dot(y_next - y, y_next - y)
         ))
@@ -123,6 +124,8 @@ class FixedPointReport:
     residual_norm: float
     z_simulated: Iterate | None = None
     sim_agreement: float | None = None
+    rounds: int | None = None  # simulated rounds, LimitResult.rounds
+    converged: bool | None = None
 
 
 def fixed_point_report(
@@ -150,6 +153,8 @@ def fixed_point_report(
     if simulate:
         limit = local_sgda_limit(problem, K, eta_x, eta_y, max_rounds=max_rounds)
         report.z_simulated = limit.iterate
+        report.rounds = limit.rounds
+        report.converged = limit.converged
         report.sim_agreement = float(
             np.sqrt(optimality_gap(limit.iterate, z_fixed))
         )

@@ -20,7 +20,8 @@ absent metrics emit empty fields and rows are ordered by (algorithm, round).
 ``elapsed_ns`` is left empty unless ``timing = true``, so that identical
 config + seed reruns produce byte-identical files.
 
-Exit codes: 0 success, 2 config error, 3 divergence abort.
+Exit codes: 0 success, 2 config error or unreadable/unwritable file,
+3 divergence abort.
 """
 
 from __future__ import annotations
@@ -336,6 +337,8 @@ def cmd_fixed_point(K: int, eta: float) -> int:
     print(f"K = {report.K}, eta_x = {report.eta_x!r}, eta_y = {report.eta_y!r}")
     print(f"closed-form fixed point:    x = {float(fixed.x[0])!r}, y = {float(fixed.y[0])!r}")
     print(f"simulated limit:            x = {float(sim.x[0])!r}, y = {float(sim.y[0])!r}")
+    print(f"simulated rounds:           {report.rounds} "
+          f"({'converged' if report.converged else 'NOT converged'})")
     print(f"closed-form vs simulated:   {report.sim_agreement:.6e}")
     print(f"minimax point:              x = {float(star.x[0])!r}, y = {float(star.y[0])!r}")
     print(f"squared gap to minimax:     {report.gap:.6e}")
@@ -451,7 +454,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, UnstableStepsizeError, ValueError) as exc:
+    except (ConfigError, UnstableStepsizeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,18 +10,15 @@ from fedmm.algorithms import (
     EtaSelection,
     auto_eta_fedgda,
     conservative_eta,
-    fedgda_gt,
     fedgda_round_map,
     fedgda_round_map_norm,
     gda_step,
-    local_sgda,
     local_sgda_residual,
-    operator_compose,
     run_algorithm,
-    run_gda,
 )
-from fedmm.core import Iterate
+from fedmm.core import FeasibleSet, Iterate, ProductSet
 from fedmm.problems import (
+    MinimaxProblem,
     ScalarTwoAgent,
     UncoupledQuadratic,
     closed_form_minimax,
@@ -64,8 +61,6 @@ class TestGdaStep:
         assert np.array_equal(z_next.y, z.y)
 
     def test_projects_onto_product_set(self):
-        from fedmm.core import FeasibleSet, ProductSet
-
         sets = ProductSet(
             FeasibleSet.unconstrained(2), FeasibleSet.ball(np.zeros(2), 0.5)
         )
@@ -76,38 +71,57 @@ class TestGdaStep:
         assert np.linalg.norm(z.y) <= 0.5 + 1e-12
 
 
-class TestOperatorCompose:
-    def test_zero_steps_is_identity(self):
-        prob = ScalarTwoAgent()
-        z = Iterate(np.array([1.3]), np.array([-0.2]))
-        out = operator_compose(prob.agents[0], 0, 0.1, 0.1, z)
-        assert np.array_equal(out.x, z.x)
-        assert np.array_equal(out.y, z.y)
+class CountingAgent:
+    """Delegates to a local objective and counts its gradient calls."""
 
-    def test_one_step_matches_manual_update(self):
-        prob = ScalarTwoAgent()
-        agent = prob.agents[1]
-        z = Iterate(np.array([0.5]), np.array([0.25]))
-        out = operator_compose(agent, 1, 0.01, 0.02, z)
-        gx = agent.grad_x(z.x, z.y)
-        gy = agent.grad_y(z.x, z.y)
-        assert np.array_equal(out.x, z.x - 0.01 * gx)
-        assert np.array_equal(out.y, z.y + 0.02 * gy)
+    def __init__(self, agent):
+        self.agent = agent
+        self.p, self.q = agent.p, agent.q
+        self.calls_x = self.calls_y = 0
 
-    def test_composition_law_bitwise(self):
-        prob = small_quadratic(seed=1)
-        agent = prob.agents[0]
-        z = Iterate(np.full(5, 0.3), np.full(5, -0.1))
-        whole = operator_compose(agent, 7, 1e-3, 2e-3, z)
-        part = operator_compose(agent, 3, 1e-3, 2e-3, z)
-        chained = operator_compose(agent, 4, 1e-3, 2e-3, part)
-        assert np.array_equal(whole.x, chained.x)
-        assert np.array_equal(whole.y, chained.y)
+    def grad_x(self, x, y):
+        self.calls_x += 1
+        return self.agent.grad_x(x, y)
 
-    def test_rejects_negative_k(self):
-        prob = ScalarTwoAgent()
-        with pytest.raises(ValueError):
-            operator_compose(prob.agents[0], -1, 0.1, 0.1, Iterate.zeros(1, 1))
+    def grad_y(self, x, y):
+        self.calls_y += 1
+        return self.agent.grad_y(x, y)
+
+
+class TestRoundEngine:
+    def test_gda_run_equals_iterated_gda_step_on_ball_bitwise(self):
+        # large offsets put y* far outside the radius-0.5 ball, so the
+        # projection is active in most rounds
+        rng = np.random.default_rng(11)
+        Qs = [a.T @ a for a in (rng.normal(size=(5, 3)) for _ in range(3))]
+        cs = [rng.normal(scale=5.0, size=3) for _ in range(3)]
+        sets = ProductSet(FeasibleSet.unconstrained(3), FeasibleSet.ball(np.zeros(3), 0.5))
+        prob = UncoupledQuadratic(Qs, cs, sets=sets)
+        init = Iterate(rng.normal(size=3), np.zeros(3))
+        eta_x, eta_y = 2e-2, 3e-2
+        trace = run_algorithm(prob, AlgoConfig(GDA, eta_x, eta_y, 1, 40, init))
+        z = init.copy()
+        on_boundary = 0
+        for t in range(1, 41):
+            z = gda_step(prob, z, eta_x, eta_y)
+            rec = trace.records[t].iterate
+            assert np.array_equal(z.x, rec.x)
+            assert np.array_equal(z.y, rec.y)
+            on_boundary += abs(np.linalg.norm(z.y) - 0.5) <= 1e-12
+        assert on_boundary >= 30
+
+    @pytest.mark.parametrize("algo,K", [(GDA, 1), (LOCAL_SGDA, 4), (FEDGDA_GT, 4)])
+    def test_one_gradient_pair_per_agent_per_synchronized_iterate(self, algo, K):
+        # R rounds visit R + 1 synchronized iterates; each agent's gradient
+        # there is taken once, plus K - 1 more along each local path
+        m, R = 3, 5
+        agents = [CountingAgent(a) for a in small_quadratic(m=m, seed=12).agents]
+        prob = MinimaxProblem(agents)
+        cfg = AlgoConfig(algo, 1e-3, 1e-3, K, R, Iterate.zeros(5, 5))
+        run_algorithm(prob, cfg)
+        expected = K * R + 1
+        assert [a.calls_x for a in agents] == [expected] * m
+        assert [a.calls_y for a in agents] == [expected] * m
 
 
 class TestLocalSgda:
@@ -115,7 +129,7 @@ class TestLocalSgda:
         prob = small_quadratic(seed=2)
         init = Iterate(np.full(5, 0.2), np.full(5, -0.4))
         eta_x, eta_y = 3e-3, 2e-3
-        trace = local_sgda(prob, AlgoConfig(LOCAL_SGDA, eta_x, eta_y, 1, 50, init))
+        trace = run_algorithm(prob, AlgoConfig(LOCAL_SGDA, eta_x, eta_y, 1, 50, init))
         z = init.copy()
         for t in range(1, 51):
             z = gda_step(prob, z, eta_x, eta_y)
@@ -123,21 +137,25 @@ class TestLocalSgda:
             assert np.array_equal(z.x, rec.x)
             assert np.array_equal(z.y, rec.y)
 
-    def test_homogeneous_agents_walk_identical_local_paths(self):
-        rng = np.random.default_rng(3)
-        A = rng.normal(size=(6, 4))
-        Q, c = A.T @ A, rng.normal(size=4)
-        prob = UncoupledQuadratic([Q, Q, Q], [c, c, c])
-        z = Iterate(rng.normal(size=4), rng.normal(size=4))
-        ends = [operator_compose(a, 6, 1e-3, 1e-3, z) for a in prob.agents]
-        for other in ends[1:]:
-            assert np.array_equal(ends[0].x, other.x)
-            assert np.array_equal(ends[0].y, other.y)
+    def test_single_agent_round_equals_hand_written_local_loop_bitwise(self):
+        prob = small_quadratic(m=1, seed=1)
+        agent = prob.agents[0]
+        init = Iterate(np.full(5, 0.3), np.full(5, -0.1))
+        eta_x, eta_y = 1e-3, 2e-3
+        trace = run_algorithm(prob, AlgoConfig(LOCAL_SGDA, eta_x, eta_y, 7, 1, init))
+        x, y = init.x, init.y
+        for _ in range(7):
+            gx = agent.grad_x(x, y)
+            gy = agent.grad_y(x, y)
+            x = x - eta_x * gx
+            y = y + eta_y * gy
+        assert np.array_equal(trace.final.x, x)
+        assert np.array_equal(trace.final.y, y)
 
     def test_trace_shape_and_round_indices(self):
         prob = ScalarTwoAgent()
         cfg = AlgoConfig(LOCAL_SGDA, 1e-3, 1e-3, 4, 12, Iterate.zeros(1, 1))
-        trace = local_sgda(prob, cfg)
+        trace = run_algorithm(prob, cfg)
         assert len(trace.records) == 13
         assert [r.round for r in trace.records] == list(range(13))
         assert np.array_equal(trace.final.x, trace.records[-1].iterate.x)
@@ -145,14 +163,14 @@ class TestLocalSgda:
     def test_round_zero_records_the_start_point(self):
         prob = ScalarTwoAgent()
         init = Iterate(np.array([0.9]), np.array([1.1]))
-        trace = local_sgda(prob, AlgoConfig(LOCAL_SGDA, 1e-3, 1e-3, 3, 2, init))
+        trace = run_algorithm(prob, AlgoConfig(LOCAL_SGDA, 1e-3, 1e-3, 3, 2, init))
         assert np.array_equal(trace.records[0].iterate.x, init.x)
 
     def test_divergence_guard_names_round(self):
         prob = ScalarTwoAgent()
         cfg = AlgoConfig(LOCAL_SGDA, 10.0, 10.0, 5, 100, Iterate(np.ones(1), np.ones(1)))
         with pytest.raises(DivergenceError) as ei:
-            local_sgda(prob, cfg)
+            run_algorithm(prob, cfg)
         assert ei.value.round_index >= 1
         assert "round" in str(ei.value)
 
@@ -160,9 +178,9 @@ class TestLocalSgda:
         prob = ScalarTwoAgent()
         star = closed_form_minimax(prob)
         cfg = AlgoConfig(LOCAL_SGDA, 1e-3, 1e-3, 2, 3, Iterate.zeros(1, 1))
-        trace = local_sgda(prob, cfg, z_star=star)
+        trace = run_algorithm(prob, cfg, z_star=star)
         assert trace.records[0].gap_sq == pytest.approx(2 * 3.3**2, rel=1e-12)
-        trace_no_star = local_sgda(prob, cfg)
+        trace_no_star = run_algorithm(prob, cfg)
         assert trace_no_star.records[0].gap_sq is None
 
 
@@ -171,7 +189,7 @@ class TestFedgdaGt:
         prob = ScalarTwoAgent()
         star = closed_form_minimax(prob)
         cfg = AlgoConfig(FEDGDA_GT, 0.01, 0.01, 7, 200, star)
-        trace = fedgda_gt(prob, cfg, z_star=star)
+        trace = run_algorithm(prob, cfg, z_star=star)
         assert max(r.gap_sq for r in trace.records) <= 1e-20
 
     @pytest.mark.parametrize("K", [1, 5, 10])
@@ -183,7 +201,7 @@ class TestFedgdaGt:
         mu, L = estimate_constants(prob)
         eta = mu / L**2
         init = Iterate(rng.normal(size=6), rng.normal(size=6))
-        trace = fedgda_gt(prob, AlgoConfig(FEDGDA_GT, eta, eta, K, 100, init))
+        trace = run_algorithm(prob, AlgoConfig(FEDGDA_GT, eta, eta, K, 100, init))
         z = init.copy()
         for t in range(1, 101):
             for _ in range(K):
@@ -198,7 +216,7 @@ class TestFedgdaGt:
         sel = auto_eta_fedgda(prob, 8)
         assert sel.round_map_norm < 1
         cfg = AlgoConfig(FEDGDA_GT, sel.eta, sel.eta, 8, 40, Iterate.zeros(6, 6))
-        trace = fedgda_gt(prob, cfg, z_star=star)
+        trace = run_algorithm(prob, cfg, z_star=star)
         gaps = [r.gap_sq for r in trace.records]
         bound = sel.round_map_norm**2
         for t in range(len(gaps) - 1):
@@ -207,14 +225,12 @@ class TestFedgdaGt:
             assert gaps[t + 1] <= bound * gaps[t] * (1 + 1e-9) + 1e-300
 
     def test_projection_applied_at_aggregation(self):
-        from fedmm.core import FeasibleSet, ProductSet
-
         sets = ProductSet(
             FeasibleSet.unconstrained(2), FeasibleSet.ball(np.zeros(2), 0.1)
         )
         prob = UncoupledQuadratic([np.eye(2)], [np.array([3.0, 0.0])], sets=sets)
         cfg = AlgoConfig(FEDGDA_GT, 0.2, 0.2, 3, 20, Iterate.zeros(2, 2))
-        trace = fedgda_gt(prob, cfg)
+        trace = run_algorithm(prob, cfg)
         for rec in trace.records:
             assert np.linalg.norm(rec.iterate.y) <= 0.1 + 1e-12
 
@@ -287,12 +303,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AlgoConfig(GDA, 0.1, 0.1, 1, -1, Iterate.zeros(1, 1))
 
-    def test_run_algorithm_dispatch(self):
-        prob = ScalarTwoAgent()
-        cfg = AlgoConfig(GDA, 0.1, 0.1, 1, 5, Iterate.zeros(1, 1))
-        trace = run_algorithm(prob, cfg)
-        direct = run_gda(prob, cfg)
-        assert np.array_equal(trace.final.x, direct.final.x)
 
 
 class TestStepsizeSelection:
@@ -314,7 +324,7 @@ class TestStepsizeSelection:
         rng = np.random.default_rng(7)
         dx = rng.normal(size=4)
         z0 = Iterate(star.x + dx, star.y.copy())
-        trace = fedgda_gt(prob, AlgoConfig(FEDGDA_GT, eta, eta, K, 1, z0))
+        trace = run_algorithm(prob, AlgoConfig(FEDGDA_GT, eta, eta, K, 1, z0))
         observed = trace.records[1].iterate.x - star.x
         np.testing.assert_allclose(observed, M @ dx, atol=1e-9 * (1 + np.linalg.norm(dx)))
 
@@ -355,5 +365,5 @@ class TestStepsizeSelection:
         sel = auto_eta_fedgda(prob, 20)
         assert sel.round_map_norm < 1
         cfg = AlgoConfig(FEDGDA_GT, sel.eta, sel.eta, 20, 100, Iterate.zeros(1, 1))
-        trace = fedgda_gt(prob, cfg, z_star=closed_form_minimax(prob))
+        trace = run_algorithm(prob, cfg, z_star=closed_form_minimax(prob))
         assert trace.records[-1].gap_sq <= 1e-16

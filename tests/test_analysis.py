@@ -84,6 +84,14 @@ class TestFixedPointReport:
         assert report.residual_norm <= 1e-10
         assert report.sim_agreement <= 1e-6
         assert report.z_star.x[0] == pytest.approx(3.3)
+        assert report.converged is True
+        assert 1 < report.rounds < 200_000
+
+
+    def test_reports_unconverged_simulation(self):
+        report = fixed_point_report(10, 1e-5, 1e-5, max_rounds=10)
+        assert report.converged is False
+        assert report.rounds == 10
 
 
 class TestOptimalityGap:
@@ -126,10 +134,16 @@ class TestRobustLoss:
         x_hat = np.array([0.8])
         res = robust_loss(prob, x_hat)
         grid = np.arange(-1.0, 1.0 + 1e-5, 1e-5)
-        best = max(
-            sum(a.value(x_hat, np.array([y])) for a in prob.agents) for y in grid
-        )
-        assert res.value == pytest.approx(best, abs=1e-4)
+        # the definition sum_i [mean((x (a_ij + y) - b_ij)^2) + x^2 / 2],
+        # evaluated on the whole grid at once
+        totals = np.zeros_like(grid)
+        for a in prob.agents:
+            r = x_hat[0] * (a.A[:, 0] + grid[:, None]) - a.b
+            totals += np.mean(r * r, axis=1) + 0.5 * x_hat[0] ** 2
+        for k in (0, grid.size // 2, grid.size - 1):
+            oracle = sum(a.value(x_hat, grid[k:k + 1]) for a in prob.agents)
+            assert totals[k] == pytest.approx(oracle, rel=1e-12)
+        assert res.value == pytest.approx(totals.max(), abs=1e-4)
 
     def test_dominates_value_at_zero_shift(self):
         prob = tiny_rlr(m=4, d=3, n=5, seed=4)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 
 from fedmm.cli import CSV_HEADER, main
@@ -264,6 +266,24 @@ trace = x.csv
         assert main(["run", str(tmp_path / "nope.ini")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_unwritable_trace_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.ini", f"""
+[problem]
+kind = scalar2
+
+[algo]
+name = GDA
+eta = 0.1
+rounds = 1
+
+[output]
+trace = {tmp_path / "missing_dir" / "t.csv"}
+""")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing_dir" in err
+
     def test_gda_with_k_over_one(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.ini", """
 [problem]
@@ -443,6 +463,7 @@ class TestFixedPointCommand:
         out = capsys.readouterr().out
         gap = float(out.split("squared gap to minimax:")[1].split()[0])
         assert gap <= 1e-10
+        assert re.search(r"^simulated rounds: +\d+ \(converged\)$", out, re.M)
 
     def test_gap_strictly_increases_with_k(self, capsys):
         gaps = []
