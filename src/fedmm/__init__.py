@@ -29,7 +29,6 @@ from .analysis import (
     fixed_point_report,
     local_sgda_fixed_point_closed_form,
     local_sgda_limit,
-    optimality_gap,
     robust_loss,
 )
 from .core import (
@@ -39,6 +38,7 @@ from .core import (
     ProductSet,
     average_vectors,
     norm,
+    optimality_gap,
 )
 from .datagen import (
     QuadraticGenSpec,

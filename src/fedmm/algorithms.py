@@ -31,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Iterate, Vector, average_vectors
-from .problems import LocalObjective, MinimaxProblem, estimate_constants
+from .core import Iterate, Vector, average_vectors, optimality_gap
+from .problems import LocalObjective, MinimaxProblem, curvatures, estimate_constants
 
 GDA = "GDA"
 LOCAL_SGDA = "LocalSGDA"
@@ -40,6 +40,7 @@ FEDGDA_GT = "FedGDAGT"
 ALGORITHMS = (GDA, LOCAL_SGDA, FEDGDA_GT)
 
 DIVERGENCE_LIMIT = 1e12
+ETA_GRID_SIZE = 46  # halvings of 2/L that ``auto_eta_fedgda`` scans
 
 
 class DivergenceError(RuntimeError):
@@ -77,12 +78,6 @@ class AlgoConfig:
             raise ValueError("FedGDA-GT uses a single stepsize; eta_x must equal eta_y")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
-
-    @property
-    def eta(self) -> float:
-        if self.eta_x != self.eta_y:
-            raise ValueError("eta is only defined when eta_x == eta_y")
-        return self.eta_x
 
 
 @dataclass
@@ -163,10 +158,11 @@ def _local_path(
 
 def _round(
     problem: MinimaxProblem, config: AlgoConfig, x: Vector, y: Vector,
-    grads: list[tuple[Vector, Vector]],
+    grads: list[tuple[Vector, Vector]], gbar: tuple[Vector, Vector] | None,
 ) -> tuple[Vector, Vector]:
     """One communication round of ``config.algo`` from the synchronized
-    iterate (x, y), where ``grads`` is ``_agent_grads`` at (x, y).
+    iterate (x, y), where ``grads`` is ``_agent_grads`` at (x, y) and
+    ``gbar`` its agent average (needed by FedGDA-GT only).
 
     Every agent walks K local steps and the server averages the endpoints.
     FedGDA-GT adds to each local gradient the correction (averaged gradient
@@ -176,8 +172,7 @@ def _round(
     """
     corrs = [None] * problem.m
     if config.algo == FEDGDA_GT:
-        gbar_x = average_vectors([gx for gx, _ in grads])
-        gbar_y = average_vectors([gy for _, gy in grads])
+        gbar_x, gbar_y = gbar
         corrs = [(gbar_x - gx, gbar_y - gy) for gx, gy in grads]
     xs, ys = [], []
     for agent, (gx, gy), corr in zip(problem.agents, grads, corrs):
@@ -208,11 +203,11 @@ def run_algorithm(
 ) -> RunTrace:
     """Run ``config.algo`` for ``config.rounds`` rounds from ``config.init``.
 
-    Every agent's gradient is taken once per synchronized iterate: it gives
-    the recorded gradient norm and the next round's first local step (and,
-    for FedGDA-GT, the tracking correction). Local SGDA with K = 1 is exactly
-    the centralized method: its trace coincides bitwise with iterating
-    ``gda_step`` on unconstrained problems.
+    Every agent's gradient is taken, and averaged, once per synchronized
+    iterate: it gives the recorded gradient norm and the next round's first
+    local step (and, for FedGDA-GT, the tracking correction). Local SGDA
+    with K = 1 is exactly the centralized method: its trace coincides
+    bitwise with iterating ``gda_step`` on unconstrained problems.
     """
     problem._check(config.init)
     start = time.perf_counter_ns()
@@ -220,22 +215,18 @@ def run_algorithm(
     x, y = config.init.x.copy(), config.init.y.copy()
     for t in range(config.rounds + 1):
         if t:
-            x, y = _round(problem, config, x, y, grads)
+            x, y = _round(problem, config, x, y, grads, (gx, gy))
             _check_divergence(config.algo, t, x, y)
         grads = _agent_grads(problem, x, y)
         z = Iterate(x.copy(), y.copy())
         gx = average_vectors([g for g, _ in grads])
         gy = average_vectors([g for _, g in grads])
-        gap = None
-        if z_star is not None:
-            gap = float(np.dot(z.x - z_star.x, z.x - z_star.x)
-                        + np.dot(z.y - z_star.y, z.y - z_star.y))
         loss = robust_loss_fn(z) if robust_loss_fn is not None else None
         trace.records.append(RoundRecord(
             round=t,
             iterate=z,
             grad_norm=float(np.sqrt(np.dot(gx, gx) + np.dot(gy, gy))),
-            gap_sq=gap,
+            gap_sq=optimality_gap(z, z_star) if z_star is not None else None,
             robust_loss=loss,
             elapsed_ns=time.perf_counter_ns() - start,
         ))
@@ -304,9 +295,7 @@ def conservative_eta(mu: float, L: float, K: int) -> float:
 def _round_map_spectra(problem: MinimaxProblem) -> list[tuple[np.ndarray, ...]]:
     """The stepsize-independent part of ``fedgda_round_map``: per agent, the
     eigendecomposition (w_i, V_i) of Q_i and the difference Qbar - Q_i."""
-    if not all(hasattr(a, "hess_x") for a in problem.agents):
-        raise ValueError("round map is only available for quadratic-family problems")
-    Qs = [np.atleast_2d(np.asarray(a.hess_x, dtype=np.float64)) for a in problem.agents]
+    Qs = curvatures(problem)
     d = Qs[0].shape[0]
     Qbar = average_vectors([Q.reshape(-1) for Q in Qs]).reshape(d, d)
     return [(*np.linalg.eigh(Q), Qbar - Q) for Q in Qs]
@@ -346,7 +335,7 @@ def fedgda_round_map_norm(problem: MinimaxProblem, eta: float, K: int) -> float:
     return float(np.linalg.norm(fedgda_round_map(problem, eta, K), 2))
 
 
-def auto_eta_fedgda(problem: MinimaxProblem, K: int, *, grid_size: int = 46) -> EtaSelection:
+def auto_eta_fedgda(problem: MinimaxProblem, K: int) -> EtaSelection:
     """Pick a stepsize for the gradient-tracking scheme on quadratic families.
 
     Scans a geometric grid below the per-step stability ceiling 2/L and keeps
@@ -357,7 +346,7 @@ def auto_eta_fedgda(problem: MinimaxProblem, K: int, *, grid_size: int = 46) -> 
     # mu and L come from eigvalsh, not from the eigh spectra below: the two
     # differ in the last bits, and the grid is built from these values
     mu, L = estimate_constants(problem)
-    candidates = [2.0 / L * 0.5**j for j in range(1, grid_size + 1)]
+    candidates = [2.0 / L * 0.5**j for j in range(1, ETA_GRID_SIZE + 1)]
     candidates.append(conservative_eta(mu, L, K))
     spectra = _round_map_spectra(problem)
     best: EtaSelection | None = None

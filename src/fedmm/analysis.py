@@ -18,7 +18,7 @@ from .algorithms import (
     _round,
     local_sgda_residual,
 )
-from .core import Iterate, Vector, as_vector, norm
+from .core import Iterate, Vector, as_vector, norm, optimality_gap
 from .problems import (
     MinimaxProblem,
     RobustLinearRegression,
@@ -27,17 +27,13 @@ from .problems import (
 )
 
 
+LIMIT_TOL = 1e-13  # relative per-round displacement that ends ``local_sgda_limit``
+SAMPLE_SCALE = 10.0  # standard deviation of the property checks' random points
+MONOTONICITY_SLACK = 1e-9  # absolute tolerance of ``check_strong_monotonicity``
+
+
 class UnstableStepsizeError(ValueError):
     """The requested stepsize leaves the scheme's stability region."""
-
-
-def optimality_gap(z: Iterate, z_star: Iterate) -> float:
-    """Squared distance to the reference pair, x block plus y block."""
-    if (z.p, z.q) != (z_star.p, z_star.q):
-        raise ValueError("iterates have mismatched dimensions")
-    dx = z.x - z_star.x
-    dy = z.y - z_star.y
-    return float(np.dot(dx, dx) + np.dot(dy, dy))
 
 
 # ---------------------------------------------------------------------------
@@ -88,32 +84,31 @@ def local_sgda_limit(
     K: int,
     eta_x: float,
     eta_y: float,
-    init: Iterate | None = None,
     *,
-    tol: float = 1e-13,
     max_rounds: int = 200_000,
 ) -> LimitResult:
-    """Iterate the uncorrected scheme until the per-round displacement falls
-    below ``tol * (1 + |z|)``; an independent oracle for the closed form."""
-    z = init if init is not None else Iterate.zeros(problem.p, problem.q)
+    """Iterate the uncorrected scheme from the origin until the per-round
+    displacement falls below ``LIMIT_TOL * (1 + |z|)``; an independent
+    oracle for the closed form."""
+    z = Iterate.zeros(problem.p, problem.q)
     config = AlgoConfig(LOCAL_SGDA, eta_x, eta_y, K, max_rounds, z)
     x, y = z.x.copy(), z.y.copy()
     for t in range(1, max_rounds + 1):
-        x_next, y_next = _round(problem, config, x, y, _agent_grads(problem, x, y))
+        x_next, y_next = _round(problem, config, x, y, _agent_grads(problem, x, y), None)
         _check_divergence(LOCAL_SGDA, t, x_next, y_next)
         moved = float(np.sqrt(
             np.dot(x_next - x, x_next - x) + np.dot(y_next - y, y_next - y)
         ))
         x, y = x_next, y_next
-        if moved <= tol * (1.0 + float(np.sqrt(np.dot(x, x) + np.dot(y, y)))):
+        if moved <= LIMIT_TOL * (1.0 + float(np.sqrt(np.dot(x, x) + np.dot(y, y)))):
             return LimitResult(Iterate(x, y), t, True)
     return LimitResult(Iterate(x, y), max_rounds, False)
 
 
 @dataclass
 class FixedPointReport:
-    """Closed-form fixed point versus the true minimax point (and, when
-    simulated, versus the long-run limit of the actual iteration)."""
+    """Closed-form fixed point versus the true minimax point and versus the
+    long-run limit of the actual iteration."""
 
     K: int
     eta_x: float
@@ -122,26 +117,23 @@ class FixedPointReport:
     z_star: Iterate
     gap: float
     residual_norm: float
-    z_simulated: Iterate | None = None
-    sim_agreement: float | None = None
-    rounds: int | None = None  # simulated rounds, LimitResult.rounds
-    converged: bool | None = None
+    z_simulated: Iterate
+    sim_agreement: float
+    rounds: int  # simulated rounds, LimitResult.rounds
+    converged: bool
 
 
 def fixed_point_report(
-    K: int,
-    eta_x: float,
-    eta_y: float,
-    *,
-    simulate: bool = True,
-    max_rounds: int = 200_000,
+    K: int, eta_x: float, eta_y: float, *, max_rounds: int = 200_000
 ) -> FixedPointReport:
-    """Build the fixed-point study for the two-agent scalar problem."""
+    """Build the fixed-point study for the two-agent scalar problem;
+    ``max_rounds`` caps the simulation."""
     problem = ScalarTwoAgent()
     z_fixed = local_sgda_fixed_point_closed_form(K, eta_x, eta_y)
     z_star = closed_form_minimax(problem)
     residual = local_sgda_residual(problem, z_fixed, K, eta_x, eta_y)
-    report = FixedPointReport(
+    limit = local_sgda_limit(problem, K, eta_x, eta_y, max_rounds=max_rounds)
+    return FixedPointReport(
         K=K,
         eta_x=eta_x,
         eta_y=eta_y,
@@ -149,16 +141,11 @@ def fixed_point_report(
         z_star=z_star,
         gap=optimality_gap(z_fixed, z_star),
         residual_norm=norm(residual),
+        z_simulated=limit.iterate,
+        sim_agreement=float(np.sqrt(optimality_gap(limit.iterate, z_fixed))),
+        rounds=limit.rounds,
+        converged=limit.converged,
     )
-    if simulate:
-        limit = local_sgda_limit(problem, K, eta_x, eta_y, max_rounds=max_rounds)
-        report.z_simulated = limit.iterate
-        report.rounds = limit.rounds
-        report.converged = limit.converged
-        report.sim_agreement = float(
-            np.sqrt(optimality_gap(limit.iterate, z_fixed))
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -208,39 +195,38 @@ class MonotonicityReport:
     witness: tuple[Iterate, Iterate] | None = None
 
 
-def _sample_pair(problem: MinimaxProblem, rng: np.random.Generator, scale: float):
-    z = Iterate(rng.normal(0.0, scale, problem.p), rng.normal(0.0, scale, problem.q))
-    zp = Iterate(rng.normal(0.0, scale, problem.p), rng.normal(0.0, scale, problem.q))
-    return z, zp
-
-
-def check_strong_monotonicity(
-    problem: MinimaxProblem,
-    mu: float,
-    trials: int,
-    *,
-    seed: int = 0,
-    scale: float = 10.0,
-    slack: float = 1e-9,
-) -> MonotonicityReport:
-    """Sample random pairs and test <F(z)-F(z'), z-z'> >= mu |z-z'|^2 - slack
-    for the stacked descent/ascent field F; reports the smallest observed
-    curvature ratio and a witness pair on failure."""
+def _sampled_pairs(problem: MinimaxProblem, trials: int, seed: int):
+    """Yield (z, z', d, |d|^2, F(z) - F(z')) with d = z - z' for ``trials``
+    random pairs, skipping coincident ones; F is the stacked descent/ascent
+    field."""
     rng = np.random.default_rng(seed)
-    min_ratio = np.inf
-    witness = None
-    passed = True
+    p, q = problem.p, problem.q
     for _ in range(trials):
-        z, zp = _sample_pair(problem, rng, scale)
+        z = Iterate(rng.normal(0.0, SAMPLE_SCALE, p), rng.normal(0.0, SAMPLE_SCALE, q))
+        zp = Iterate(rng.normal(0.0, SAMPLE_SCALE, p), rng.normal(0.0, SAMPLE_SCALE, q))
         diff = z.stacked - zp.stacked
         dsq = float(np.dot(diff, diff))
         if dsq == 0.0:
             continue
-        lhs = float(np.dot(problem.gda_field(z) - problem.gda_field(zp), diff))
+        yield z, zp, diff, dsq, problem.gda_field(z) - problem.gda_field(zp)
+
+
+def check_strong_monotonicity(
+    problem: MinimaxProblem, mu: float, trials: int, *, seed: int = 0
+) -> MonotonicityReport:
+    """Sample random pairs and test
+    <F(z)-F(z'), z-z'> >= mu |z-z'|^2 - MONOTONICITY_SLACK for the stacked
+    descent/ascent field F; reports the smallest observed curvature ratio
+    and a witness pair on failure."""
+    min_ratio = np.inf
+    witness = None
+    passed = True
+    for z, zp, diff, dsq, dfield in _sampled_pairs(problem, trials, seed):
+        lhs = float(np.dot(dfield, diff))
         ratio = lhs / dsq
         if ratio < min_ratio:
             min_ratio = ratio
-        if lhs < mu * dsq - slack and witness is None:
+        if lhs < mu * dsq - MONOTONICITY_SLACK and witness is None:
             passed = False
             witness = (z, zp)
     return MonotonicityReport(passed, mu, trials, float(min_ratio), witness)
@@ -264,22 +250,15 @@ def check_contraction(
     trials: int,
     *,
     seed: int = 0,
-    scale: float = 10.0,
 ) -> ContractionReport:
     """Test that the damped field u -> u - eta F(u) shrinks squared distances
     by at least the factor 1 - eta (2 mu - eta L^2) on random pairs."""
     bound = 1.0 - eta * (2.0 * mu - eta * L**2)
-    rng = np.random.default_rng(seed)
     max_ratio = -np.inf
     witness = None
     passed = True
-    for _ in range(trials):
-        z, zp = _sample_pair(problem, rng, scale)
-        diff = z.stacked - zp.stacked
-        dsq = float(np.dot(diff, diff))
-        if dsq == 0.0:
-            continue
-        step_diff = diff - eta * (problem.gda_field(z) - problem.gda_field(zp))
+    for z, zp, diff, dsq, dfield in _sampled_pairs(problem, trials, seed):
+        step_diff = diff - eta * dfield
         lhs = float(np.dot(step_diff, step_diff))
         ratio = lhs / dsq
         if ratio > max_ratio:

@@ -105,6 +105,15 @@ class Iterate:
         return Iterate(np.zeros(p), np.zeros(q))
 
 
+def optimality_gap(z: Iterate, z_star: Iterate) -> float:
+    """Squared distance to the reference pair, x block plus y block."""
+    if (z.p, z.q) != (z_star.p, z_star.q):
+        raise ValueError("iterates have mismatched dimensions")
+    dx = z.x - z_star.x
+    dy = z.y - z_star.y
+    return float(np.dot(dx, dx) + np.dot(dy, dy))
+
+
 # ---------------------------------------------------------------------------
 # feasible sets and projections
 # ---------------------------------------------------------------------------
@@ -147,12 +156,6 @@ class FeasibleSet:
         if dist <= self.radius:
             return v.copy()
         return self.center + delta * (self.radius / dist)
-
-    def contains(self, v, tol: float = 1e-12) -> bool:
-        v = as_vector(v, dim=self.dim, what="point")
-        if self.kind == UNCONSTRAINED:
-            return True
-        return norm(v - self.center) <= self.radius + tol
 
 
 @dataclass(frozen=True)

@@ -149,11 +149,21 @@ _HEADER = struct.Struct("<6sBQQQQd")
 
 
 def save_dataset(path, problem, spec) -> None:
-    """Dump a generated problem so runs can be replayed without regeneration."""
+    """Dump a generated problem so runs can be replayed without regeneration.
+
+    An rlr problem is refused, before the file is opened, unless its Y set
+    is the unit ball that ``load_dataset`` rebuilds.
+    """
     if isinstance(problem, UncoupledQuadratic):
         kind, alpha = KIND_QUADRATIC, 0.0
         blocks = [(a.Q, a.c) for a in problem.agents]
     elif isinstance(problem, RobustLinearRegression):
+        radius = problem.sets.set_y.radius
+        if radius != 1.0:
+            raise ValueError(
+                f"a {MAGIC.decode()} container has no field for the y-ball; it "
+                f"stores only the unit ball, not radius {radius!r}"
+            )
         kind, alpha = KIND_RLR, float(spec.alpha)
         blocks = [(a.A, a.b) for a in problem.agents]
     else:

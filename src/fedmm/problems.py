@@ -41,6 +41,9 @@ class SingularProblemError(ValueError):
     """A linear system that the operation relies on is numerically singular."""
 
 
+FD_STEP = 1e-5  # central-difference step of ``finite_difference_gradients``
+
+
 class LocalObjective(ABC):
     """One agent's differentiable objective f_i(x, y).
 
@@ -61,9 +64,7 @@ class LocalObjective(ABC):
     def grad_y(self, x: Vector, y: Vector) -> Vector: ...
 
 
-def finite_difference_gradients(
-    obj: LocalObjective, x, y, step: float = 1e-5
-) -> tuple[Vector, Vector]:
+def finite_difference_gradients(obj: LocalObjective, x, y) -> tuple[Vector, Vector]:
     """Central-difference estimate of (grad_x, grad_y) using only ``value``.
 
     Deliberately independent of the oracle's analytic gradients so it can
@@ -74,13 +75,13 @@ def finite_difference_gradients(
     gx = np.zeros(obj.p)
     for k in range(obj.p):
         e = np.zeros(obj.p)
-        e[k] = step
-        gx[k] = (obj.value(x + e, y) - obj.value(x - e, y)) / (2.0 * step)
+        e[k] = FD_STEP
+        gx[k] = (obj.value(x + e, y) - obj.value(x - e, y)) / (2.0 * FD_STEP)
     gy = np.zeros(obj.q)
     for k in range(obj.q):
         e = np.zeros(obj.q)
-        e[k] = step
-        gy[k] = (obj.value(x, y + e) - obj.value(x, y - e)) / (2.0 * step)
+        e[k] = FD_STEP
+        gy[k] = (obj.value(x, y + e) - obj.value(x, y - e)) / (2.0 * FD_STEP)
     return gx, gy
 
 
@@ -233,10 +234,6 @@ class MinimaxProblem:
             raise DimensionMismatchError(self.p + self.q, z.p + z.q, "iterate")
         return z
 
-    def global_value(self, z: Iterate) -> float:
-        self._check(z)
-        return float(np.mean([a.value(z.x, z.y) for a in self.agents]))
-
     def global_grad(self, z: Iterate) -> tuple[Vector, Vector]:
         """Arithmetic mean of local gradients, ascending agent order."""
         self._check(z)
@@ -276,11 +273,8 @@ class UncoupledQuadratic(MinimaxProblem):
         agents = [QuadraticAgent(Q, c) for Q, c in zip(Q_list, c_list)]
         super().__init__(agents, sets)
         # positive definiteness of sum(Q_i) guarantees a unique stationary pair
-        total = np.zeros((self.p, self.p))
-        for a in agents:
-            total += a.Q
         try:
-            np.linalg.cholesky(total)
+            np.linalg.cholesky(self.curvature_sum())
         except np.linalg.LinAlgError as exc:
             raise SingularProblemError(
                 "sum of per-agent curvature matrices is not positive definite"
@@ -348,21 +342,29 @@ def closed_form_minimax(problem: MinimaxProblem) -> Iterate:
     )
 
 
+def curvatures(problem: MinimaxProblem) -> list[np.ndarray]:
+    """Each agent's constant x-Hessian (the y-Hessian is its negation), in
+    agent order; only quadratic-family agents have one."""
+    # duck-typed rather than an isinstance check, so that agents wrapped in
+    # delegating proxies still qualify
+    if not all(hasattr(a, "hess_x") for a in problem.agents):
+        raise UnsupportedProblemError(
+            f"constants are not estimated for {type(problem).__name__}; "
+            "supply stepsizes explicitly"
+        )
+    return [a.hess_x for a in problem.agents]
+
+
 def estimate_constants(problem: MinimaxProblem) -> tuple[float, float]:
     """(mu, L): worst strong-convexity and smoothness constants over agents.
 
     mu is the smallest eigenvalue over all per-agent curvature matrices and L
     the largest, computed by a symmetric eigensolve.
     """
-    if not all(hasattr(a, "hess_x") for a in problem.agents):
-        raise UnsupportedProblemError(
-            f"constants are not estimated for {type(problem).__name__}; "
-            "supply stepsizes explicitly"
-        )
     mu = np.inf
     L = -np.inf
-    for a in problem.agents:
-        eigs = np.linalg.eigvalsh(a.hess_x)
+    for Q in curvatures(problem):
+        eigs = np.linalg.eigvalsh(Q)
         mu = min(mu, float(eigs[0]))
         L = max(L, float(eigs[-1]))
     return mu, L

@@ -123,6 +123,12 @@ class TestRoundEngine:
         assert [a.calls_x for a in agents] == [expected] * m
         assert [a.calls_y for a in agents] == [expected] * m
 
+    def test_z_star_of_wrong_dimension_rejected(self):
+        prob = small_quadratic(seed=3)
+        cfg = AlgoConfig(GDA, 1e-3, 1e-3, 1, 2, Iterate.zeros(5, 5))
+        with pytest.raises(ValueError, match="mismatched dimensions"):
+            run_algorithm(prob, cfg, z_star=Iterate.zeros(1, 1))
+
 
 class TestLocalSgda:
     def test_k1_trace_bitwise_equals_gda_iteration(self):

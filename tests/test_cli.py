@@ -562,6 +562,24 @@ seed = 12
         assert main(["gen-data", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "quadratic or rlr" in capsys.readouterr().err
 
+    def test_rlr_radius_without_container_field_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path / "g.ini", """
+[problem]
+kind = rlr
+m = 2
+d = 3
+n = 5
+alpha = 2.0
+seed = 8
+radius_y = 3.0
+""")
+        out = tmp_path / "data.fedmm"
+        assert main(["gen-data", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: [^\n]*radius 3\.0[^\n]*\n", captured.err)
+        assert not out.exists()
+
     def test_rlr_dump(self, tmp_path):
         cfg = write(tmp_path / "g.ini", """
 [problem]

@@ -12,7 +12,7 @@ from fedmm.datagen import (
     save_dataset,
     substream,
 )
-from fedmm.problems import closed_form_minimax
+from fedmm.problems import RobustLinearRegression, closed_form_minimax
 
 
 class TestQuadraticGeneration:
@@ -125,6 +125,11 @@ class TestContainer:
         for a, b in zip(prob.agents, loaded.agents):
             assert np.array_equal(a.Q, b.Q)
             assert np.array_equal(a.c, b.c)
+        # save -> load -> save, with the spec rebuilt from the header
+        again = tmp_path / "again.fedmm"
+        save_dataset(again, loaded, QuadraticGenSpec(
+            m=info["m"], d=info["d"], n_i=info["n"], seed=info["seed"]))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_rlr_round_trip(self, tmp_path):
         spec = RlrGenSpec(m=2, d=3, n_i=5, alpha=4.0, seed=19)
@@ -137,6 +142,21 @@ class TestContainer:
         for a, b in zip(prob.agents, loaded.agents):
             assert np.array_equal(a.A, b.A)
             assert np.array_equal(a.b, b.b)
+        again = tmp_path / "again.fedmm"
+        save_dataset(again, loaded, RlrGenSpec(
+            m=info["m"], d=info["d"], n_i=info["n"], alpha=info["alpha"],
+            seed=info["seed"]))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_rlr_with_other_y_radius_is_refused_before_writing(self, tmp_path):
+        spec = RlrGenSpec(m=2, d=3, n_i=5, alpha=1.0, seed=37)
+        prob = gen_rlr(spec)
+        wide = RobustLinearRegression([a.A for a in prob.agents],
+                                      [a.b for a in prob.agents], y_radius=3.0)
+        path = tmp_path / "wide.fedmm"
+        with pytest.raises(ValueError, match="radius 3.0"):
+            save_dataset(path, wide, spec)
+        assert not path.exists()
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bogus.bin"
