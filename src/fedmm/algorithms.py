@@ -12,11 +12,14 @@ One round engine and one runner, ``run_algorithm``, serve all three methods;
 ``gda_step`` is a separately written centralized step that tests hold the
 engine against.
 
-Within one communication round the m agent loops share nothing and may run
-concurrently; every server aggregation is a deterministic ascending-index
-reduction. The centralized step is computed as the average of per-agent
-steps (algebraically identical to stepping along the averaged gradient), so
-a K=1 local run and a centralized run produce bitwise identical traces.
+Within one communication round the m agents share nothing, so the engine
+advances all of them together: their iterates are the rows of (m, p) and
+(m, q) arrays, and each local step is one batched ``stacked_grads`` call of
+the problem rather than m calls to per-agent oracles. Every server
+aggregation is a deterministic ascending-index reduction over those rows.
+The centralized step is computed as the average of per-agent steps
+(algebraically identical to stepping along the averaged gradient), so a K=1
+local run and a centralized run produce bitwise identical traces.
 
 Per round, FedGDA-GT broadcasts both the iterate and the averaged gradient;
 round counts below count server synchronizations, so message volume is twice
@@ -32,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Iterate, Vector, average_vectors, optimality_gap
-from .problems import LocalObjective, MinimaxProblem, curvatures, estimate_constants
+from .problems import MinimaxProblem, curvatures, estimate_constants
 
 GDA = "GDA"
 LOCAL_SGDA = "LocalSGDA"
@@ -126,62 +129,36 @@ def gda_step(
 # round engine
 # ---------------------------------------------------------------------------
 
-def _agent_grads(
-    problem: MinimaxProblem, x: Vector, y: Vector
-) -> list[tuple[Vector, Vector]]:
-    """Every agent's (grad_x, grad_y) at the synchronized iterate, in agent order."""
-    return [(agent.grad_x(x, y), agent.grad_y(x, y)) for agent in problem.agents]
-
-
-def _local_path(
-    agent: LocalObjective, K: int, eta_x: float, eta_y: float,
-    x: Vector, y: Vector, gx: Vector, gy: Vector,
-    corr: tuple[Vector, Vector] | None = None,
-) -> tuple[Vector, Vector]:
-    """K simultaneous descent/ascent steps under one agent from (x, y).
-
-    The first step uses the supplied gradient (gx, gy), which must be the
-    agent's gradient at (x, y); ``corr`` is the gradient-tracking correction
-    added to every step's gradient.
-    """
-    for step in range(K):
-        if step:
-            gx = agent.grad_x(x, y)
-            gy = agent.grad_y(x, y)
-        if corr is not None:
-            gx = gx + corr[0]
-            gy = gy + corr[1]
-        x = x - eta_x * gx
-        y = y + eta_y * gy
-    return x, y
-
-
 def _round(
     problem: MinimaxProblem, config: AlgoConfig, x: Vector, y: Vector,
-    grads: list[tuple[Vector, Vector]], gbar: tuple[Vector, Vector] | None,
+    GX: np.ndarray, GY: np.ndarray, gbar: tuple[Vector, Vector] | None,
 ) -> tuple[Vector, Vector]:
     """One communication round of ``config.algo`` from the synchronized
-    iterate (x, y), where ``grads`` is ``_agent_grads`` at (x, y) and
+    iterate (x, y), where (GX, GY) is ``problem.synced_grads(x, y)`` and
     ``gbar`` its agent average (needed by FedGDA-GT only).
 
-    Every agent walks K local steps and the server averages the endpoints.
-    FedGDA-GT adds to each local gradient the correction (averaged gradient
-    minus local gradient, both at the synchronized iterate), which vanishes
-    identically in the homogeneous case. GDA and FedGDA-GT project the
-    average onto X and Y; Local SGDA applies no projection.
+    Every agent walks K local steps and the server averages the endpoints;
+    the m local iterates are the rows of (m, p) and (m, q) arrays, and each
+    local step takes every agent's gradient in one ``stacked_grads`` call.
+    The first step uses the supplied gradients. FedGDA-GT adds to each local
+    gradient the correction (averaged gradient minus local gradient, both at
+    the synchronized iterate), which vanishes identically in the homogeneous
+    case. GDA and FedGDA-GT project the average onto X and Y; Local SGDA
+    applies no projection.
     """
-    corrs = [None] * problem.m
-    if config.algo == FEDGDA_GT:
-        gbar_x, gbar_y = gbar
-        corrs = [(gbar_x - gx, gbar_y - gy) for gx, gy in grads]
-    xs, ys = [], []
-    for agent, (gx, gy), corr in zip(problem.agents, grads, corrs):
-        xi, yi = _local_path(
-            agent, config.K, config.eta_x, config.eta_y, x, y, gx, gy, corr
-        )
-        xs.append(xi)
-        ys.append(yi)
-    x, y = average_vectors(xs), average_vectors(ys)
+    tracking = config.algo == FEDGDA_GT
+    if tracking:
+        CX, CY = gbar[0] - GX, gbar[1] - GY
+    X, Y = x, y
+    for step in range(config.K):
+        if step:
+            GX, GY = problem.stacked_grads(X, Y)
+        if tracking:
+            GX = GX + CX
+            GY = GY + CY
+        X = X - config.eta_x * GX
+        Y = Y + config.eta_y * GY
+    x, y = average_vectors(X), average_vectors(Y)
     if config.algo == LOCAL_SGDA:
         return x, y
     return problem.sets.set_x.project(x), problem.sets.set_y.project(y)
@@ -215,12 +192,11 @@ def run_algorithm(
     x, y = config.init.x.copy(), config.init.y.copy()
     for t in range(config.rounds + 1):
         if t:
-            x, y = _round(problem, config, x, y, grads, (gx, gy))
+            x, y = _round(problem, config, x, y, GX, GY, (gx, gy))
             _check_divergence(config.algo, t, x, y)
-        grads = _agent_grads(problem, x, y)
+        GX, GY = problem.synced_grads(x, y)
         z = Iterate(x.copy(), y.copy())
-        gx = average_vectors([g for g, _ in grads])
-        gy = average_vectors([g for _, g in grads])
+        gx, gy = average_vectors(GX), average_vectors(GY)
         loss = robust_loss_fn(z) if robust_loss_fn is not None else None
         trace.records.append(RoundRecord(
             round=t,

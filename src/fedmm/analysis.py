@@ -13,7 +13,6 @@ import numpy as np
 from .algorithms import (
     LOCAL_SGDA,
     AlgoConfig,
-    _agent_grads,
     _check_divergence,
     _round,
     local_sgda_residual,
@@ -94,7 +93,7 @@ def local_sgda_limit(
     config = AlgoConfig(LOCAL_SGDA, eta_x, eta_y, K, max_rounds, z)
     x, y = z.x.copy(), z.y.copy()
     for t in range(1, max_rounds + 1):
-        x_next, y_next = _round(problem, config, x, y, _agent_grads(problem, x, y), None)
+        x_next, y_next = _round(problem, config, x, y, *problem.synced_grads(x, y), None)
         _check_divergence(LOCAL_SGDA, t, x_next, y_next)
         moved = float(np.sqrt(
             np.dot(x_next - x, x_next - x) + np.dot(y_next - y, y_next - y)

@@ -21,7 +21,9 @@ absent metrics emit empty fields and rows are ordered by (algorithm, round).
 config + seed reruns produce byte-identical files.
 
 Exit codes: 0 success, 2 config error or unreadable/unwritable file,
-3 divergence abort.
+3 divergence abort; ``compare`` still writes the traces of the algorithms
+that finished before the diverging one. Trace and plot files are replaced
+atomically, so a failed write leaves an existing file intact.
 """
 
 from __future__ import annotations
@@ -247,6 +249,22 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _write_atomic(path, lines: list[str]) -> None:
+    """Write the lines to a temporary file next to ``path`` and rename it over
+    ``path`` once complete, so a failed write leaves an existing file intact
+    and no partial file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_trace_csv(path, runs: list[tuple[str, RunTrace]], *, timing: bool) -> None:
     lines = [CSV_HEADER]
     for label, trace in sorted(runs, key=lambda item: item[0]):
@@ -263,7 +281,7 @@ def write_trace_csv(path, runs: list[tuple[str, RunTrace]], *, timing: bool) -> 
                 _fmt(rec.robust_loss),
                 str(rec.elapsed_ns) if timing else "",
             ]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(path, lines)
 
 
 def write_plot_csv(path, runs: list[tuple[str, RunTrace]]) -> None:
@@ -278,7 +296,7 @@ def write_plot_csv(path, runs: list[tuple[str, RunTrace]]) -> None:
             else:
                 metric, value = "grad_norm", rec.grad_norm
             lines.append(f"{rec.round},{label},{metric},{_fmt(value)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +330,23 @@ def _execute(config_path, *, expect_compare: bool) -> int:
         if label in labels:
             raise ConfigError(f"duplicate algorithm label {label!r}")
         labels.add(label)
-        trace = run_algorithm(problem, config, z_star=z_star, robust_loss_fn=loss_fn)
+        try:
+            trace = run_algorithm(problem, config, z_star=z_star, robust_loss_fn=loss_fn)
+        except DivergenceError:
+            # keep the traces of the algorithms that finished before this one
+            if runs:
+                _write_outputs(output, runs)
+            raise
         runs.append((label, trace))
 
+    _write_outputs(output, runs)
+    return 0
+
+
+def _write_outputs(output: dict, runs: list[tuple[str, RunTrace]]) -> None:
     write_trace_csv(output["trace"], runs, timing=output["timing"])
     if output["emit_plot_data"]:
         write_plot_csv(Path(output["trace"]).with_suffix(".plot.csv"), runs)
-    return 0
 
 
 def cmd_run(config_path) -> int:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import UNCONSTRAINED
 from .problems import (
     RobustLinearRegression,
     SingularProblemError,
@@ -151,10 +152,18 @@ _HEADER = struct.Struct("<6sBQQQQd")
 def save_dataset(path, problem, spec) -> None:
     """Dump a generated problem so runs can be replayed without regeneration.
 
-    An rlr problem is refused, before the file is opened, unless its Y set
-    is the unit ball that ``load_dataset`` rebuilds.
+    The header has no field for feasible sets, so a problem is refused,
+    before the file is opened, unless its sets are the ones ``load_dataset``
+    rebuilds: unconstrained for a quadratic, the unit Y ball for rlr.
     """
     if isinstance(problem, UncoupledQuadratic):
+        sets = problem.sets
+        if sets.set_x.kind != UNCONSTRAINED or sets.set_y.kind != UNCONSTRAINED:
+            raise ValueError(
+                f"a {MAGIC.decode()} container has no field for feasible sets; it "
+                f"stores only unconstrained quadratic problems, not X "
+                f"{sets.set_x.kind} and Y {sets.set_y.kind}"
+            )
         kind, alpha = KIND_QUADRATIC, 0.0
         blocks = [(a.Q, a.c) for a in problem.agents]
     elif isinstance(problem, RobustLinearRegression):
@@ -186,31 +195,24 @@ def load_dataset(path):
         raise ValueError(f"{path} is not a FEDMM1 dataset container")
     magic, kind, m, d, n, seed, alpha = _HEADER.unpack_from(raw)
     info = {"kind": kind, "m": m, "d": d, "n": n, "seed": seed, "alpha": alpha}
-    offset = _HEADER.size
     if kind == KIND_QUADRATIC:
         mat_shape, vec_len = (d, d), d
     elif kind == KIND_RLR:
         mat_shape, vec_len = (n, d), n
     else:
         raise ValueError(f"unknown dataset kind {kind}")
-    mat_bytes = 8 * mat_shape[0] * mat_shape[1]
-    vec_bytes = 8 * vec_len
-    expected = _HEADER.size + m * (mat_bytes + vec_bytes)
+    mat_len = mat_shape[0] * mat_shape[1]
+    expected = _HEADER.size + 8 * m * (mat_len + vec_len)
     if len(raw) != expected:
         raise ValueError(
             f"container size mismatch: expected {expected} bytes, got {len(raw)}"
         )
-    mats, vecs = [], []
-    for _ in range(m):
-        mats.append(
-            np.frombuffer(raw, dtype="<f8", count=mat_shape[0] * mat_shape[1],
-                          offset=offset).reshape(mat_shape).copy()
-        )
-        offset += mat_bytes
-        vecs.append(
-            np.frombuffer(raw, dtype="<f8", count=vec_len, offset=offset).copy()
-        )
-        offset += vec_bytes
+    # read-only views of the payload, one row per agent; the problems stack
+    # (quadratic) or keep (rlr) them without a per-agent copy
+    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    payload = payload.reshape(m, mat_len + vec_len)
+    mats = payload[:, :mat_len].reshape(m, *mat_shape)
+    vecs = payload[:, mat_len:]
     if kind == KIND_QUADRATIC:
         return UncoupledQuadratic(mats, vecs), info
     return RobustLinearRegression(mats, vecs), info

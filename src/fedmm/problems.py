@@ -159,10 +159,11 @@ class RlrAgent(LocalObjective):
 
     f(x, y) = (1/n) sum_j (x'(a_j + y) - b_j)^2 + 1/2 ||x||^2.
 
-    The data enter only through the O(d^2) statistics A'A, A'1, A'b, 1'b and
-    b'b, so a sample-free oracle is possible; this one keeps the raw samples
-    and evaluates the definition directly, which is what the dataset
-    container stores and replays.
+    This per-agent oracle keeps the raw samples, which the dataset container
+    stores and replays, and evaluates the definition directly. The gradients
+    depend on the data only through the O(d^2) statistics A'A, A'1, A'b, 1'b
+    and n; ``RobustLinearRegression.stacked_grads`` uses those, at a cost
+    independent of n.
     """
 
     def __init__(self, features, targets):
@@ -234,12 +235,28 @@ class MinimaxProblem:
             raise DimensionMismatchError(self.p + self.q, z.p + z.q, "iterate")
         return z
 
+    def stacked_grads(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every agent's gradient pair at its own point: row i of the (m, p)
+        and (m, q) results is agent i's (grad_x, grad_y) at (X[i], Y[i]).
+
+        This default asks each agent's oracle in ascending order; the problem
+        families below override it with one batched evaluation.
+        """
+        GX = np.array([a.grad_x(x, y) for a, x, y in zip(self.agents, X, Y)])
+        GY = np.array([a.grad_y(x, y) for a, x, y in zip(self.agents, X, Y)])
+        return GX, GY
+
+    def synced_grads(self, x: Vector, y: Vector) -> tuple[np.ndarray, np.ndarray]:
+        """``stacked_grads`` with every agent at the same point (x, y)."""
+        m = self.m
+        return self.stacked_grads(x[None, :].repeat(m, axis=0),
+                                  y[None, :].repeat(m, axis=0))
+
     def global_grad(self, z: Iterate) -> tuple[Vector, Vector]:
         """Arithmetic mean of local gradients, ascending agent order."""
         self._check(z)
-        gx = average_vectors([a.grad_x(z.x, z.y) for a in self.agents])
-        gy = average_vectors([a.grad_y(z.x, z.y) for a in self.agents])
-        return gx, gy
+        GX, GY = self.synced_grads(z.x, z.y)
+        return average_vectors(GX), average_vectors(GY)
 
     def gda_field(self, z: Iterate) -> Vector:
         """The stacked monotone operator F(z) = (grad_x f, -grad_y f)."""
@@ -256,12 +273,18 @@ class ScalarTwoAgent(MinimaxProblem):
 
     # (curvature, offset) of each agent's ScalarSaddleAgent, in agent order
     AGENT_CONSTANTS = ((2.0, 1.0), (8.0, 32.0))
+    # the same constants as (m, 1) columns, for the stacked oracle
+    _CURV = np.array([[curv] for curv, _ in AGENT_CONSTANTS])
+    _OFFSET = np.array([[offset] for _, offset in AGENT_CONSTANTS])
 
     def __init__(self):
         super().__init__(
             [ScalarSaddleAgent(curv, offset) for curv, offset in self.AGENT_CONSTANTS],
             ProductSet.unconstrained(1, 1),
         )
+
+    def stacked_grads(self, X, Y):
+        return self._CURV * X - self._OFFSET, -self._CURV * Y + self._OFFSET
 
 
 class UncoupledQuadratic(MinimaxProblem):
@@ -270,7 +293,10 @@ class UncoupledQuadratic(MinimaxProblem):
     def __init__(self, Q_list, c_list, sets: ProductSet | None = None):
         if len(Q_list) != len(c_list):
             raise ValueError("need one c per Q")
-        agents = [QuadraticAgent(Q, c) for Q, c in zip(Q_list, c_list)]
+        # stored once, stacked (m, d, d) and (m, d); each agent holds views
+        self.Q = np.array(Q_list, dtype=np.float64)
+        self.c = np.array(c_list, dtype=np.float64)
+        agents = [QuadraticAgent(Q, c) for Q, c in zip(self.Q, self.c)]
         super().__init__(agents, sets)
         # positive definiteness of sum(Q_i) guarantees a unique stationary pair
         try:
@@ -280,16 +306,24 @@ class UncoupledQuadratic(MinimaxProblem):
                 "sum of per-agent curvature matrices is not positive definite"
             ) from exc
 
+    def stacked_grads(self, X, Y):
+        # one batched matrix-vector product per block; np.matmul runs the
+        # same product per agent as Q_i @ x, so rows equal the agent oracles
+        # bit for bit (np.einsum would not)
+        GX = np.matmul(self.Q, X[:, :, None])[:, :, 0] + 2.0 * self.c
+        GY = -np.matmul(self.Q, Y[:, :, None])[:, :, 0] - self.c
+        return GX, GY
+
     def curvature_sum(self) -> np.ndarray:
         total = np.zeros((self.p, self.p))
-        for a in self.agents:
-            total += a.Q
+        for Q in self.Q:
+            total += Q
         return total
 
     def offset_sum(self) -> Vector:
         total = np.zeros(self.p)
-        for a in self.agents:
-            total += a.c
+        for c in self.c:
+            total += c
         return total
 
 
@@ -307,6 +341,31 @@ class RobustLinearRegression(MinimaxProblem):
             FeasibleSet.unconstrained(d), FeasibleSet.ball(np.zeros(d), y_radius)
         )
         super().__init__(agents, sets)
+        # per-agent sufficient statistics from one batched Gram matrix and one
+        # column sum of Z = [A, b], samples zero-padded to a common count
+        # (padding rows add nothing): G = A'A, h = A'b, s = A'1, beta = 1'b
+        n = [a.n for a in agents]
+        Z = np.zeros((self.m, max(n), d + 1))
+        for i, a in enumerate(agents):
+            Z[i, :a.n, :d] = a.A
+            Z[i, :a.n, d] = a.b
+        S = np.matmul(Z.transpose(0, 2, 1), Z)
+        sums = Z.sum(axis=1)
+        self._gram, self._feat_target = S[:, :d, :d], S[:, :d, d]
+        self._feat_sum, self._target_sum = sums[:, :d], sums[:, d]
+        self._n = np.array(n, dtype=np.float64)
+
+    def stacked_grads(self, X, Y):
+        # with t = x'y the residual is r = Ax + t1 - b, so
+        # 1'r = s'x + nt - beta and (A + 1y')'r = Gx + ts - h + y(1'r)
+        t = np.sum(X * Y, axis=1)
+        rsum = np.sum(self._feat_sum * X, axis=1) + self._n * t - self._target_sum
+        Ar = (np.matmul(self._gram, X[:, :, None])[:, :, 0]
+              + t[:, None] * self._feat_sum - self._feat_target)
+        scale = (2.0 / self._n)[:, None]
+        GX = scale * (Ar + Y * rsum[:, None]) + X
+        GY = (scale * rsum[:, None]) * X
+        return GX, GY
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ from fedmm.algorithms import (
     run_algorithm,
 )
 from fedmm.core import FeasibleSet, Iterate, ProductSet
+from fedmm.datagen import RlrGenSpec, gen_rlr
 from fedmm.problems import (
     MinimaxProblem,
+    RobustLinearRegression,
     ScalarTwoAgent,
     UncoupledQuadratic,
     closed_form_minimax,
@@ -128,6 +130,54 @@ class TestRoundEngine:
         cfg = AlgoConfig(GDA, 1e-3, 1e-3, 1, 2, Iterate.zeros(5, 5))
         with pytest.raises(ValueError, match="mismatched dimensions"):
             run_algorithm(prob, cfg, z_star=Iterate.zeros(1, 1))
+
+
+def quadratic_on_y_ball():
+    # large offsets put y* far outside the radius-0.5 ball
+    rng = np.random.default_rng(21)
+    Qs = [a.T @ a for a in (rng.normal(size=(6, 4)) for _ in range(3))]
+    cs = [rng.normal(scale=5.0, size=4) for _ in range(3)]
+    sets = ProductSet(FeasibleSet.unconstrained(4), FeasibleSet.ball(np.zeros(4), 0.5))
+    return UncoupledQuadratic(Qs, cs, sets=sets)
+
+
+def rlr_on_small_ball():
+    spec = RlrGenSpec(m=4, d=3, n_i=20, alpha=5.0, seed=22)
+    prob = gen_rlr(spec)
+    return RobustLinearRegression([a.A for a in prob.agents], [a.b for a in prob.agents],
+                                  y_radius=0.05)
+
+
+class TestStackedEngine:
+    """Each family's batched oracle against the same agents run through the
+    default per-agent loop of a plain ``MinimaxProblem``."""
+
+    @pytest.mark.parametrize("algo,K", [(GDA, 1), (LOCAL_SGDA, 6), (FEDGDA_GT, 6)])
+    @pytest.mark.parametrize("make,eta,rtol", [
+        (ScalarTwoAgent, 1e-2, 0.0),
+        (quadratic_on_y_ball, 2e-2, 0.0),
+        (rlr_on_small_ball, 2e-3, 1e-12),
+    ], ids=["scalar2", "quadratic-ball", "rlr"])
+    def test_run_matches_per_agent_loop(self, make, eta, rtol, algo, K):
+        prob = make()
+        loop = MinimaxProblem(list(prob.agents), prob.sets)
+        eta_x, eta_y = (eta, eta) if algo == FEDGDA_GT else (eta, 1.5 * eta)
+        init = Iterate(np.full(prob.p, 0.5), np.full(prob.q, -0.2))
+        cfg = AlgoConfig(algo, eta_x, eta_y, K, 30, init)
+        stacked, looped = run_algorithm(prob, cfg), run_algorithm(loop, cfg)
+        assert len(stacked.records) == len(looped.records) == 31
+        for a, b in zip(stacked.records, looped.records):
+            for u, v in ((a.iterate.x, b.iterate.x), (a.iterate.y, b.iterate.y)):
+                if rtol == 0.0:
+                    assert np.array_equal(u, v)
+                else:
+                    assert np.linalg.norm(u - v) <= rtol * np.linalg.norm(v)
+            assert abs(a.grad_norm - b.grad_norm) <= rtol * b.grad_norm
+        if prob.sets.set_y.kind == "ball" and algo != LOCAL_SGDA:
+            radius = prob.sets.set_y.radius
+            on_ball = [abs(np.linalg.norm(r.iterate.y) - radius) <= 1e-12
+                       for r in stacked.records[1:]]
+            assert sum(on_ball) >= 20
 
 
 class TestLocalSgda:

@@ -284,6 +284,30 @@ trace = {tmp_path / "missing_dir" / "t.csv"}
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "missing_dir" in err
 
+    def test_failed_write_leaves_existing_trace_intact(self, tmp_path, capsys,
+                                                       monkeypatch):
+        cfg, out = scalar_run_config(tmp_path, rounds=3)
+        out.write_bytes(b"earlier trace\n")
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("fedmm.cli.os.replace", refuse)
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.read_bytes() == b"earlier trace\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini", "trace.csv"]
+
+    def test_trace_path_naming_a_directory_leaves_no_temp_file(self, tmp_path, capsys):
+        cfg, out = scalar_run_config(tmp_path, rounds=3)
+        out.mkdir()
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.is_dir() and not any(out.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini", "trace.csv"]
+
     def test_gda_with_k_over_one(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.ini", """
 [problem]
@@ -388,6 +412,44 @@ trace = {out}
         assert labels == sorted(labels)
         rounds = [int(r[0]) for r in rows if r[1] == "local"]
         assert rounds == list(range(26))
+
+    def test_divergence_keeps_the_traces_that_finished(self, tmp_path, capsys):
+        def config(name, sections):
+            out = tmp_path / f"{name}.csv"
+            cfg = write(tmp_path / f"{name}.ini", f"""
+[problem]
+kind = scalar2
+{sections}
+[output]
+trace = {out}
+emit_plot_data = true
+""")
+            return cfg, out
+
+        stable = """
+[algo:stable]
+name = GDA
+eta = 0.01
+rounds = 20
+"""
+        unstable = """
+[algo:unstable]
+name = GDA
+eta = 10.0
+rounds = 100
+"""
+        cfg, out = config("cmp", stable + unstable)
+        assert main(["compare", cfg]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: GDA diverged at round \d+: [^\n]*\n", err)
+        rows = read_rows(out)
+        assert [r[1] for r in rows] == ["stable"] * 21
+        # the kept files equal those of the stable algorithm run alone
+        ref_cfg, ref = config("ref", stable)
+        assert main(["run", ref_cfg]) == 0
+        assert out.read_bytes() == ref.read_bytes()
+        assert (out.with_suffix(".plot.csv").read_bytes()
+                == ref.with_suffix(".plot.csv").read_bytes())
 
     def test_compare_needs_two_algos(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -12,7 +12,8 @@ from fedmm.datagen import (
     save_dataset,
     substream,
 )
-from fedmm.problems import RobustLinearRegression, closed_form_minimax
+from fedmm.core import FeasibleSet, ProductSet
+from fedmm.problems import RobustLinearRegression, UncoupledQuadratic, closed_form_minimax
 
 
 class TestQuadraticGeneration:
@@ -156,6 +157,17 @@ class TestContainer:
         path = tmp_path / "wide.fedmm"
         with pytest.raises(ValueError, match="radius 3.0"):
             save_dataset(path, wide, spec)
+        assert not path.exists()
+
+    def test_quadratic_with_feasible_sets_is_refused_before_writing(self, tmp_path):
+        spec = QuadraticGenSpec(m=2, d=3, n_i=6, seed=29)
+        prob = gen_quadratic(spec)
+        sets = ProductSet(FeasibleSet.unconstrained(3), FeasibleSet.ball(np.zeros(3), 0.5))
+        ball = UncoupledQuadratic([a.Q for a in prob.agents], [a.c for a in prob.agents],
+                                  sets=sets)
+        path = tmp_path / "ball.fedmm"
+        with pytest.raises(ValueError, match="Y ball"):
+            save_dataset(path, ball, spec)
         assert not path.exists()
 
     def test_rejects_wrong_magic(self, tmp_path):

@@ -204,6 +204,56 @@ class TestFiniteDifferences:
                 assert np.linalg.norm(fy - gy) <= 1e-5 * (1 + np.linalg.norm(gy))
 
 
+class TestStackedOracle:
+    """``stacked_grads`` puts agent i's gradient pair at (X[i], Y[i]) in row i."""
+
+    @pytest.mark.parametrize("family", ["scalar2", "quadratic"])
+    def test_rows_equal_agent_oracles_bitwise(self, family):
+        prob = ScalarTwoAgent() if family == "scalar2" else random_quadratic(m=4, seed=15)
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            X = rng.normal(0, 3, size=(prob.m, prob.p))
+            Y = rng.normal(0, 3, size=(prob.m, prob.q))
+            GX, GY = prob.stacked_grads(X, Y)
+            assert GX.shape == (prob.m, prob.p) and GY.shape == (prob.m, prob.q)
+            for i, agent in enumerate(prob.agents):
+                assert np.array_equal(GX[i], agent.grad_x(X[i], Y[i]))
+                assert np.array_equal(GY[i], agent.grad_y(X[i], Y[i]))
+
+    def test_rlr_rows_match_agent_oracles_and_central_differences(self):
+        # unequal sample counts, so the zero padding of the batched
+        # statistics is exercised too
+        rng = np.random.default_rng(17)
+        counts = (6, 9, 4)
+        prob = RobustLinearRegression([rng.normal(1.0, 2.0, size=(n, 4)) for n in counts],
+                                      [rng.normal(size=n) for n in counts])
+        for _ in range(100):
+            X = rng.normal(size=(prob.m, prob.p))
+            Y = rng.normal(size=(prob.m, prob.q))
+            GX, GY = prob.stacked_grads(X, Y)
+            for i, agent in enumerate(prob.agents):
+                gx, gy = agent.grad_x(X[i], Y[i]), agent.grad_y(X[i], Y[i])
+                assert np.linalg.norm(GX[i] - gx) <= 1e-12 * np.linalg.norm(gx)
+                assert np.linalg.norm(GY[i] - gy) <= 1e-12 * np.linalg.norm(gy)
+                fx, fy = finite_difference_gradients(agent, X[i], Y[i])
+                assert np.linalg.norm(fx - GX[i]) <= 1e-5 * (1 + np.linalg.norm(GX[i]))
+                assert np.linalg.norm(fy - GY[i]) <= 1e-5 * (1 + np.linalg.norm(GY[i]))
+
+    def test_global_grad_is_the_average_of_the_per_agent_loop(self):
+        prob = random_rlr(m=3, d=4, n=6, seed=18)
+        loop = MinimaxProblem(list(prob.agents), prob.sets)
+        z = Iterate(np.random.default_rng(19).normal(size=4), np.full(4, 0.3))
+        for (g, ref) in zip(prob.global_grad(z), loop.global_grad(z)):
+            assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_quadratic_agents_hold_views_of_the_stacked_arrays(self):
+        prob = random_quadratic(m=3, d=4, seed=20)
+        assert prob.Q.shape == (3, 4, 4) and prob.c.shape == (3, 4)
+        for i, agent in enumerate(prob.agents):
+            assert agent.Q.base is prob.Q and agent.c.base is prob.c
+            assert np.shares_memory(agent.Q, prob.Q[i])
+
+
 class TestOperatorProperties:
     @pytest.mark.parametrize("make", [ScalarTwoAgent, lambda: random_quadratic(seed=13)])
     def test_strong_monotonicity_on_1000_pairs(self, make):
