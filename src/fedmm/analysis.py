@@ -164,21 +164,22 @@ def robust_loss(problem: RobustLinearRegression, x_hat) -> RobustLossResult:
     Every agent's loss depends on the shift y only through t = x'y and is
     convex in it (the y-Hessian is 2 x x'), so the maximum over the ball
     ||y - center|| <= R lies at one of the two points center +- R x/||x||.
-    Both are evaluated and the larger is returned; for x = 0 the loss is
-    constant in y and the center is returned. Note this is the SUM of
-    per-agent losses, not their mean: it exceeds the averaged objective by a
-    factor of m.
+    Both are evaluated in one call of ``problem.total_losses``, from the
+    problem's O(d^2) per-agent statistics (no sample is touched and no array
+    grows with n), and the larger is returned; for x = 0 the loss is constant
+    in y and the center is returned. Note this is the SUM of per-agent losses,
+    not their mean: it exceeds the averaged objective by a factor of m.
     """
     x = as_vector(x_hat, problem.p, "x_hat")
     ball = problem.sets.set_y
     if np.any(x):
         step = x * (ball.radius / norm(x))
-        candidates = [ball.center + step, ball.center - step]
+        candidates = ball.center + np.array([step, -step])
     else:
-        candidates = [ball.center.copy()]
-    values = [float(sum(a.value(x, y) for a in problem.agents)) for y in candidates]
+        candidates = np.array([ball.center])
+    values = problem.total_losses(x, candidates)
     best = int(np.argmax(values))
-    return RobustLossResult(values[best], candidates[best], 0)
+    return RobustLossResult(float(values[best]), candidates[best], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,19 @@ def norm(v) -> float:
     return float(np.sqrt(np.dot(v, v)))
 
 
+def ascending_sum(X: np.ndarray) -> np.ndarray:
+    """Sum of the rows of X, accumulated in ascending row order.
+
+    ``np.add.accumulate`` (``np.cumsum``) adds row after row;
+    ``X.sum(axis=0)`` does not promise that order and sums an (m, 1) array
+    pairwise once m >= 8.
+    """
+    return np.add.accumulate(X, axis=0)[-1]
+
+
 def average_vectors(vectors: Sequence[Vector]) -> Vector:
-    """Mean of equal-length vectors, accumulated in ascending index order.
+    """Mean of equal-length vectors (a list, or the rows of an array),
+    accumulated in ascending index order.
 
     The fixed accumulation order is the determinism contract for every
     server-side aggregation: two runs with identical inputs produce bitwise
@@ -59,13 +70,13 @@ def average_vectors(vectors: Sequence[Vector]) -> Vector:
     """
     if len(vectors) == 0:
         raise ValueError("cannot average an empty collection of vectors")
-    acc = np.array(vectors[0], dtype=np.float64, copy=True)
-    for v in vectors[1:]:
-        if v.shape != acc.shape:
-            raise DimensionMismatchError(acc.shape[0], v.shape[0])
-        acc += v
-    acc /= len(vectors)
-    return acc
+    if not isinstance(vectors, np.ndarray):
+        dim = len(vectors[0])
+        for v in vectors:
+            if len(v) != dim:
+                raise DimensionMismatchError(dim, len(v))
+    X = np.asarray(vectors, dtype=np.float64)
+    return ascending_sum(X) / len(X)
 
 
 # ---------------------------------------------------------------------------

@@ -150,18 +150,35 @@ class RademacherEstimate:
     num_draws: int
 
 
+SIGMA_BLOCK_ROWS = 256  # sign draws that ``estimate_rademacher`` holds at once
+
+
 def estimate_rademacher(
     sample: FiniteHypothesisSample, num_sigma_draws: int, seed: int
 ) -> RademacherEstimate:
     """Monte-Carlo average over sign draws of the per-draw maximum correlation
-    max_rows (1/mn) sum_j sigma_j * loss_j, plus its standard error."""
+    max_rows (1/mn) sum_j sigma_j * loss_j, plus its standard error.
+
+    The signs are drawn from one ``rng.integers(0, 2, ...)`` stream in blocks
+    of ``SIGMA_BLOCK_ROWS`` draws; each block is turned into +-1 in place,
+    multiplied by the loss table, and only each draw's maximum is kept. Memory
+    is therefore two blocks of SIGMA_BLOCK_ROWS x mn plus one float per draw,
+    not the whole num_sigma_draws x mn sign matrix. The signs are those of
+    one draw of the whole matrix; the products can differ from a single
+    product of the whole matrix only in the last bits, where BLAS orders a
+    short block's sums differently.
+    """
     if num_sigma_draws < 1:
         raise ValueError("need at least one sigma draw")
     mn = sample.m * sample.n
     rng = np.random.default_rng(seed)
-    sigma = rng.integers(0, 2, size=(num_sigma_draws, mn)) * 2 - 1
-    correlations = (sigma.astype(np.float64) @ sample.loss_table.T) / mn
-    sups = correlations.max(axis=1)
+    sups = np.empty(num_sigma_draws)
+    for start in range(0, num_sigma_draws, SIGMA_BLOCK_ROWS):
+        stop = min(start + SIGMA_BLOCK_ROWS, num_sigma_draws)
+        sigma = rng.integers(0, 2, size=(stop - start, mn)).astype(np.float64)
+        sigma *= 2.0
+        sigma -= 1.0
+        sups[start:stop] = ((sigma @ sample.loss_table.T) / mn).max(axis=1)
     value = float(sups.mean())
     stderr = float(sups.std(ddof=1) / math.sqrt(num_sigma_draws)) if num_sigma_draws > 1 else 0.0
     return RademacherEstimate(value, stderr, num_sigma_draws)

@@ -28,6 +28,7 @@ from .core import (
     ProductSet,
     Vector,
     as_vector,
+    ascending_sum,
     average_vectors,
     norm,
 )
@@ -160,10 +161,10 @@ class RlrAgent(LocalObjective):
     f(x, y) = (1/n) sum_j (x'(a_j + y) - b_j)^2 + 1/2 ||x||^2.
 
     This per-agent oracle keeps the raw samples, which the dataset container
-    stores and replays, and evaluates the definition directly. The gradients
-    depend on the data only through the O(d^2) statistics A'A, A'1, A'b, 1'b
-    and n; ``RobustLinearRegression.stacked_grads`` uses those, at a cost
-    independent of n.
+    stores and replays, and evaluates the definition directly. Value and
+    gradients depend on the data only through the O(d^2) statistics A'A, A'1,
+    A'b, 1'b, b'b and n; ``RobustLinearRegression.stacked_grads`` and
+    ``total_losses`` use those, at a cost independent of n.
     """
 
     def __init__(self, features, targets):
@@ -352,6 +353,10 @@ class RobustLinearRegression(MinimaxProblem):
         S = np.matmul(Z.transpose(0, 2, 1), Z)
         sums = Z.sum(axis=1)
         self._gram, self._feat_target = S[:, :d, :d], S[:, :d, d]
+        # b'b as ``RlrAgent.value`` forms it at x = 0, not the Gram entry
+        # S[:, d, d]: the total loss of the zero model is then bitwise the sum
+        # of the agents' values, never an ulp below the loss at y = 0
+        self._target_sq = np.array([np.dot(a.b, a.b) for a in agents])
         self._feat_sum, self._target_sum = sums[:, :d], sums[:, d]
         self._n = np.array(n, dtype=np.float64)
 
@@ -366,6 +371,22 @@ class RobustLinearRegression(MinimaxProblem):
         GX = scale * (Ar + Y * rsum[:, None]) + X
         GY = (scale * rsum[:, None]) * X
         return GX, GY
+
+    def total_losses(self, x: Vector, Y: np.ndarray) -> np.ndarray:
+        """Sum over agents of f_i(x, y) for every row y of the (k, q) stack Y.
+
+        With t = x'y the residual sum of squares ||Ax + t1 - b||^2 is
+        x'(Gx - 2h) + b'b + t(2(s'x - beta) + nt), so each agent's loss costs
+        O(d^2) whatever n is; agents are summed in ascending order. Forming
+        it from the statistics cancels where the fit is close, so it agrees
+        with ``RlrAgent.value`` to about 1e-14 relative, not to the last bit.
+        """
+        t = Y @ x
+        fit = (np.matmul(self._gram, x) - 2.0 * self._feat_target) @ x + self._target_sq
+        slope = 2.0 * (self._feat_sum @ x - self._target_sum)
+        n = self._n[:, None]
+        rss = fit[:, None] + t * (slope[:, None] + n * t)
+        return ascending_sum(rss / n + 0.5 * np.dot(x, x))
 
 
 # ---------------------------------------------------------------------------

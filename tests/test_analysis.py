@@ -12,6 +12,7 @@ from fedmm.analysis import (
     robust_loss,
 )
 from fedmm.core import Iterate
+from fedmm.datagen import RlrGenSpec, gen_rlr
 from fedmm.problems import (
     RobustLinearRegression,
     ScalarTwoAgent,
@@ -168,6 +169,42 @@ class TestRobustLoss:
             for y in dirs * radii[:, None]:
                 total = sum(a.value(x_hat, y) for a in prob.agents)
                 assert res.value >= total * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("case", ["alpha1", "alpha5", "alpha20", "ragged", "radius0.05"])
+    def test_statistics_match_the_per_agent_definition(self, case):
+        rng = np.random.default_rng(21)
+        if case.startswith("alpha"):
+            prob = gen_rlr(RlrGenSpec(m=10, d=5, n_i=50, alpha=float(case[5:]), seed=11))
+        elif case == "ragged":
+            counts = (6, 9, 4)
+            prob = RobustLinearRegression([rng.normal(1.0, 2.0, size=(n, 4)) for n in counts],
+                                          [rng.normal(size=n) for n in counts])
+        else:
+            base = gen_rlr(RlrGenSpec(m=4, d=3, n_i=20, alpha=5.0, seed=3))
+            prob = RobustLinearRegression([a.A for a in base.agents],
+                                          [a.b for a in base.agents], y_radius=0.05)
+        ball = prob.sets.set_y
+        models = [rng.normal(size=prob.p) * scale for scale in (1e-3, 1.0, 10.0) * 67][:200]
+        for x in models + [np.zeros(prob.p)]:
+            # the definition: each agent's own `value` at both candidate shifts
+            if np.any(x):
+                step = x * (ball.radius / np.linalg.norm(x))
+                shifts = [ball.center + step, ball.center - step]
+            else:
+                shifts = [ball.center]
+            totals = [sum(a.value(x, y) for a in prob.agents) for y in shifts]
+            best = int(np.argmax(totals))
+            res = robust_loss(prob, x)
+            assert abs(res.value - totals[best]) <= 1e-13 * totals[best]
+            assert np.array_equal(res.y, shifts[best])
+
+    @pytest.mark.parametrize("alpha, seed", [(1.0, 5), (5.0, 4), (20.0, 2012)])
+    def test_zero_model_loss_is_bitwise_the_sum_of_agent_values(self, alpha, seed):
+        # so the robust loss at the usual starting point x = 0 is never an ulp
+        # below the loss at y = 0 that callers compare it with
+        prob = gen_rlr(RlrGenSpec(m=10, d=5, n_i=50, alpha=alpha, seed=seed))
+        x = np.zeros(5)
+        assert robust_loss(prob, x).value == sum(a.value(x, x) for a in prob.agents)
 
     def test_deterministic(self):
         prob = tiny_rlr(m=2, d=3, n=4, seed=6)

@@ -100,6 +100,26 @@ class TestVecOps:
         with pytest.raises(ValueError):
             average_vectors([])
 
+    @pytest.mark.parametrize("shape", [(2, 1), (7, 1), (8, 1), (20, 1), (200, 1), (10, 5),
+                                       (20, 50), (1000, 50), (3, 10000)])
+    def test_average_equals_hand_written_ascending_loop_bitwise(self, shape):
+        m = shape[0]
+        rng = np.random.default_rng(list(shape))
+        for _ in range(20):
+            # row scales from 1e-8 to 1e8, so any other summation order shows
+            X = rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=(m, 1))
+            acc = X[0].copy()
+            for row in X[1:]:
+                acc += row
+            expected = acc / m
+            assert np.array_equal(average_vectors(X), expected)
+            assert np.array_equal(average_vectors(list(X)), expected)
+
+    def test_average_rejects_ragged_list(self):
+        with pytest.raises(DimensionMismatchError) as ei:
+            average_vectors([np.zeros(3), np.ones(3), np.zeros(2)])
+        assert (ei.value.expected, ei.value.actual) == (3, 2)
+
 
 class TestIterate:
     def test_rejects_non_finite(self):

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fedmm.datagen import RlrGenSpec, gen_rlr
 from fedmm.genbounds import (
+    SIGMA_BLOCK_ROWS,
     BoundInputs,
     FiniteHypothesisSample,
     bound_terms,
@@ -13,6 +16,16 @@ from fedmm.genbounds import (
     vc_rademacher_bound,
     worst_case_risk_bound,
 )
+
+
+def rademacher_by_definition(table, m, n, draws, seed):
+    """(value, stderr) from the whole draws x mn sign matrix at once."""
+    mn = m * n
+    sigma = np.random.default_rng(seed).integers(0, 2, size=(draws, mn)).astype(np.float64)
+    sigma = 2.0 * sigma - 1.0
+    sups = ((sigma @ table.T) / mn).max(axis=1)
+    stderr = float(sups.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
+    return float(sups.mean()), stderr
 
 
 def make_inputs(**overrides):
@@ -215,6 +228,34 @@ class TestRademacherEstimator:
         e1 = estimate_rademacher(sample, 500, seed=11)
         e2 = estimate_rademacher(sample, 500, seed=11)
         assert (e1.value, e1.stderr) == (e2.value, e2.stderr)
+
+    @pytest.mark.parametrize("m, n", [(7, 13), (9, 11)])
+    @pytest.mark.parametrize("draws", [1, SIGMA_BLOCK_ROWS - 1, SIGMA_BLOCK_ROWS,
+                                       SIGMA_BLOCK_ROWS + 1, 20_000])
+    def test_blocks_match_the_whole_sign_matrix(self, m, n, draws):
+        table = np.random.default_rng([m, n]).normal(size=(3, m * n)) ** 2
+        est = estimate_rademacher(FiniteHypothesisSample(table, m=m, n=n), draws, seed=8)
+        value, stderr = rademacher_by_definition(table, m, n, draws, seed=8)
+        assert est.num_draws == draws
+        assert est.value == pytest.approx(value, rel=1e-15, abs=0.0)
+        assert est.stderr == pytest.approx(stderr, rel=1e-15, abs=0.0)
+
+    def test_benchmark_table_is_bitwise_equal_and_memory_bounded(self):
+        # per-sample squared losses of 40 seeded models on an rlr federation,
+        # the (40, 500) table of the rlr-robust benchmark workload
+        prob = gen_rlr(RlrGenSpec(m=10, d=5, n_i=50, alpha=20.0, seed=11))
+        models = np.random.default_rng([11, 1]).normal(size=(40, prob.p))
+        table = np.concatenate([(a.A @ models.T - a.b[:, None]).T ** 2 for a in prob.agents],
+                               axis=1)
+        sample = FiniteHypothesisSample(table, m=10, n=50)
+        tracemalloc.start()
+        try:
+            est = estimate_rademacher(sample, 20_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # the whole sign matrix alone is 80 MB
+        assert (est.value, est.stderr) == rademacher_by_definition(table, 10, 50, 20_000, 5)
 
     def test_rejects_empty_or_misshapen_tables(self):
         with pytest.raises(ValueError):
