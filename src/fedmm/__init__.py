@@ -27,6 +27,7 @@ from .analysis import (
     check_contraction,
     check_strong_monotonicity,
     fixed_point_report,
+    local_sgda_fixed_point,
     local_sgda_fixed_point_closed_form,
     local_sgda_limit,
     robust_loss,
@@ -66,7 +67,6 @@ from .problems import (
     QuadraticAgent,
     RlrAgent,
     RobustLinearRegression,
-    ScalarSaddleAgent,
     ScalarTwoAgent,
     SingularProblemError,
     UncoupledQuadratic,

@@ -17,12 +17,16 @@ from .algorithms import (
     _round,
     local_sgda_residual,
 )
-from .core import Iterate, Vector, as_vector, norm, optimality_gap
+from .core import Iterate, Vector, as_vector, ascending_sum, norm, optimality_gap
 from .problems import (
     MinimaxProblem,
     RobustLinearRegression,
     ScalarTwoAgent,
+    UncoupledQuadratic,
+    UnsupportedProblemError,
     closed_form_minimax,
+    curvature_spectra,
+    solve_checked,
 )
 
 
@@ -36,39 +40,53 @@ class UnstableStepsizeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# fixed points of the uncorrected local scheme on the two-agent scalar problem
+# fixed points of the uncorrected local scheme on quadratic federations
 # ---------------------------------------------------------------------------
 
-def _scalar_fixed_coordinate(K: int, eta: float) -> float:
-    num = 0.0
-    den = 0.0
-    for curv, offset in ScalarTwoAgent.AGENT_CONSTANTS:
-        ratio = 1.0 - eta * curv
-        if abs(ratio) >= 1.0:
-            raise UnstableStepsizeError(
-                f"stepsize {eta} is unstable for local curvature {curv}"
-            )
-        weights = float(np.sum(ratio ** np.arange(K)))
-        num += offset * weights
-        den += curv * weights
-    if den <= 0.0:
-        raise UnstableStepsizeError(f"degenerate weight sum for stepsize {eta}")
-    return num / den
+def local_sgda_fixed_point(
+    problem: UncoupledQuadratic, K: int, eta_x: float, eta_y: float
+) -> Iterate:
+    """Exact fixed point of the uncorrected K-step scheme on a quadratic
+    federation.
 
-
-def local_sgda_fixed_point_closed_form(K: int, eta_x: float, eta_y: float) -> Iterate:
-    """Exact fixed point of the uncorrected K-step scheme on the two-agent
-    scalar problem, by direct evaluation of the geometric weight sums.
-
-    The K = 1 case collapses to the true minimax point 3.3; for K >= 2 and
-    heterogeneous agents the fixed point is biased away from it.
+    With B_i = I - eta Q_i and S_i = sum_{j<K} B_i^j, agent i's K local steps
+    take x to B_i^K x - eta S_i a_i, and I - B_i^K = eta S_i Q_i, so the
+    averaged endpoint returns to x exactly at
+    x_fp = -(sum_i S_i Q_i)^-1 sum_i S_i a_i; the y block is the same with
+    c_i and eta_y. S_i shares the eigenvectors of Q_i, and its eigenvalues
+    are the geometric sums, evaluated term by term. With K = 1 the fixed
+    point is the true minimax point; for K >= 2 and heterogeneous agents it
+    is biased away from it.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    return Iterate(
-        np.array([_scalar_fixed_coordinate(K, eta_x)]),
-        np.array([_scalar_fixed_coordinate(K, eta_y)]),
-    )
+    if not isinstance(problem, UncoupledQuadratic):
+        raise UnsupportedProblemError(
+            f"no closed-form Local SGDA fixed point for {type(problem).__name__}"
+        )
+    w, V = curvature_spectra(problem)
+    Vt = V.transpose(0, 2, 1)
+    weighted = {}  # stepsize -> (sum_i S_i Q_i, eigenvalues of every S_i)
+    blocks = []
+    for eta, linear in ((eta_x, problem.a), (eta_y, problem.c)):
+        if eta not in weighted:
+            ratio = 1.0 - eta * w
+            if not (eta > 0 and ratio.min() > -1.0):
+                raise UnstableStepsizeError(
+                    f"stepsize {eta} is unstable for local curvature {float(w.max())}"
+                )
+            weights = np.sum(ratio[..., None] ** np.arange(K), axis=-1)
+            SQ = np.matmul(V * (weights * w)[:, None, :], Vt)
+            weighted[eta] = ascending_sum(SQ), weights[:, :, None]
+        SQ_sum, weights = weighted[eta]
+        Sa = np.matmul(V, weights * np.matmul(Vt, linear[:, :, None]))[:, :, 0]
+        blocks.append(-solve_checked(SQ_sum, ascending_sum(Sa)))
+    return Iterate(*blocks)
+
+
+def local_sgda_fixed_point_closed_form(K: int, eta_x: float, eta_y: float) -> Iterate:
+    """``local_sgda_fixed_point`` of the two-agent scalar problem."""
+    return local_sgda_fixed_point(ScalarTwoAgent(), K, eta_x, eta_y)
 
 
 @dataclass
@@ -128,7 +146,7 @@ def fixed_point_report(
     """Build the fixed-point study for the two-agent scalar problem;
     ``max_rounds`` caps the simulation."""
     problem = ScalarTwoAgent()
-    z_fixed = local_sgda_fixed_point_closed_form(K, eta_x, eta_y)
+    z_fixed = local_sgda_fixed_point(problem, K, eta_x, eta_y)
     z_star = closed_form_minimax(problem)
     residual = local_sgda_residual(problem, z_fixed, K, eta_x, eta_y)
     limit = local_sgda_limit(problem, K, eta_x, eta_y, max_rounds=max_rounds)

@@ -154,7 +154,9 @@ def save_dataset(path, problem, spec) -> None:
 
     The header has no field for feasible sets, so a problem is refused,
     before the file is opened, unless its sets are the ones ``load_dataset``
-    rebuilds: unconstrained for a quadratic, the unit Y ball for rlr.
+    rebuilds: unconstrained for a quadratic, the unit Y ball for rlr. Nor
+    has it a field for a quadratic's x-linear term, which ``load_dataset``
+    rebuilds as a_i = 2c_i, so a quadratic with any other is refused too.
     """
     if isinstance(problem, UncoupledQuadratic):
         sets = problem.sets
@@ -163,6 +165,11 @@ def save_dataset(path, problem, spec) -> None:
                 f"a {MAGIC.decode()} container has no field for feasible sets; it "
                 f"stores only unconstrained quadratic problems, not X "
                 f"{sets.set_x.kind} and Y {sets.set_y.kind}"
+            )
+        if not np.array_equal(problem.a, 2.0 * problem.c):
+            raise ValueError(
+                f"a {MAGIC.decode()} container has no field for the x-linear "
+                f"term; it stores only quadratic problems with a_i = 2c_i"
             )
         kind, alpha = KIND_QUADRATIC, 0.0
         blocks = [(a.Q, a.c) for a in problem.agents]

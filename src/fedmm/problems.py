@@ -1,12 +1,11 @@
 """Local objective oracles and the federated minimax problems built from them.
 
-Three problem families are provided:
+Two problem families are provided:
 
-* ``ScalarTwoAgent`` -- a hard-coded two-agent scalar saddle problem whose
-  minimax point is x* = y* = 3.3; handy because every fixed point of interest
-  has a closed form.
 * ``UncoupledQuadratic`` -- per-agent f_i(x, y) = 1/2 x'Q_i x - 1/2 y'Q_i y
-  + c_i'(2x - y) with Q_i symmetric PSD.
+  + a_i'x - c_i'y with Q_i symmetric PSD. Generated federations have
+  a_i = 2c_i. ``ScalarTwoAgent`` is its d = 1 instance with two agents,
+  Q = (2, 8) and a = c = (-1, -32), whose minimax point is x* = y* = 3.3.
 * ``RobustLinearRegression`` -- per-agent least squares under an adversarial
   input shift y constrained to a Euclidean ball.
 
@@ -30,7 +29,6 @@ from .core import (
     as_vector,
     ascending_sum,
     average_vectors,
-    norm,
 )
 
 
@@ -87,18 +85,25 @@ def finite_difference_gradients(obj: LocalObjective, x, y) -> tuple[Vector, Vect
 
 
 class QuadraticAgent(LocalObjective):
-    """f(x, y) = 1/2 x'Qx - 1/2 y'Qy + c'(2x - y) with symmetric Q."""
+    """f(x, y) = 1/2 x'Qx - 1/2 y'Qy + a'x - c'y with symmetric Q."""
 
-    def __init__(self, Q, c):
+    def __init__(self, Q, a, c):
         Q = np.asarray(Q, dtype=np.float64)
+        a = as_vector(a)
         c = as_vector(c)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError(f"Q must be square, got shape {Q.shape}")
+        if Q.shape[0] != a.shape[0]:
+            raise DimensionMismatchError(Q.shape[0], a.shape[0], "a")
         if Q.shape[0] != c.shape[0]:
             raise DimensionMismatchError(Q.shape[0], c.shape[0], "c")
-        if not np.allclose(Q, Q.T, rtol=0, atol=1e-10 * (1 + np.abs(Q).max())):
+        # exact symmetry first: np.allclose costs more than the rest of the
+        # constructor
+        if not ((Q == Q.T).all()
+                or np.allclose(Q, Q.T, rtol=0, atol=1e-10 * (1 + np.abs(Q).max()))):
             raise ValueError("Q must be symmetric")
         self.Q = Q
+        self.a = a
         self.c = c
         self.p = self.q = c.shape[0]
 
@@ -111,48 +116,16 @@ class QuadraticAgent(LocalObjective):
         x = as_vector(x, self.p, "x")
         y = as_vector(y, self.q, "y")
         return float(
-            0.5 * x @ self.Q @ x - 0.5 * y @ self.Q @ y + self.c @ (2.0 * x - y)
+            0.5 * x @ self.Q @ x - 0.5 * y @ self.Q @ y + self.a @ x - self.c @ y
         )
 
     def grad_x(self, x, y):
         x = as_vector(x, self.p, "x")
-        return self.Q @ x + 2.0 * self.c
+        return self.Q @ x + self.a
 
     def grad_y(self, x, y):
         y = as_vector(y, self.q, "y")
         return -(self.Q @ y) - self.c
-
-
-class ScalarSaddleAgent(LocalObjective):
-    """Scalar f(x, y) = (curv/2) x^2 - (curv/2) y^2 - offset (x - y)."""
-
-    def __init__(self, curv: float, offset: float):
-        if not curv > 0:
-            raise ValueError("curvature must be positive")
-        self.curv = float(curv)
-        self.offset = float(offset)
-        self.p = self.q = 1
-
-    @property
-    def hess_x(self) -> np.ndarray:
-        return np.array([[self.curv]])
-
-    def value(self, x, y):
-        x = as_vector(x, 1, "x")
-        y = as_vector(y, 1, "y")
-        return float(
-            0.5 * self.curv * x[0] ** 2
-            - 0.5 * self.curv * y[0] ** 2
-            - self.offset * (x[0] - y[0])
-        )
-
-    def grad_x(self, x, y):
-        x = as_vector(x, 1, "x")
-        return self.curv * x - self.offset
-
-    def grad_y(self, x, y):
-        y = as_vector(y, 1, "y")
-        return -self.curv * y + self.offset
 
 
 class RlrAgent(LocalObjective):
@@ -265,43 +238,29 @@ class MinimaxProblem:
         return np.concatenate([gx, -gy])
 
 
-class ScalarTwoAgent(MinimaxProblem):
-    """Two heterogeneous scalar agents with minimax point x* = y* = 3.3.
+class UncoupledQuadratic(MinimaxProblem):
+    """Quadratic family with x and y uncoupled and agent-specific Q_i, a_i, c_i.
 
-    f_1(x, y) = x^2 - y^2 - (x - y), f_2(x, y) = 4x^2 - 4y^2 - 32(x - y);
-    unconstrained, p = q = 1.
+    The x-linear terms ``a_list`` default to 2c_i, the generated family.
     """
 
-    # (curvature, offset) of each agent's ScalarSaddleAgent, in agent order
-    AGENT_CONSTANTS = ((2.0, 1.0), (8.0, 32.0))
-    # the same constants as (m, 1) columns, for the stacked oracle
-    _CURV = np.array([[curv] for curv, _ in AGENT_CONSTANTS])
-    _OFFSET = np.array([[offset] for _, offset in AGENT_CONSTANTS])
-
-    def __init__(self):
-        super().__init__(
-            [ScalarSaddleAgent(curv, offset) for curv, offset in self.AGENT_CONSTANTS],
-            ProductSet.unconstrained(1, 1),
-        )
-
-    def stacked_grads(self, X, Y):
-        return self._CURV * X - self._OFFSET, -self._CURV * Y + self._OFFSET
-
-
-class UncoupledQuadratic(MinimaxProblem):
-    """Quadratic family with x and y uncoupled and agent-specific Q_i, c_i."""
-
-    def __init__(self, Q_list, c_list, sets: ProductSet | None = None):
+    def __init__(self, Q_list, c_list, sets: ProductSet | None = None, *, a_list=None):
         if len(Q_list) != len(c_list):
             raise ValueError("need one c per Q")
-        # stored once, stacked (m, d, d) and (m, d); each agent holds views
+        if a_list is not None and len(a_list) != len(c_list):
+            raise ValueError("need one a per c")
+        # stored once, stacked (m, d, d), (m, d) and (m, d); each agent holds
+        # views. Doubling is exact, so a = 2c is bitwise the generated x term
         self.Q = np.array(Q_list, dtype=np.float64)
         self.c = np.array(c_list, dtype=np.float64)
-        agents = [QuadraticAgent(Q, c) for Q, c in zip(self.Q, self.c)]
+        self.a = 2.0 * self.c if a_list is None else np.array(a_list, dtype=np.float64)
+        agents = [QuadraticAgent(Q, a, c) for Q, a, c in zip(self.Q, self.a, self.c)]
         super().__init__(agents, sets)
+        # the (m, 1) curvature column of a d = 1 federation, see stacked_grads
+        self._curv_col = self.Q[:, :, 0] if self.p == 1 else None
         # positive definiteness of sum(Q_i) guarantees a unique stationary pair
         try:
-            np.linalg.cholesky(self.curvature_sum())
+            np.linalg.cholesky(ascending_sum(self.Q))
         except np.linalg.LinAlgError as exc:
             raise SingularProblemError(
                 "sum of per-agent curvature matrices is not positive definite"
@@ -310,22 +269,29 @@ class UncoupledQuadratic(MinimaxProblem):
     def stacked_grads(self, X, Y):
         # one batched matrix-vector product per block; np.matmul runs the
         # same product per agent as Q_i @ x, so rows equal the agent oracles
-        # bit for bit (np.einsum would not)
-        GX = np.matmul(self.Q, X[:, :, None])[:, :, 0] + 2.0 * self.c
-        GY = -np.matmul(self.Q, Y[:, :, None])[:, :, 0] - self.c
+        # bit for bit (np.einsum would not). For d = 1 that product is one
+        # multiplication, which the elementwise product gives at less cost
+        if self._curv_col is not None:
+            GX = self._curv_col * X
+            GY = -(self._curv_col * Y)
+        else:
+            GX = np.matmul(self.Q, X[:, :, None])[:, :, 0]
+            GY = -np.matmul(self.Q, Y[:, :, None])[:, :, 0]
+        GX += self.a
+        GY -= self.c
         return GX, GY
 
-    def curvature_sum(self) -> np.ndarray:
-        total = np.zeros((self.p, self.p))
-        for Q in self.Q:
-            total += Q
-        return total
 
-    def offset_sum(self) -> Vector:
-        total = np.zeros(self.p)
-        for c in self.c:
-            total += c
-        return total
+class ScalarTwoAgent(UncoupledQuadratic):
+    """Two heterogeneous scalar agents with minimax point x* = y* = 3.3.
+
+    f_1(x, y) = x^2 - y^2 - (x - y), f_2(x, y) = 4x^2 - 4y^2 - 32(x - y);
+    unconstrained, p = q = 1: the d = 1 quadratic with Q = (2, 8) and
+    a = c = (-1, -32).
+    """
+
+    def __init__(self):
+        super().__init__([[[2.0]], [[8.0]]], [[-1.0], [-32.0]], a_list=[[-1.0], [-32.0]])
 
 
 class RobustLinearRegression(MinimaxProblem):
@@ -396,30 +362,34 @@ class RobustLinearRegression(MinimaxProblem):
 def closed_form_minimax(problem: MinimaxProblem) -> Iterate:
     """The unique interior stationary pair, where the averaged gradient vanishes.
 
-    Supported for ``ScalarTwoAgent`` and ``UncoupledQuadratic``; robust linear
-    regression has no closed form.
+    For the quadratic family x* = -(sum Q_i)^-1 sum a_i and
+    y* = -(sum Q_i)^-1 sum c_i, one solve per block: a single two-column
+    solve rounds the scalar problem's x* to 3.3000000000000003 instead of
+    33/10. Robust linear regression has no closed form.
     """
-    if isinstance(problem, ScalarTwoAgent):
-        curvs = sum(a.curv for a in problem.agents)
-        offsets = sum(a.offset for a in problem.agents)
-        star = offsets / curvs
-        return Iterate(np.array([star]), np.array([star]))
-    if isinstance(problem, UncoupledQuadratic):
-        SQ = problem.curvature_sum()
-        Sc = problem.offset_sum()
-        try:
-            s = np.linalg.solve(SQ, Sc)
-        except np.linalg.LinAlgError as exc:
-            raise SingularProblemError("curvature sum is singular") from exc
-        residual = norm(SQ @ s - Sc)
-        if residual > 1e-6 * (1.0 + norm(Sc)):
-            raise SingularProblemError(
-                f"linear solve residual {residual:.3e} too large; system near-singular"
-            )
-        return Iterate(-2.0 * s, -s)
-    raise UnsupportedProblemError(
-        f"no closed-form minimax point for {type(problem).__name__}"
-    )
+    if not isinstance(problem, UncoupledQuadratic):
+        raise UnsupportedProblemError(
+            f"no closed-form minimax point for {type(problem).__name__}"
+        )
+    SQ = ascending_sum(problem.Q)
+    return Iterate(*(-solve_checked(SQ, ascending_sum(v)) for v in (problem.a, problem.c)))
+
+
+def solve_checked(A: np.ndarray, b: Vector) -> Vector:
+    """A^-1 b for one right-hand side, refused if A is numerically singular."""
+    try:
+        s = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularProblemError("curvature system is singular") from exc
+    # not core.norm: its input coercion, eight times per scalar fixed-point
+    # study, cost about 3 % of that study's set-up
+    r = A @ s - b
+    residual = float(np.sqrt(np.dot(r, r)))
+    if residual > 1e-6 * (1.0 + float(np.sqrt(np.dot(b, b)))):
+        raise SingularProblemError(
+            f"linear solve residual {residual:.3e} too large; system near-singular"
+        )
+    return s
 
 
 def curvatures(problem: MinimaxProblem) -> list[np.ndarray]:
@@ -435,16 +405,17 @@ def curvatures(problem: MinimaxProblem) -> list[np.ndarray]:
     return [a.hess_x for a in problem.agents]
 
 
+def curvature_spectra(problem: MinimaxProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (m, d), ascending, and eigenvectors (m, d, d) of every
+    agent's x-Hessian, from one batched symmetric eigensolve."""
+    return np.linalg.eigh(np.array(curvatures(problem)))
+
+
 def estimate_constants(problem: MinimaxProblem) -> tuple[float, float]:
     """(mu, L): worst strong-convexity and smoothness constants over agents.
 
     mu is the smallest eigenvalue over all per-agent curvature matrices and L
     the largest, computed by a symmetric eigensolve.
     """
-    mu = np.inf
-    L = -np.inf
-    for Q in curvatures(problem):
-        eigs = np.linalg.eigvalsh(Q)
-        mu = min(mu, float(eigs[0]))
-        L = max(L, float(eigs[-1]))
-    return mu, L
+    eigs = np.linalg.eigvalsh(np.array(curvatures(problem)))
+    return float(eigs[:, 0].min()), float(eigs[:, -1].max())

@@ -337,6 +337,25 @@ class TestResidual:
         with pytest.raises(ValueError):
             local_sgda_residual(prob, Iterate.zeros(1, 1), 0, 0.1, 0.1)
 
+    @pytest.mark.parametrize("make", [ScalarTwoAgent, lambda: small_quadratic(m=4, d=5, seed=3)])
+    @pytest.mark.parametrize("K", [1, 2, 10])
+    def test_batched_path_equals_the_per_agent_oracles_bitwise(self, make, K):
+        # a plain MinimaxProblem asks each agent's own oracle
+        prob = make()
+        loop = MinimaxProblem(list(prob.agents), prob.sets)
+        rng = np.random.default_rng(K)
+        for _ in range(20):
+            z = Iterate(rng.normal(0, 3, prob.p), rng.normal(0, 3, prob.q))
+            assert np.array_equal(local_sgda_residual(prob, z, K, 0.01, 0.02),
+                                  local_sgda_residual(loop, z, K, 0.01, 0.02))
+
+    def test_rlr_batched_path_matches_the_per_agent_oracles(self):
+        prob = gen_rlr(RlrGenSpec(m=3, d=4, n_i=8, alpha=2.0, seed=5))
+        loop = MinimaxProblem(list(prob.agents), prob.sets)
+        z = Iterate(np.full(4, 0.3), np.full(4, -0.2))
+        res, ref = local_sgda_residual(prob, z, 5, 1e-3, 1e-3), local_sgda_residual(loop, z, 5, 1e-3, 1e-3)
+        assert np.linalg.norm(res - ref) <= 1e-12 * np.linalg.norm(ref)
+
 
 class TestConfigValidation:
     def test_unknown_algorithm(self):

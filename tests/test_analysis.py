@@ -6,17 +6,21 @@ from fedmm.analysis import (
     check_contraction,
     check_strong_monotonicity,
     fixed_point_report,
+    local_sgda_fixed_point,
     local_sgda_fixed_point_closed_form,
     local_sgda_limit,
     optimality_gap,
     robust_loss,
 )
+from fedmm.algorithms import LOCAL_SGDA, AlgoConfig, auto_eta_fedgda, run_algorithm
 from fedmm.core import Iterate
-from fedmm.datagen import RlrGenSpec, gen_rlr
+from fedmm.datagen import QuadraticGenSpec, RlrGenSpec, gen_quadratic, gen_rlr
 from fedmm.problems import (
     RobustLinearRegression,
     ScalarTwoAgent,
     UncoupledQuadratic,
+    UnsupportedProblemError,
+    closed_form_minimax,
     estimate_constants,
 )
 
@@ -71,6 +75,89 @@ class TestClosedFormFixedPoint:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
             local_sgda_fixed_point_closed_form(0, 0.001, 0.001)
+
+
+def scalar_fixed_coordinate(K, eta):
+    """The two-agent scalar fixed point written out: the offsets and the
+    curvatures, each weighted by sum_{j<K} (1 - eta curv)^j, and their quotient."""
+    num = 0.0
+    den = 0.0
+    for curv, offset in ((2.0, 1.0), (8.0, 32.0)):
+        weights = float(np.sum((1.0 - eta * curv) ** np.arange(K)))
+        num += offset * weights
+        den += curv * weights
+    return num / den
+
+
+class TestLocalSgdaFixedPoint:
+    @pytest.mark.parametrize("K", [1, 10, 20, 50])
+    @pytest.mark.parametrize("etas", [(1e-3, 2e-3), (5e-4, 1e-4), (0.1, 0.2), (0.2, 0.01)])
+    def test_scalar_instance_equals_the_longhand_formula_bitwise(self, K, etas):
+        eta_x, eta_y = etas
+        expected = (scalar_fixed_coordinate(K, eta_x), scalar_fixed_coordinate(K, eta_y))
+        for z in (local_sgda_fixed_point_closed_form(K, eta_x, eta_y),
+                  local_sgda_fixed_point(ScalarTwoAgent(), K, eta_x, eta_y)):
+            assert (z.x[0], z.y[0]) == expected
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_matches_the_simulated_limit_on_benchmark_federations(self, seed):
+        prob = gen_quadratic(QuadraticGenSpec(m=20, d=50, n_i=500, seed=seed))
+        eta = auto_eta_fedgda(prob, 20).eta
+        z = local_sgda_fixed_point(prob, 20, eta, eta)
+        limit = local_sgda_limit(prob, 20, eta, eta)
+        assert limit.converged
+        ref = limit.iterate.stacked
+        assert np.linalg.norm(z.stacked - ref) <= 1e-11 * np.linalg.norm(ref)
+
+    def test_predicts_the_benchmark_plateau(self):
+        # the quad-federation compare: LocalSGDA's gap_sq stalls at the
+        # squared distance from its fixed point to the minimax point
+        prob = gen_quadratic(QuadraticGenSpec(m=20, d=50, n_i=500, seed=7))
+        eta = auto_eta_fedgda(prob, 20).eta
+        z_star = closed_form_minimax(prob)
+        plateau = optimality_gap(local_sgda_fixed_point(prob, 20, eta, eta), z_star)
+        config = AlgoConfig(LOCAL_SGDA, eta, eta, 20, 60, Iterate.zeros(50, 50))
+        final = run_algorithm(prob, config, z_star=z_star).records[-1].gap_sq
+        assert plateau == pytest.approx(135.92, abs=0.01)
+        assert final == pytest.approx(plateau, rel=1e-6)
+
+    def test_own_x_term_and_distinct_stepsizes(self):
+        rng = np.random.default_rng(3)
+        Qs = [(lambda A: A.T @ A)(rng.normal(size=(6, 4))) for _ in range(3)]
+        prob = UncoupledQuadratic(Qs, rng.normal(size=(3, 4)), a_list=rng.normal(size=(3, 4)))
+        _, L = estimate_constants(prob)
+        eta_x, eta_y = 0.2 / L, 0.1 / L
+        z = local_sgda_fixed_point(prob, 5, eta_x, eta_y)
+        limit = local_sgda_limit(prob, 5, eta_x, eta_y)
+        assert limit.converged
+        ref = limit.iterate.stacked
+        assert np.linalg.norm(z.stacked - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.array_equal(z.x, local_sgda_fixed_point(prob, 5, eta_x, eta_x).x)
+        assert np.array_equal(z.y, local_sgda_fixed_point(prob, 5, eta_y, eta_y).y)
+
+    def test_k1_is_the_minimax_point(self):
+        prob = gen_quadratic(QuadraticGenSpec(m=4, d=6, n_i=12, seed=7))
+        _, L = estimate_constants(prob)
+        z = local_sgda_fixed_point(prob, 1, 0.5 / L, 0.5 / L)
+        star = closed_form_minimax(prob)
+        assert np.linalg.norm(z.stacked - star.stacked) <= 1e-10 * np.linalg.norm(star.stacked)
+
+    @pytest.mark.parametrize("scale", [2.01, 2.5, 10.0])
+    def test_unstable_stepsize_on_a_multidimensional_federation(self, scale):
+        prob = gen_quadratic(QuadraticGenSpec(m=4, d=6, n_i=12, seed=7))
+        _, L = estimate_constants(prob)
+        with pytest.raises(UnstableStepsizeError):
+            local_sgda_fixed_point(prob, 10, 1e-3 / L, scale / L)
+        with pytest.raises(UnstableStepsizeError):
+            local_sgda_fixed_point(prob, 10, scale / L, 1e-3 / L)
+
+    def test_nonpositive_stepsize_rejected(self):
+        with pytest.raises(UnstableStepsizeError):
+            local_sgda_fixed_point(ScalarTwoAgent(), 10, 0.0, 0.001)
+
+    def test_refuses_a_non_quadratic_problem(self):
+        with pytest.raises(UnsupportedProblemError):
+            local_sgda_fixed_point(tiny_rlr(), 10, 0.001, 0.001)
 
 
 class TestFixedPointReport:

@@ -13,7 +13,12 @@ from fedmm.datagen import (
     substream,
 )
 from fedmm.core import FeasibleSet, ProductSet
-from fedmm.problems import RobustLinearRegression, UncoupledQuadratic, closed_form_minimax
+from fedmm.problems import (
+    RobustLinearRegression,
+    ScalarTwoAgent,
+    UncoupledQuadratic,
+    closed_form_minimax,
+)
 
 
 class TestQuadraticGeneration:
@@ -48,7 +53,7 @@ class TestQuadraticGeneration:
         prob = gen_quadratic(QuadraticGenSpec(m=20, d=50, n_i=500, seed=7))
         z = closed_form_minimax(prob)
         gx, gy = prob.global_grad(z)
-        Sc = prob.offset_sum()
+        Sc = prob.c.sum(axis=0)
         residual = np.sqrt(np.dot(gx, gx) + np.dot(gy, gy))
         assert residual <= 1e-9 * (1 + np.linalg.norm(Sc))
 
@@ -126,6 +131,7 @@ class TestContainer:
         for a, b in zip(prob.agents, loaded.agents):
             assert np.array_equal(a.Q, b.Q)
             assert np.array_equal(a.c, b.c)
+            assert np.array_equal(a.a, b.a)
         # save -> load -> save, with the spec rebuilt from the header
         again = tmp_path / "again.fedmm"
         save_dataset(again, loaded, QuadraticGenSpec(
@@ -168,6 +174,23 @@ class TestContainer:
         path = tmp_path / "ball.fedmm"
         with pytest.raises(ValueError, match="Y ball"):
             save_dataset(path, ball, spec)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("make", ["scalar2", "shifted"])
+    def test_quadratic_with_another_x_term_is_refused_before_writing(self, tmp_path, make):
+        # the container rebuilds a_i = 2c_i, so any other x term would come
+        # back as a different problem (the scalar x* = 3.3 as 6.6)
+        if make == "scalar2":
+            prob, spec = ScalarTwoAgent(), QuadraticGenSpec(m=2, d=1, n_i=1, seed=0)
+        else:
+            spec = QuadraticGenSpec(m=2, d=3, n_i=6, seed=31)
+            gen = gen_quadratic(spec)
+            a = 2.0 * gen.c
+            a[1, 2] = np.nextafter(a[1, 2], np.inf)
+            prob = UncoupledQuadratic(gen.Q, gen.c, a_list=a)
+        path = tmp_path / "other.fedmm"
+        with pytest.raises(ValueError, match="x-linear term"):
+            save_dataset(path, prob, spec)
         assert not path.exists()
 
     def test_rejects_wrong_magic(self, tmp_path):

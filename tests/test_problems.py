@@ -12,9 +12,11 @@ from fedmm.problems import (
     UncoupledQuadratic,
     UnsupportedProblemError,
     closed_form_minimax,
+    curvature_spectra,
     estimate_constants,
     finite_difference_gradients,
 )
+from fedmm.datagen import QuadraticGenSpec, gen_quadratic
 
 
 def random_quadratic(m=3, d=5, seed=0, scale=1.0) -> UncoupledQuadratic:
@@ -65,6 +67,20 @@ class TestScalarTwoAgent:
         assert z.x[0] == pytest.approx(3.3, abs=1e-15)
         assert z.y[0] == pytest.approx(3.3, abs=1e-15)
 
+    def test_closed_form_equals_the_scalar_quotient_bitwise(self):
+        # the summed offsets over the summed curvatures, (1 + 32) / (2 + 8)
+        z = closed_form_minimax(ScalarTwoAgent())
+        assert z.x[0] == (1.0 + 32.0) / (2.0 + 8.0) == 33 / 10
+        assert z.y[0] == 33 / 10
+
+    def test_is_the_d1_instance_of_the_quadratic_family(self):
+        prob = ScalarTwoAgent()
+        assert isinstance(prob, UncoupledQuadratic)
+        assert prob.Q.shape == (2, 1, 1) and prob.m == 2 and prob.p == prob.q == 1
+        assert np.array_equal(prob.Q[:, 0, 0], [2.0, 8.0])
+        assert np.array_equal(prob.a[:, 0], [-1.0, -32.0])
+        assert np.array_equal(prob.c[:, 0], [-1.0, -32.0])
+
     def test_constants(self):
         assert estimate_constants(ScalarTwoAgent()) == (2.0, 8.0)
 
@@ -73,7 +89,8 @@ class TestGlobalGrad:
     def test_single_agent_problem_equals_agent_gradient(self):
         rng = np.random.default_rng(5)
         A = rng.normal(size=(6, 4))
-        agent = QuadraticAgent(A.T @ A, rng.normal(size=4))
+        c = rng.normal(size=4)
+        agent = QuadraticAgent(A.T @ A, 2 * c, c)
         prob = MinimaxProblem([agent])
         z = Iterate(rng.normal(size=4), rng.normal(size=4))
         gx, gy = prob.global_grad(z)
@@ -89,10 +106,24 @@ class TestGlobalGrad:
         rng = np.random.default_rng(6)
         A = rng.normal(size=(7, 3))
         Q, c = A.T @ A, rng.normal(size=3)
-        agent = QuadraticAgent(Q, c)
+        agent = QuadraticAgent(Q, 2 * c, c)
         x, y = rng.normal(size=3), rng.normal(size=3)
         np.testing.assert_allclose(agent.grad_x(x, y), Q @ x + 2 * c, atol=1e-12)
         np.testing.assert_allclose(agent.grad_y(x, y), -(Q @ y) - c, atol=1e-12)
+
+    def test_quadratic_with_its_own_x_term(self):
+        rng = np.random.default_rng(21)
+        A = rng.normal(size=(7, 3))
+        Q, a, c = A.T @ A, rng.normal(size=3), rng.normal(size=3)
+        agent = QuadraticAgent(Q, a, c)
+        x, y = rng.normal(size=3), rng.normal(size=3)
+        assert agent.value(x, y) == pytest.approx(
+            0.5 * x @ Q @ x - 0.5 * y @ Q @ y + a @ x - c @ y, rel=1e-14)
+        np.testing.assert_allclose(agent.grad_x(x, y), Q @ x + a, atol=1e-12)
+        np.testing.assert_allclose(agent.grad_y(x, y), -(Q @ y) - c, atol=1e-12)
+        fx, fy = finite_difference_gradients(agent, x, y)
+        assert np.linalg.norm(fx - agent.grad_x(x, y)) <= 1e-5 * (1 + np.linalg.norm(fx))
+        assert np.linalg.norm(fy - agent.grad_y(x, y)) <= 1e-5 * (1 + np.linalg.norm(fy))
 
     def test_rlr_gradient_formulas(self):
         rng = np.random.default_rng(7)
@@ -124,10 +155,19 @@ class TestClosedForm:
         prob = random_quadratic(m=2, d=4, seed=9, scale=3.0)
         z = closed_form_minimax(prob)
         gx, gy = prob.global_grad(z)
-        Sc = prob.offset_sum()
+        Sc = prob.c.sum(axis=0)
         assert np.sqrt(np.dot(gx, gx) + np.dot(gy, gy)) <= 1e-9 * (
             1 + np.linalg.norm(Sc)
         )
+
+    def test_independent_x_term_sets_the_x_block(self):
+        base = random_quadratic(m=3, d=4, seed=22)
+        a = np.random.default_rng(23).normal(size=(3, 4))
+        prob = UncoupledQuadratic(base.Q, base.c, a_list=a)
+        z = closed_form_minimax(prob)
+        gx, gy = prob.global_grad(z)
+        assert np.linalg.norm(gx) <= 1e-9 * (1 + np.linalg.norm(a.sum(axis=0)))
+        assert np.array_equal(z.y, closed_form_minimax(base).y)
 
     def test_unsupported_for_rlr(self):
         with pytest.raises(UnsupportedProblemError):
@@ -183,6 +223,14 @@ class TestEstimateConstants:
         with pytest.raises(UnsupportedProblemError):
             estimate_constants(random_rlr())
 
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_batched_spectra_equal_per_agent_eigh_bitwise(self, seed):
+        prob = gen_quadratic(QuadraticGenSpec(m=20, d=50, n_i=500, seed=seed))
+        w, V = curvature_spectra(prob)
+        for i, Q in enumerate(prob.Q):
+            w_i, V_i = np.linalg.eigh(Q)
+            assert np.array_equal(w[i], w_i) and np.array_equal(V[i], V_i)
+
 
 class TestFiniteDifferences:
     @pytest.mark.parametrize("family", ["scalar2", "quadratic", "rlr"])
@@ -207,9 +255,11 @@ class TestFiniteDifferences:
 class TestStackedOracle:
     """``stacked_grads`` puts agent i's gradient pair at (X[i], Y[i]) in row i."""
 
-    @pytest.mark.parametrize("family", ["scalar2", "quadratic"])
+    @pytest.mark.parametrize("family", ["scalar2", "quadratic", "quadratic-d1"])
     def test_rows_equal_agent_oracles_bitwise(self, family):
-        prob = ScalarTwoAgent() if family == "scalar2" else random_quadratic(m=4, seed=15)
+        prob = {"scalar2": ScalarTwoAgent,
+                "quadratic": lambda: random_quadratic(m=4, seed=15),
+                "quadratic-d1": lambda: random_quadratic(m=9, d=1, seed=15)}[family]()
         rng = np.random.default_rng(16)
         for _ in range(100):
             X = rng.normal(0, 3, size=(prob.m, prob.p))
@@ -219,6 +269,19 @@ class TestStackedOracle:
             for i, agent in enumerate(prob.agents):
                 assert np.array_equal(GX[i], agent.grad_x(X[i], Y[i]))
                 assert np.array_equal(GY[i], agent.grad_y(X[i], Y[i]))
+
+    @pytest.mark.parametrize("make", [ScalarTwoAgent,
+                                      lambda: random_quadratic(m=9, d=1, seed=24)])
+    def test_d1_product_equals_the_batched_matmul_bitwise(self, make):
+        # d = 1 multiplies elementwise instead of calling np.matmul
+        prob = make()
+        rng = np.random.default_rng(25)
+        for _ in range(100):
+            X = rng.normal(0, 3, size=(prob.m, 1))
+            Y = rng.normal(0, 3, size=(prob.m, 1))
+            GX, GY = prob.stacked_grads(X, Y)
+            assert np.array_equal(GX, np.matmul(prob.Q, X[:, :, None])[:, :, 0] + prob.a)
+            assert np.array_equal(GY, -np.matmul(prob.Q, Y[:, :, None])[:, :, 0] - prob.c)
 
     def test_rlr_rows_match_agent_oracles_and_central_differences(self):
         # unequal sample counts, so the zero padding of the batched
@@ -249,8 +312,10 @@ class TestStackedOracle:
     def test_quadratic_agents_hold_views_of_the_stacked_arrays(self):
         prob = random_quadratic(m=3, d=4, seed=20)
         assert prob.Q.shape == (3, 4, 4) and prob.c.shape == (3, 4)
+        assert np.array_equal(prob.a, 2.0 * prob.c)
         for i, agent in enumerate(prob.agents):
             assert agent.Q.base is prob.Q and agent.c.base is prob.c
+            assert agent.a.base is prob.a
             assert np.shares_memory(agent.Q, prob.Q[i])
 
 
@@ -282,8 +347,8 @@ class TestOperatorProperties:
 
 class TestValidation:
     def test_agents_must_share_dims(self):
-        a1 = QuadraticAgent(np.eye(2), np.zeros(2))
-        a2 = QuadraticAgent(np.eye(3), np.zeros(3))
+        a1 = QuadraticAgent(np.eye(2), np.zeros(2), np.zeros(2))
+        a2 = QuadraticAgent(np.eye(3), np.zeros(3), np.zeros(3))
         with pytest.raises(DimensionMismatchError):
             MinimaxProblem([a1, a2])
 
@@ -293,7 +358,7 @@ class TestValidation:
 
     def test_asymmetric_q_rejected(self):
         with pytest.raises(ValueError):
-            QuadraticAgent(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
+            QuadraticAgent(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2), np.zeros(2))
 
     def test_rlr_sample_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
