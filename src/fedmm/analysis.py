@@ -33,6 +33,7 @@ from .problems import (
 LIMIT_TOL = 1e-13  # relative per-round displacement that ends ``local_sgda_limit``
 SAMPLE_SCALE = 10.0  # standard deviation of the property checks' random points
 MONOTONICITY_SLACK = 1e-9  # absolute tolerance of ``check_strong_monotonicity``
+POWER_BLOCK = 1 << 17  # powers that ``_geometric_sums`` holds at once (1 MiB)
 
 
 class UnstableStepsizeError(ValueError):
@@ -42,6 +43,23 @@ class UnstableStepsizeError(ValueError):
 # ---------------------------------------------------------------------------
 # fixed points of the uncorrected local scheme on quadratic federations
 # ---------------------------------------------------------------------------
+
+def _geometric_sums(ratio: np.ndarray, K: int) -> np.ndarray:
+    """sum_{j<K} r^j for every entry r of ``ratio``, term by term.
+
+    Powers are formed for a block of entries at a time, at most
+    ``POWER_BLOCK`` of them, so memory does not grow with K. Each entry's
+    sum is the pairwise sum ``np.sum`` takes over its own row of powers, so
+    the result is bitwise that of one (..., K) array of every power.
+    """
+    flat = ratio.reshape(-1)
+    powers = np.arange(K)
+    rows = max(1, POWER_BLOCK // K)
+    sums = np.empty_like(flat)
+    for start in range(0, flat.size, rows):
+        sums[start:start + rows] = np.sum(flat[start:start + rows, None] ** powers, axis=-1)
+    return sums.reshape(ratio.shape)
+
 
 def local_sgda_fixed_point(
     problem: UncoupledQuadratic, K: int, eta_x: float, eta_y: float
@@ -75,7 +93,7 @@ def local_sgda_fixed_point(
                 raise UnstableStepsizeError(
                     f"stepsize {eta} is unstable for local curvature {float(w.max())}"
                 )
-            weights = np.sum(ratio[..., None] ** np.arange(K), axis=-1)
+            weights = _geometric_sums(ratio, K)
             SQ = np.matmul(V * (weights * w)[:, None, :], Vt)
             weighted[eta] = ascending_sum(SQ), weights[:, :, None]
         SQ_sum, weights = weighted[eta]

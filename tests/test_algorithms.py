@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+from fedmm import algorithms
 from fedmm.algorithms import (
+    ETA_GRID_SIZE,
     FEDGDA_GT,
     GDA,
     LOCAL_SGDA,
     AlgoConfig,
     DivergenceError,
     EtaSelection,
+    _diagonal_terms,
+    _round_map_lower_bound,
+    _round_map_spectra,
+    _round_map_weights,
     auto_eta_fedgda,
     conservative_eta,
     fedgda_round_map,
@@ -17,7 +23,7 @@ from fedmm.algorithms import (
     run_algorithm,
 )
 from fedmm.core import FeasibleSet, Iterate, ProductSet
-from fedmm.datagen import RlrGenSpec, gen_rlr
+from fedmm.datagen import QuadraticGenSpec, RlrGenSpec, gen_quadratic, gen_rlr
 from fedmm.problems import (
     MinimaxProblem,
     RobustLinearRegression,
@@ -36,6 +42,53 @@ def small_quadratic(m=3, d=5, seed=0):
         Qs.append(A.T @ A)
         cs.append(rng.normal(size=d))
     return UncoupledQuadratic(Qs, cs)
+
+
+def independent_x_term_quadratic(m=4, d=6, seed=12):
+    rng = np.random.default_rng(seed)
+    Qs = [A.T @ A for A in rng.normal(size=(m, d + 3, d))]
+    return UncoupledQuadratic(Qs, rng.normal(size=(m, d)), a_list=rng.normal(size=(m, d)))
+
+
+FEDERATIONS = {
+    **{f"quad-seed-{seed}": (lambda seed=seed: gen_quadratic(
+        QuadraticGenSpec(m=20, d=50, n_i=500, seed=seed))) for seed in (0, 7, 11)},
+    "scalar2": ScalarTwoAgent,
+    "independent-a": independent_x_term_quadratic,
+    "small": lambda: small_quadratic(m=4, d=5, seed=10),
+}
+SEARCH_CASES = [(name, K) for name in FEDERATIONS if name != "small" for K in (1, 20, 50)]
+
+
+@pytest.fixture(scope="module")
+def federation():
+    """Each federation of ``FEDERATIONS``, built once per module."""
+    built = {}
+
+    def get(name):
+        if name not in built:
+            built[name] = FEDERATIONS[name]()
+        return built[name]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def exhaustive_scan(federation):
+    """Every candidate of the stepsize grid, in the search's order, with the
+    public ``fedgda_round_map_norm`` of its map, computed once per case."""
+    scans = {}
+
+    def get(name, K):
+        if (name, K) not in scans:
+            prob = federation(name)
+            mu, L = estimate_constants(prob)
+            candidates = [2.0 / L * 0.5**j for j in range(1, ETA_GRID_SIZE + 1)]
+            candidates.append(conservative_eta(mu, L, K))
+            scans[name, K] = [(eta, fedgda_round_map_norm(prob, eta, K)) for eta in candidates]
+        return scans[name, K]
+
+    return get
 
 
 class TestGdaStep:
@@ -391,18 +444,6 @@ class TestStepsizeSelection:
                                    atol=1e-14)
         assert fedgda_round_map_norm(prob, eta, K) == pytest.approx(0.9**5, abs=1e-12)
 
-    def test_round_map_predicts_observed_contraction(self):
-        prob = small_quadratic(m=3, d=4, seed=6)
-        star = closed_form_minimax(prob)
-        eta, K = auto_eta_fedgda(prob, 5).eta, 5
-        M = fedgda_round_map(prob, eta, K)
-        rng = np.random.default_rng(7)
-        dx = rng.normal(size=4)
-        z0 = Iterate(star.x + dx, star.y.copy())
-        trace = run_algorithm(prob, AlgoConfig(FEDGDA_GT, eta, eta, K, 1, z0))
-        observed = trace.records[1].iterate.x - star.x
-        np.testing.assert_allclose(observed, M @ dx, atol=1e-9 * (1 + np.linalg.norm(dx)))
-
     def test_auto_eta_certifies_contraction(self):
         prob = small_quadratic(m=4, d=5, seed=8)
         for K in (1, 10, 25):
@@ -418,22 +459,75 @@ class TestStepsizeSelection:
         fallback = fedgda_round_map_norm(prob, conservative_eta(mu, L, K), K)
         assert sel.round_map_norm <= fallback + 1e-12
 
-    def test_auto_eta_is_argmin_of_public_round_map_norm_bitwise(self):
-        # the public norm decomposes every Q_i per call; the selection reuses
-        # one decomposition per agent and must pick the identical candidate
-        prob = small_quadratic(m=4, d=5, seed=10)
-        mu, L = estimate_constants(prob)
-        K = 10
-        candidates = [2.0 / L * 0.5**j for j in range(1, 47)]
-        candidates.append(conservative_eta(mu, L, K))
+    @pytest.mark.parametrize("name,K", SEARCH_CASES + [("small", 10)])
+    def test_auto_eta_is_argmin_of_public_round_map_norm_bitwise(
+        self, federation, exhaustive_scan, name, K
+    ):
+        # the reference builds and norms every candidate's map through the
+        # public norm, which decomposes every Q_i per call; the search reuses
+        # one decomposition and skips the maps that cannot win, and must pick
+        # the identical candidate with the identical norm
         best = None
-        for eta in candidates:
-            s = fedgda_round_map_norm(prob, eta, K)
+        for eta, s in exhaustive_scan(name, K):
             if best is None or s < best.round_map_norm - 1e-12 or (
                 abs(s - best.round_map_norm) <= 1e-12 and eta > best.eta
             ):
                 best = EtaSelection(eta, s)
-        assert auto_eta_fedgda(prob, K) == best
+        assert auto_eta_fedgda(federation(name), K) == best
+
+    @pytest.mark.parametrize("name,K", SEARCH_CASES)
+    def test_diagonal_bound_is_below_every_candidate_norm(
+        self, federation, exhaustive_scan, name, K
+    ):
+        w, V, spread = _round_map_spectra(federation(name))
+        terms = _diagonal_terms(V, spread)
+        for eta, norm in exhaustive_scan(name, K):
+            bound = _round_map_lower_bound(terms, *_round_map_weights(w, eta, K))
+            assert bound <= norm
+            # a d = 1 map is its own diagonal: the bound is sharp but for
+            # the rounding allowance, 1e-10 of terms of order one
+            if name == "scalar2":
+                assert norm - bound <= 1e-9
+
+    def test_search_builds_a_candidate_that_ties_the_best(self, monkeypatch):
+        # past the selected eta the norm dips and climbs back above the best
+        # before the next grid point up, 2 eta. A candidate there whose norm
+        # exceeds the best by less than the tie tolerance wins by its larger
+        # stepsize, so the search must build it even when its lower bound is
+        # as sharp as can be: its own norm
+        prob, K = ScalarTwoAgent(), 20
+        best = auto_eta_fedgda(prob, K)
+        lo, hi = best.eta, 2.0 * best.eta
+        for _ in range(200):
+            tied = 0.5 * (lo + hi)
+            excess = fedgda_round_map_norm(prob, tied, K) - best.round_map_norm
+            if 0.0 < excess <= 1e-12:
+                break
+            lo, hi = (tied, hi) if excess <= 0.0 else (lo, tied)
+        else:
+            pytest.fail("no stepsize ties the best from above")
+        _, V, spread = _round_map_spectra(prob)
+        monkeypatch.setattr(algorithms, "conservative_eta", lambda mu, L, K: tied)
+        monkeypatch.setattr(
+            algorithms, "_round_map_lower_bound",
+            lambda terms, shrink, geo: float(np.linalg.norm(
+                algorithms._round_map(V, spread, shrink, geo), 2)),
+        )
+        assert auto_eta_fedgda(prob, K) == EtaSelection(tied, fedgda_round_map_norm(prob, tied, K))
+
+    def test_search_builds_only_the_maps_that_can_win(self, federation, monkeypatch):
+        prob = federation("quad-seed-7")
+        expected = auto_eta_fedgda(prob, 20)
+        build = algorithms._round_map
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(algorithms, "_round_map", counted)
+        assert auto_eta_fedgda(prob, 20) == expected
+        assert 1 <= len(builds) <= 3  # of ETA_GRID_SIZE + 1 = 47 candidates
 
     def test_scalar_two_agent_selection_is_stable(self):
         prob = ScalarTwoAgent()
@@ -442,3 +536,24 @@ class TestStepsizeSelection:
         cfg = AlgoConfig(FEDGDA_GT, sel.eta, sel.eta, 20, 100, Iterate.zeros(1, 1))
         trace = run_algorithm(prob, cfg, z_star=closed_form_minimax(prob))
         assert trace.records[-1].gap_sq <= 1e-16
+
+
+class TestRoundMapOracle:
+    @pytest.mark.parametrize("name", ["scalar2", "quad-seed-0", "quad-seed-7", "quad-seed-11"])
+    @pytest.mark.parametrize("K", [1, 5, 20])
+    def test_one_engine_round_applies_the_round_map_to_both_blocks(self, federation, name, K):
+        # FedGDA-GT fixes the minimax point z*, so one round of the engine
+        # from z lands at z* + M(z - z*) in each block, with the same M
+        prob = federation(name)
+        star = closed_form_minimax(prob)
+        eta = auto_eta_fedgda(prob, K).eta
+        M = fedgda_round_map(prob, eta, K)
+        rng = np.random.default_rng(K)
+        start = Iterate(
+            star.x + rng.normal(0.0, 1.0 + np.linalg.norm(star.x), prob.p),
+            star.y + rng.normal(0.0, 1.0 + np.linalg.norm(star.y), prob.q),
+        )
+        after = run_algorithm(prob, AlgoConfig(FEDGDA_GT, eta, eta, K, 1, start)).final
+        for got, z, fixed in ((after.x, start.x, star.x), (after.y, start.y, star.y)):
+            step = M @ (z - fixed)
+            assert np.linalg.norm(got - (fixed + step)) <= 1e-12 * np.linalg.norm(step)

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fedmm import analysis
 from fedmm.analysis import (
+    _geometric_sums,
     UnstableStepsizeError,
     check_contraction,
     check_strong_monotonicity,
@@ -21,6 +25,7 @@ from fedmm.problems import (
     UncoupledQuadratic,
     UnsupportedProblemError,
     closed_form_minimax,
+    curvature_spectra,
     estimate_constants,
 )
 
@@ -158,6 +163,37 @@ class TestLocalSgdaFixedPoint:
     def test_refuses_a_non_quadratic_problem(self):
         with pytest.raises(UnsupportedProblemError):
             local_sgda_fixed_point(tiny_rlr(), 10, 0.001, 0.001)
+
+
+class TestGeometricSums:
+    @pytest.fixture(scope="class")
+    def eigenvalues(self):
+        return curvature_spectra(gen_quadratic(QuadraticGenSpec(m=20, d=50, n_i=500, seed=7)))[0]
+
+    @pytest.mark.parametrize("block", [analysis.POWER_BLOCK, 100])
+    @pytest.mark.parametrize("K", [1, 7, 10, 20, 50, 129, 2000])
+    def test_blocked_sums_equal_the_full_array_of_powers_bitwise(
+        self, eigenvalues, monkeypatch, K, block
+    ):
+        # a block of 100 powers puts row boundaries inside every K here
+        monkeypatch.setattr(analysis, "POWER_BLOCK", block)
+        w = eigenvalues
+        for eta in (1e-3 / w.max(), 1.9 / w.max()):
+            ratio = 1.0 - eta * w
+            full = np.sum(ratio[..., None] ** np.arange(K), axis=-1)
+            assert np.array_equal(_geometric_sums(ratio, K), full)
+
+    def test_fixed_point_memory_does_not_grow_with_K(self, eigenvalues):
+        # every power at once would be 8 m d K bytes: 15.3 MiB here
+        prob = gen_quadratic(QuadraticGenSpec(m=20, d=50, n_i=500, seed=7))
+        eta = 1e-3 / eigenvalues.max()
+        tracemalloc.start()
+        try:
+            local_sgda_fixed_point(prob, 2000, eta, eta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestFixedPointReport:
