@@ -44,6 +44,9 @@ ALGORITHMS = (GDA, LOCAL_SGDA, FEDGDA_GT)
 
 DIVERGENCE_LIMIT = 1e12
 ETA_GRID_SIZE = 46  # halvings of 2/L that ``auto_eta_fedgda`` scans
+# round map norms within this of each other tie in ``auto_eta_fedgda``; the
+# larger stepsize wins
+_TIE_TOL = 1e-12
 
 
 class DivergenceError(RuntimeError):
@@ -307,9 +310,14 @@ def _round_map(
 
 # relative allowance for rounding in ``_round_map_lower_bound``. The worst-case
 # error of assembling, averaging and norming a map is a small multiple of
-# (m + d) d eps, 8e-13 on the 20-agent, d = 50 benchmark federation, so this
-# covers federations up to (m + d) d of about 10^5
-_DIAGONAL_SLACK = 1e-10
+# (m + d) d eps, 8e-13 on the 20-agent, d = 50 benchmark federation; the
+# allowance is 128 times that at every size, and never below 1e-10
+_SLACK_FACTOR = 128.0
+_MIN_SLACK = 1e-10
+
+
+def _diagonal_slack(m: int, d: int) -> float:
+    return max(_MIN_SLACK, _SLACK_FACTOR * (m + d) * d * np.finfo(float).eps)
 
 
 def _diagonal_terms(
@@ -339,7 +347,7 @@ def _round_map_lower_bound(
     """A lower bound on the computed ``np.linalg.norm(M, 2)`` of the round map
     built from (shrink, geo), from its diagonal: ||M|| >= max_k |M_kk|.
 
-    Every diagonal entry is reduced by ``_DIAGONAL_SLACK`` times a bound on
+    Every diagonal entry is reduced by ``_diagonal_slack(m, d)`` times a bound on
     the sum of its terms' absolute values, which covers the rounding of this
     evaluation, of ``_round_map`` and of the norm, so the bound holds for the
     norm as computed, not only for the exact map.
@@ -351,7 +359,8 @@ def _round_map_lower_bound(
     # by Cauchy-Schwarz over the unit rows and columns of V_i; the same bound
     # covers the products that ``_round_map`` takes in another order
     magnitude = squares @ np.abs(s) + np.linalg.norm(geo, axis=1) @ spread_norms
-    return float(np.max(np.abs(diagonal) - _DIAGONAL_SLACK * magnitude)) / shrink.shape[0]
+    m, d = shrink.shape
+    return float(np.max(np.abs(diagonal) - _diagonal_slack(m, d) * magnitude)) / m
 
 
 def fedgda_round_map(problem: MinimaxProblem, eta: float, K: int) -> np.ndarray:
@@ -375,7 +384,7 @@ def auto_eta_fedgda(problem: MinimaxProblem, K: int) -> EtaSelection:
 
     Scans a geometric grid below the per-step stability ceiling 2/L and keeps
     the stepsize whose exact round map has the smallest operator norm (larger
-    stepsize wins ties within 1e-12). The closed-form conservative value is
+    stepsize wins ties within ``_TIE_TOL``). The closed-form conservative value is
     always among the candidates, so the selection never does worse than it.
 
     A candidate's map is built and normed only if it can still win: before
@@ -397,12 +406,12 @@ def auto_eta_fedgda(problem: MinimaxProblem, K: int) -> EtaSelection:
     for eta in candidates:
         shrink, geo = _round_map_weights(w, eta, K)
         if best is not None and (
-            _round_map_lower_bound(terms, shrink, geo) > best.round_map_norm + 1e-12
+            _round_map_lower_bound(terms, shrink, geo) > best.round_map_norm + _TIE_TOL
         ):
             continue
         s = float(np.linalg.norm(_round_map(V, spread, shrink, geo), 2))
-        if best is None or s < best.round_map_norm - 1e-12 or (
-            abs(s - best.round_map_norm) <= 1e-12 and eta > best.eta
+        if best is None or s < best.round_map_norm - _TIE_TOL or (
+            abs(s - best.round_map_norm) <= _TIE_TOL and eta > best.eta
         ):
             best = EtaSelection(eta, s)
     return best

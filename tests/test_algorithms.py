@@ -10,6 +10,8 @@ from fedmm.algorithms import (
     AlgoConfig,
     DivergenceError,
     EtaSelection,
+    _TIE_TOL,
+    _diagonal_slack,
     _diagonal_terms,
     _round_map_lower_bound,
     _round_map_spectra,
@@ -444,6 +446,18 @@ class TestStepsizeSelection:
                                    atol=1e-14)
         assert fedgda_round_map_norm(prob, eta, K) == pytest.approx(0.9**5, abs=1e-12)
 
+    def test_round_map_predicts_observed_contraction(self):
+        prob = small_quadratic(m=3, d=4, seed=6)
+        star = closed_form_minimax(prob)
+        eta, K = auto_eta_fedgda(prob, 5).eta, 5
+        M = fedgda_round_map(prob, eta, K)
+        rng = np.random.default_rng(7)
+        dx = rng.normal(size=4)
+        z0 = Iterate(star.x + dx, star.y.copy())
+        trace = run_algorithm(prob, AlgoConfig(FEDGDA_GT, eta, eta, K, 1, z0))
+        observed = trace.records[1].iterate.x - star.x
+        np.testing.assert_allclose(observed, M @ dx, atol=1e-9 * (1 + np.linalg.norm(dx)))
+
     def test_auto_eta_certifies_contraction(self):
         prob = small_quadratic(m=4, d=5, seed=8)
         for K in (1, 10, 25):
@@ -469,8 +483,8 @@ class TestStepsizeSelection:
         # the identical candidate with the identical norm
         best = None
         for eta, s in exhaustive_scan(name, K):
-            if best is None or s < best.round_map_norm - 1e-12 or (
-                abs(s - best.round_map_norm) <= 1e-12 and eta > best.eta
+            if best is None or s < best.round_map_norm - _TIE_TOL or (
+                abs(s - best.round_map_norm) <= _TIE_TOL and eta > best.eta
             ):
                 best = EtaSelection(eta, s)
         assert auto_eta_fedgda(federation(name), K) == best
@@ -489,6 +503,11 @@ class TestStepsizeSelection:
             if name == "scalar2":
                 assert norm - bound <= 1e-9
 
+    def test_rounding_allowance_grows_with_the_federation(self):
+        assert _diagonal_slack(2, 1) == _diagonal_slack(20, 50) == 1e-10
+        eps = np.finfo(float).eps
+        assert _diagonal_slack(1000, 2000) == 128.0 * 3000 * 2000 * eps > 1e-10
+
     def test_search_builds_a_candidate_that_ties_the_best(self, monkeypatch):
         # past the selected eta the norm dips and climbs back above the best
         # before the next grid point up, 2 eta. A candidate there whose norm
@@ -501,7 +520,7 @@ class TestStepsizeSelection:
         for _ in range(200):
             tied = 0.5 * (lo + hi)
             excess = fedgda_round_map_norm(prob, tied, K) - best.round_map_norm
-            if 0.0 < excess <= 1e-12:
+            if 0.0 < excess <= _TIE_TOL:
                 break
             lo, hi = (tied, hi) if excess <= 0.0 else (lo, tied)
         else:
