@@ -23,9 +23,8 @@ from .problems import (
     RobustLinearRegression,
     ScalarTwoAgent,
     UncoupledQuadratic,
-    UnsupportedProblemError,
     closed_form_minimax,
-    curvature_spectra,
+    require_quadratic,
     solve_checked,
 )
 
@@ -78,11 +77,8 @@ def local_sgda_fixed_point(
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if not isinstance(problem, UncoupledQuadratic):
-        raise UnsupportedProblemError(
-            f"no closed-form Local SGDA fixed point for {type(problem).__name__}"
-        )
-    w, V = curvature_spectra(problem)
+    problem = require_quadratic(problem, "no closed-form Local SGDA fixed point for {}")
+    w, V = problem.spectra
     Vt = V.transpose(0, 2, 1)
     weighted = {}  # stepsize -> (sum_i S_i Q_i, eigenvalues of every S_i)
     blocks = []

@@ -206,11 +206,13 @@ def _build_algo(section, section_name: str, problem: MinimaxProblem,
             raise ConfigError(f"[{section_name}]: {name} requires an explicit stepsize")
         try:
             eta_x = eta_y = auto_eta_fedgda(problem, K).eta
-        except ValueError as exc:
+        except UnsupportedProblemError as exc:
             raise ConfigError(
                 f"[{section_name}]: cannot auto-select a stepsize for this problem "
                 f"({exc}); give eta explicitly"
             ) from exc
+        except ValueError as exc:
+            raise ConfigError(f"[{section_name}]: {exc}") from exc
 
     init = Iterate.zeros(problem.p, problem.q)
     try:

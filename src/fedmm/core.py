@@ -153,8 +153,8 @@ class FeasibleSet:
     @staticmethod
     def ball(center, radius: float) -> "FeasibleSet":
         center = check_finite(as_vector(center), "ball center")
-        if not radius > 0:
-            raise ValueError(f"ball radius must be positive, got {radius}")
+        if not 0 < radius < np.inf:
+            raise ValueError(f"ball radius must be finite and positive, got {radius}")
         return FeasibleSet(BALL, center.shape[0], center, float(radius))
 
     def project(self, v) -> Vector:

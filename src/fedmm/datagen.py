@@ -76,8 +76,8 @@ class RlrGenSpec:
     def __post_init__(self):
         if self.m < 1 or self.d < 1 or self.n_i < 1:
             raise ValueError("m, d and n_i must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 

@@ -16,6 +16,7 @@ thread-safe.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -106,11 +107,6 @@ class QuadraticAgent(LocalObjective):
         self.a = a
         self.c = c
         self.p = self.q = c.shape[0]
-
-    # constant x-Hessian; the y-Hessian is its negation
-    @property
-    def hess_x(self) -> np.ndarray:
-        return self.Q
 
     def value(self, x, y):
         x = as_vector(x, self.p, "x")
@@ -242,6 +238,8 @@ class UncoupledQuadratic(MinimaxProblem):
     """Quadratic family with x and y uncoupled and agent-specific Q_i, a_i, c_i.
 
     The x-linear terms ``a_list`` default to 2c_i, the generated family.
+    The problem owns its curvature facts, the stack ``Q`` (m, d, d), its
+    ascending sum ``Q_sum`` and ``spectra``; every consumer reads them here.
     """
 
     def __init__(self, Q_list, c_list, sets: ProductSet | None = None, *, a_list=None):
@@ -254,17 +252,30 @@ class UncoupledQuadratic(MinimaxProblem):
         self.Q = np.array(Q_list, dtype=np.float64)
         self.c = np.array(c_list, dtype=np.float64)
         self.a = 2.0 * self.c if a_list is None else np.array(a_list, dtype=np.float64)
+        # read-only, like the agents' views of it: Q_sum and spectra never go stale
+        self.Q.flags.writeable = False
         agents = [QuadraticAgent(Q, a, c) for Q, a, c in zip(self.Q, self.a, self.c)]
         super().__init__(agents, sets)
         # the (m, 1) curvature column of a d = 1 federation, see stacked_grads
         self._curv_col = self.Q[:, :, 0] if self.p == 1 else None
-        # positive definiteness of sum(Q_i) guarantees a unique stationary pair
+        # positive definiteness of sum(Q_i) guarantees a unique stationary pair;
+        # copied, so that the (m, d, d) buffer of running sums is not kept
+        self.Q_sum = ascending_sum(self.Q).copy()
+        self.Q_sum.flags.writeable = False
         try:
-            np.linalg.cholesky(ascending_sum(self.Q))
+            np.linalg.cholesky(self.Q_sum)
         except np.linalg.LinAlgError as exc:
             raise SingularProblemError(
                 "sum of per-agent curvature matrices is not positive definite"
             ) from exc
+
+    @cached_property
+    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues w (m, d), ascending, and eigenvectors V (m, d, d) of
+        every Q_i, read-only, from one batched ``eigh`` on first use."""
+        w, V = np.linalg.eigh(self.Q)
+        w.flags.writeable = V.flags.writeable = False
+        return w, V
 
     def stacked_grads(self, X, Y):
         # one batched matrix-vector product per block; np.matmul runs the
@@ -359,6 +370,14 @@ class RobustLinearRegression(MinimaxProblem):
 # ground-truth solvers and constants
 # ---------------------------------------------------------------------------
 
+def require_quadratic(problem: MinimaxProblem, message: str) -> UncoupledQuadratic:
+    """``problem`` if it is a quadratic family, else an error: ``message``
+    with ``{}`` filled by the problem's type."""
+    if not isinstance(problem, UncoupledQuadratic):
+        raise UnsupportedProblemError(message.format(type(problem).__name__))
+    return problem
+
+
 def closed_form_minimax(problem: MinimaxProblem) -> Iterate:
     """The unique interior stationary pair, where the averaged gradient vanishes.
 
@@ -367,12 +386,9 @@ def closed_form_minimax(problem: MinimaxProblem) -> Iterate:
     solve rounds the scalar problem's x* to 3.3000000000000003 instead of
     33/10. Robust linear regression has no closed form.
     """
-    if not isinstance(problem, UncoupledQuadratic):
-        raise UnsupportedProblemError(
-            f"no closed-form minimax point for {type(problem).__name__}"
-        )
-    SQ = ascending_sum(problem.Q)
-    return Iterate(*(-solve_checked(SQ, ascending_sum(v)) for v in (problem.a, problem.c)))
+    problem = require_quadratic(problem, "no closed-form minimax point for {}")
+    return Iterate(*(-solve_checked(problem.Q_sum, ascending_sum(v))
+                     for v in (problem.a, problem.c)))
 
 
 def solve_checked(A: np.ndarray, b: Vector) -> Vector:
@@ -392,30 +408,13 @@ def solve_checked(A: np.ndarray, b: Vector) -> Vector:
     return s
 
 
-def curvatures(problem: MinimaxProblem) -> list[np.ndarray]:
-    """Each agent's constant x-Hessian (the y-Hessian is its negation), in
-    agent order; only quadratic-family agents have one."""
-    # duck-typed rather than an isinstance check, so that agents wrapped in
-    # delegating proxies still qualify
-    if not all(hasattr(a, "hess_x") for a in problem.agents):
-        raise UnsupportedProblemError(
-            f"constants are not estimated for {type(problem).__name__}; "
-            "supply stepsizes explicitly"
-        )
-    return [a.hess_x for a in problem.agents]
-
-
-def curvature_spectra(problem: MinimaxProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (m, d), ascending, and eigenvectors (m, d, d) of every
-    agent's x-Hessian, from one batched symmetric eigensolve."""
-    return np.linalg.eigh(np.array(curvatures(problem)))
-
-
 def estimate_constants(problem: MinimaxProblem) -> tuple[float, float]:
     """(mu, L): worst strong-convexity and smoothness constants over agents.
 
     mu is the smallest eigenvalue over all per-agent curvature matrices and L
-    the largest, computed by a symmetric eigensolve.
+    the largest, from one batched ``eigvalsh`` of a quadratic family's ``Q``.
     """
-    eigs = np.linalg.eigvalsh(np.array(curvatures(problem)))
+    problem = require_quadratic(
+        problem, "constants are not estimated for {}; supply stepsizes explicitly")
+    eigs = np.linalg.eigvalsh(problem.Q)
     return float(eigs[:, 0].min()), float(eigs[:, -1].max())

@@ -24,6 +24,7 @@ from fedmm.algorithms import (
     local_sgda_residual,
     run_algorithm,
 )
+from fedmm.analysis import local_sgda_fixed_point
 from fedmm.core import FeasibleSet, Iterate, ProductSet
 from fedmm.datagen import QuadraticGenSpec, RlrGenSpec, gen_quadratic, gen_rlr
 from fedmm.problems import (
@@ -31,6 +32,7 @@ from fedmm.problems import (
     RobustLinearRegression,
     ScalarTwoAgent,
     UncoupledQuadratic,
+    UnsupportedProblemError,
     closed_form_minimax,
     estimate_constants,
 )
@@ -478,9 +480,8 @@ class TestStepsizeSelection:
         self, federation, exhaustive_scan, name, K
     ):
         # the reference builds and norms every candidate's map through the
-        # public norm, which decomposes every Q_i per call; the search reuses
-        # one decomposition and skips the maps that cannot win, and must pick
-        # the identical candidate with the identical norm
+        # public norm; the search skips the maps that cannot win, and must
+        # pick the identical candidate with the identical norm
         best = None
         for eta, s in exhaustive_scan(name, K):
             if best is None or s < best.round_map_norm - _TIE_TOL or (
@@ -547,6 +548,36 @@ class TestStepsizeSelection:
         monkeypatch.setattr(algorithms, "_round_map", counted)
         assert auto_eta_fedgda(prob, 20) == expected
         assert 1 <= len(builds) <= 3  # of ETA_GRID_SIZE + 1 = 47 candidates
+
+    @pytest.mark.parametrize("K", [0, -2])
+    def test_auto_eta_rejects_k_below_one(self, K):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            auto_eta_fedgda(ScalarTwoAgent(), K)
+
+    def test_round_map_refused_for_non_quadratic_problems(self):
+        prob = gen_rlr(RlrGenSpec(m=3, d=2, n_i=5, alpha=1.0, seed=0))
+        with pytest.raises(UnsupportedProblemError):
+            fedgda_round_map(prob, 1e-3, 5)
+        with pytest.raises(UnsupportedProblemError):
+            auto_eta_fedgda(prob, 5)
+
+    def test_one_eigendecomposition_per_problem(self, monkeypatch):
+        # the stepsize search, the public round map and the Local SGDA fixed
+        # point all read the problem's cached spectra
+        prob = small_quadratic(m=4, d=5, seed=11)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        eta = auto_eta_fedgda(prob, 10).eta
+        fedgda_round_map(prob, eta, 10)
+        fedgda_round_map(prob, 0.5 * eta, 3)
+        local_sgda_fixed_point(prob, 10, eta, eta)
+        assert calls == [(4, 5, 5)]
 
     def test_scalar_two_agent_selection_is_stable(self):
         prob = ScalarTwoAgent()

@@ -25,7 +25,6 @@ from fedmm.problems import (
     UncoupledQuadratic,
     UnsupportedProblemError,
     closed_form_minimax,
-    curvature_spectra,
     estimate_constants,
 )
 
@@ -84,7 +83,7 @@ class TestClosedFormFixedPoint:
 
 def scalar_fixed_coordinate(K, eta):
     """The two-agent scalar fixed point written out: the offsets and the
-    curvatures, each weighted by sum_{j<K} (1 - eta curv)^j, and their quotient."""
+    curvature values, each weighted by sum_{j<K} (1 - eta curv)^j, and their quotient."""
     num = 0.0
     den = 0.0
     for curv, offset in ((2.0, 1.0), (8.0, 32.0)):
@@ -168,7 +167,7 @@ class TestLocalSgdaFixedPoint:
 class TestGeometricSums:
     @pytest.fixture(scope="class")
     def eigenvalues(self):
-        return curvature_spectra(gen_quadratic(QuadraticGenSpec(m=20, d=50, n_i=500, seed=7)))[0]
+        return gen_quadratic(QuadraticGenSpec(m=20, d=50, n_i=500, seed=7)).spectra[0]
 
     @pytest.mark.parametrize("block", [analysis.POWER_BLOCK, 100])
     @pytest.mark.parametrize("K", [1, 7, 10, 20, 50, 129, 2000])

@@ -1,6 +1,7 @@
 import re
 
 import numpy as np
+import pytest
 
 from fedmm.cli import CSV_HEADER, main
 from fedmm.datagen import load_dataset
@@ -324,6 +325,75 @@ trace = x.csv
 """)
         assert main(["run", cfg]) == 2
         assert "K must be 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("K", [0, -2])
+    def test_auto_eta_with_k_below_one_exits_2(self, tmp_path, capsys, K):
+        cfg = write(tmp_path / "c.ini", f"""
+[problem]
+kind = scalar2
+
+[algo]
+name = FedGDAGT
+K = {K}
+rounds = 5
+
+[output]
+trace = {tmp_path / "t.csv"}
+""")
+        assert main(["run", cfg]) == 2
+        assert re.fullmatch(r"error: \[algo\]: K must be >= 1\n", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_2(self, tmp_path, capsys, alpha):
+        problem = f"""
+[problem]
+kind = rlr
+m = 2
+d = 3
+n = 5
+alpha = {alpha}
+seed = 3
+"""
+        out = tmp_path / "data.fedmm"
+        assert main(["gen-data", write(tmp_path / "g.ini", problem), "--out", str(out)]) == 2
+        assert not out.exists()
+        cfg = write(tmp_path / "c.ini", problem + f"""
+[algo]
+name = GDA
+rounds = 5
+eta = 1e-3
+
+[output]
+trace = {tmp_path / "t.csv"}
+""")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"(error: [^\n]*alpha must be finite[^\n]*\n){2}", err)
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_infinite_radius_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.ini", f"""
+[problem]
+kind = rlr
+m = 2
+d = 3
+n = 5
+alpha = 1.0
+seed = 3
+radius_y = inf
+
+[algo]
+name = GDA
+rounds = 5
+eta = 1e-3
+
+[output]
+trace = {tmp_path / "t.csv"}
+""")
+        assert main(["run", cfg]) == 2
+        assert re.fullmatch(r"error: [^\n]*radius must be finite and positive, got inf\n",
+                            capsys.readouterr().err)
+        assert not (tmp_path / "t.csv").exists()
 
     def test_both_eta_forms_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.ini", """

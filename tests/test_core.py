@@ -76,6 +76,11 @@ class TestProjection:
         with pytest.raises(ValueError):
             FeasibleSet.ball(np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("radius", [np.inf, np.nan])
+    def test_ball_radius_must_be_finite(self, radius):
+        with pytest.raises(ValueError, match="finite and positive"):
+            FeasibleSet.ball(np.zeros(2), radius)
+
     def test_product_set_blocks_are_independent(self):
         ps = ProductSet(FeasibleSet.unconstrained(2), FeasibleSet.ball(np.zeros(2), 1.0))
         z = ps.project(Iterate(np.array([5.0, -5.0]), np.array([3.0, 4.0])))

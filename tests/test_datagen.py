@@ -67,6 +67,11 @@ class TestQuadraticGeneration:
 
 
 class TestRlrGeneration:
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+    def test_alpha_must_be_finite_and_nonnegative(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            RlrGenSpec(m=2, d=3, n_i=4, alpha=alpha, seed=0)
+
     def test_same_seed_identical(self):
         spec = RlrGenSpec(m=2, d=3, n_i=4, alpha=5.0, seed=9)
         p1, p2 = gen_rlr(spec), gen_rlr(spec)

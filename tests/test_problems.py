@@ -12,7 +12,6 @@ from fedmm.problems import (
     UncoupledQuadratic,
     UnsupportedProblemError,
     closed_form_minimax,
-    curvature_spectra,
     estimate_constants,
     finite_difference_gradients,
 )
@@ -68,7 +67,7 @@ class TestScalarTwoAgent:
         assert z.y[0] == pytest.approx(3.3, abs=1e-15)
 
     def test_closed_form_equals_the_scalar_quotient_bitwise(self):
-        # the summed offsets over the summed curvatures, (1 + 32) / (2 + 8)
+        # the summed offsets over the summed curvature, (1 + 32) / (2 + 8)
         z = closed_form_minimax(ScalarTwoAgent())
         assert z.x[0] == (1.0 + 32.0) / (2.0 + 8.0) == 33 / 10
         assert z.y[0] == 33 / 10
@@ -226,10 +225,41 @@ class TestEstimateConstants:
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_batched_spectra_equal_per_agent_eigh_bitwise(self, seed):
         prob = gen_quadratic(QuadraticGenSpec(m=20, d=50, n_i=500, seed=seed))
-        w, V = curvature_spectra(prob)
+        w, V = prob.spectra
         for i, Q in enumerate(prob.Q):
             w_i, V_i = np.linalg.eigh(Q)
             assert np.array_equal(w[i], w_i) and np.array_equal(V[i], V_i)
+
+
+class TestCurvatureFacts:
+    def test_spectra_are_computed_once_and_read_only(self):
+        prob = random_quadratic(m=3, d=4, seed=24)
+        w, V = prob.spectra
+        assert prob.spectra[0] is w and prob.spectra[1] is V
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            V[0, 0, 0] = 1.0
+
+    def test_curvature_stack_and_sum_are_read_only(self):
+        prob = random_quadratic(m=3, d=4, seed=25)
+        assert prob.Q_sum.base is None  # not a view of the (m, d, d) running sums
+        for arr in (prob.Q, prob.Q_sum, prob.agents[0].Q):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+
+    def test_curvature_sum_is_the_ascending_loop_bitwise(self):
+        prob = random_quadratic(m=5, d=3, seed=26)
+        total = prob.Q[0].copy()
+        for Q in prob.Q[1:]:
+            total = total + Q
+        assert np.array_equal(prob.Q_sum, total)
+
+    def test_constants_refused_for_hand_built_quadratic_agents(self):
+        # curvature facts belong to UncoupledQuadratic, not to agent lists
+        prob = MinimaxProblem(random_quadratic(m=2, d=3, seed=27).agents)
+        with pytest.raises(UnsupportedProblemError, match="supply stepsizes explicitly"):
+            estimate_constants(prob)
 
 
 class TestFiniteDifferences:
