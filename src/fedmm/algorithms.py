@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Iterate, Vector, average_vectors, optimality_gap
+from .core import Iterate, Vector, ascending_sum, average_vectors, optimality_gap
 from .problems import MinimaxProblem, estimate_constants, require_quadratic
 
 GDA = "GDA"
@@ -74,8 +74,8 @@ class AlgoConfig:
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}")
-        if not (self.eta_x > 0 and self.eta_y > 0):
-            raise ValueError("stepsizes must be positive")
+        if not (0 < self.eta_x < np.inf and 0 < self.eta_y < np.inf):
+            raise ValueError("stepsizes must be finite and positive")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.algo == GDA and self.K != 1:
@@ -268,108 +268,94 @@ def conservative_eta(mu: float, L: float, K: int) -> float:
     return 0.5 * min(2.0 * mu / L**2, 1.0 / (2.0 * mu * K))
 
 
-def _round_map_spectra(problem: MinimaxProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stepsize-independent part of ``fedgda_round_map``: the problem's
-    ``spectra`` w (m, d) and V (m, d, d), and the differences Qbar - Q_i
-    (m, d, d)."""
-    problem = require_quadratic(problem, "no round map for {}")
-    return (*problem.spectra, problem.Q_sum / problem.m - problem.Q)
+def _round_map_weights(w: np.ndarray, eta: float, K: int) -> np.ndarray:
+    """Eigenvalues geo = eta sum_{j<K} (1 - eta w)^j of eta S_i at the
+    curvature eigenvalues w, in closed form.
 
-
-def _round_map_weights(w: np.ndarray, eta: float, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue weights of K local steps at curvature eigenvalues w:
-    shrink = (1 - eta w)^K and geo = eta sum_{j<K} (1 - eta w)^j."""
-    shrink = (1.0 - eta * w) ** K
-    # geo = (1 - shrink) / w, except the quotient cancels catastrophically as
-    # eta*w -> 0; switch to its series there
+    ``analysis.local_sgda_fixed_point`` sums the same series term by term
+    instead: that keeps its output bitwise as it was, and stays accurate at
+    small eta w, where this closed form needs its series branch.
+    """
+    # geo = (1 - (1 - eta w)^K) / w, except the quotient cancels
+    # catastrophically as eta*w -> 0; switch to its series there
     small = np.abs(eta * w) < 1e-8
-    geo = np.where(
+    return np.where(
         small,
         eta * K * (1.0 - 0.5 * (K - 1) * eta * w),
-        (1.0 - shrink) / np.where(small, 1.0, w),
+        (1.0 - (1.0 - eta * w) ** K) / np.where(small, 1.0, w),
     )
-    return shrink, geo
 
 
-def _round_map(
-    V: np.ndarray, spread: np.ndarray, shrink: np.ndarray, geo: np.ndarray
-) -> np.ndarray:
-    """(1/m) sum_i [V_i diag(shrink_i) V_i' - V_i diag(geo_i) V_i' (Qbar - Q_i)]."""
-    # one agent at a time: batched over agents, the products below took 1.4
-    # times as long on the 20-agent, d = 50 benchmark federation
-    M = np.zeros(V.shape[1:])
-    for V_i, spread_i, shrink_i, geo_i in zip(V, spread, shrink, geo):
-        P = (V_i * shrink_i) @ V_i.T
-        T = (V_i * geo_i) @ V_i.T
-        M += P - T @ spread_i
-    return M / len(V)
+def _round_map(V: np.ndarray, geo: np.ndarray, Qbar: np.ndarray) -> np.ndarray:
+    """I - Sbar Qbar, where Sbar = (1/m) sum_i V_i diag(geo_i) V_i' averages
+    the agents' eta S_i."""
+    S = np.matmul(V * geo[:, None, :], V.transpose(0, 2, 1))
+    return np.eye(len(Qbar)) - (ascending_sum(S) / len(V)) @ Qbar
 
 
-# relative allowance for rounding in ``_round_map_lower_bound``. The worst-case
-# error of assembling, averaging and norming a map is a small multiple of
-# (m + d) d eps, 8e-13 on the 20-agent, d = 50 benchmark federation; the
-# allowance is 128 times that at every size, and never below 1e-10
+# relative allowance for rounding in ``_round_map_lower_bound``. The diagonal
+# is a length-m d dot product of length-d ones; the map is a length-d
+# product, an m-term average and a length-d product; their worst-case errors
+# and the norm's come to at most about (m + 3)(d + 3) eps, 3e-13 on the
+# 20-agent, d = 50 benchmark federation. The allowance is 128 times that at
+# every size, and never below 1e-10
 _SLACK_FACTOR = 128.0
 _MIN_SLACK = 1e-10
 
 
 def _diagonal_slack(m: int, d: int) -> float:
-    return max(_MIN_SLACK, _SLACK_FACTOR * (m + d) * d * np.finfo(float).eps)
+    return max(_MIN_SLACK, _SLACK_FACTOR * (m + 3) * (d + 3) * np.finfo(float).eps)
 
 
-def _diagonal_terms(
-    V: np.ndarray, spread: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _diagonal_terms(V: np.ndarray, Qbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stepsize-independent arrays of the round map's diagonal.
 
-    With D_i = V_i' (Qbar - Q_i), entry k of the diagonal is
-    (1/m) sum_i sum_l (V_i[k, l]^2 shrink_il - V_i[k, l] D_i[l, k] geo_il),
-    so column (i, l) of the two (d, m d) arrays holds V_i[:, l]^2 and
-    V_i[:, l] * D_i[l, :]. The third, (m, d), holds the column norms
-    ||(Qbar - Q_i)[:, k]||, which bound the second sum's terms.
+    Entry k of the diagonal is
+    1 - (1/m) sum_i sum_l V_i[k, l] (V_i' Qbar)[l, k] geo_il, so column (i, l)
+    of the (d, m d) array holds V_i[:, l] * (V_i' Qbar)[l, :].
+    The second array, (d,), holds the column norms ||Qbar[:, k]||, which
+    bound the sum's terms.
     """
     m, d = V.shape[:2]
-    # filled through their (k, i, l) views, without a transposed copy
-    squares, products = np.empty((2, d, m, d))
-    V_k = V.transpose(1, 0, 2)
-    np.multiply(V_k, V_k, out=squares)
-    D = np.matmul(V.transpose(0, 2, 1), spread)
-    np.multiply(V_k, D.transpose(2, 0, 1), out=products)
-    return squares.reshape(d, m * d), products.reshape(d, m * d), np.linalg.norm(spread, axis=1)
+    # filled through its (k, i, l) view, without a transposed copy
+    terms = np.empty((d, m, d))
+    VtQ = np.matmul(V.transpose(0, 2, 1), Qbar)
+    np.multiply(V.transpose(1, 0, 2), VtQ.transpose(2, 0, 1), out=terms)
+    return terms.reshape(d, m * d), np.linalg.norm(Qbar, axis=0)
 
 
-def _round_map_lower_bound(
-    terms: tuple[np.ndarray, ...], shrink: np.ndarray, geo: np.ndarray
-) -> float:
+def _round_map_lower_bound(terms: tuple[np.ndarray, np.ndarray], geo: np.ndarray) -> float:
     """A lower bound on the computed ``np.linalg.norm(M, 2)`` of the round map
-    built from (shrink, geo), from its diagonal: ||M|| >= max_k |M_kk|.
+    built from ``geo``, from its diagonal: ||M|| >= max_k |M_kk|.
 
     Every diagonal entry is reduced by ``_diagonal_slack(m, d)`` times a bound on
     the sum of its terms' absolute values, which covers the rounding of this
     evaluation, of ``_round_map`` and of the norm, so the bound holds for the
     norm as computed, not only for the exact map.
     """
-    squares, products, spread_norms = terms
-    s, g = shrink.reshape(-1), geo.reshape(-1)
-    diagonal = squares @ s - products @ g
-    # sum_l |V_i[k, l] D_i[l, k] geo_il| <= ||geo_i|| ||(Qbar - Q_i)[:, k]||,
+    products, column_norms = terms
+    m, d = geo.shape
+    diagonal = 1.0 - products @ geo.reshape(-1) / m
+    # sum_l |V_i[k, l] (V_i' Qbar)[l, k] geo_il| <= ||geo_i|| ||Qbar[:, k]||,
     # by Cauchy-Schwarz over the unit rows and columns of V_i; the same bound
     # covers the products that ``_round_map`` takes in another order
-    magnitude = squares @ np.abs(s) + np.linalg.norm(geo, axis=1) @ spread_norms
-    m, d = shrink.shape
-    return float(np.max(np.abs(diagonal) - _diagonal_slack(m, d) * magnitude)) / m
+    magnitude = 1.0 + np.linalg.norm(geo, axis=1).sum() / m * column_norms
+    return float(np.max(np.abs(diagonal) - _diagonal_slack(m, d) * magnitude))
 
 
 def fedgda_round_map(problem: MinimaxProblem, eta: float, K: int) -> np.ndarray:
     """Exact linear round map of the gradient-tracking scheme on quadratic
     families (identical for the x and y blocks).
 
-    With B_i = I - eta Q_i and S_i = sum_{j<K} B_i^j, the averaged endpoint
-    depends on the synchronized iterate through
-    (1/m) sum_i [B_i^K - eta S_i (Qbar - Q_i)].
+    With B_i = I - eta Q_i and S_i = sum_{j<K} B_i^j, every local step of
+    agent i moves along the global gradient gbar plus Q_i times its drift,
+    so the agent ends the round at x - eta S_i gbar, and the average is
+    x - eta Sbar (Qbar x + abar). The map is I - eta Sbar Qbar, which equals
+    (1/m) sum_i [B_i^K - eta S_i (Qbar - Q_i)] since B_i^K = I - eta S_i Q_i.
     """
-    w, V, spread = _round_map_spectra(problem)
-    return _round_map(V, spread, *_round_map_weights(w, eta, K))
+    problem = require_quadratic(problem, "no round map for {}")
+    w, V = problem.spectra
+    return _round_map(V, _round_map_weights(w, eta, K), problem.Q_sum / problem.m)
 
 
 def fedgda_round_map_norm(problem: MinimaxProblem, eta: float, K: int) -> float:
@@ -386,11 +372,12 @@ def auto_eta_fedgda(problem: MinimaxProblem, K: int) -> EtaSelection:
 
     A candidate's map is built and normed only if it can still win: before
     building, ``_round_map_lower_bound`` bounds its norm from below by the
-    map's diagonal, O(m d^2) work instead of m sets of d x d products and an
-    SVD. A candidate whose bound exceeds the best norm so far by more than
-    the tie tolerance can neither beat nor tie it, and the running best is
-    the one a scan of every candidate holds at that point, so the selection
-    is bitwise that of building every map. Usually one or two maps get built.
+    map's diagonal, one (d, m d) matrix-vector product instead of d x d
+    products and an SVD. A candidate whose bound exceeds the best norm so far
+    by more than the tie tolerance can neither beat nor tie it, and the
+    running best is the one a scan of every candidate holds at that point, so
+    the selection is bitwise that of building every map. Usually one or two
+    maps get built.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -401,16 +388,18 @@ def auto_eta_fedgda(problem: MinimaxProblem, K: int) -> EtaSelection:
     mu, L = estimate_constants(problem)
     candidates = [2.0 / L * 0.5**j for j in range(1, ETA_GRID_SIZE + 1)]
     candidates.append(conservative_eta(mu, L, K))
-    w, V, spread = _round_map_spectra(problem)
-    terms = _diagonal_terms(V, spread)
+    # estimate_constants refused every problem but a quadratic family
+    w, V = problem.spectra
+    Qbar = problem.Q_sum / problem.m
+    terms = _diagonal_terms(V, Qbar)
     best: EtaSelection | None = None
     for eta in candidates:
-        shrink, geo = _round_map_weights(w, eta, K)
+        geo = _round_map_weights(w, eta, K)
         if best is not None and (
-            _round_map_lower_bound(terms, shrink, geo) > best.round_map_norm + _TIE_TOL
+            _round_map_lower_bound(terms, geo) > best.round_map_norm + _TIE_TOL
         ):
             continue
-        s = float(np.linalg.norm(_round_map(V, spread, shrink, geo), 2))
+        s = float(np.linalg.norm(_round_map(V, geo, Qbar), 2))
         if best is None or s < best.round_map_norm - _TIE_TOL or (
             abs(s - best.round_map_norm) <= _TIE_TOL and eta > best.eta
         ):

@@ -46,16 +46,16 @@ class BoundInputs:
             raise ValueError("m and n must be >= 1")
         if self.M_i.shape[0] != self.m:
             raise ValueError(f"expected {self.m} per-agent loss bounds, got {self.M_i.shape[0]}")
-        if np.any(self.M_i < 0):
-            raise ValueError("per-agent loss bounds must be nonnegative")
+        if not np.all((self.M_i >= 0) & (self.M_i < np.inf)):
+            raise ValueError("per-agent loss bounds M_i must be finite and nonnegative")
         if self.cover_size < 1:
             raise ValueError("cover_size must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.L_y < 0 or self.rademacher < 0:
-            raise ValueError("L_y and rademacher must be nonnegative")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and positive")
+        if not (0 <= self.L_y < np.inf and 0 <= self.rademacher < np.inf):
+            raise ValueError("L_y and rademacher must be finite and nonnegative")
         if self.vc_dim is not None and self.vc_dim < 1:
             raise ValueError("vc_dim must be >= 1 when given")
 

@@ -14,7 +14,6 @@ from fedmm.algorithms import (
     _diagonal_slack,
     _diagonal_terms,
     _round_map_lower_bound,
-    _round_map_spectra,
     _round_map_weights,
     auto_eta_fedgda,
     conservative_eta,
@@ -431,6 +430,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AlgoConfig(GDA, 0.0, 0.1, 1, 1, Iterate.zeros(1, 1))
 
+    @pytest.mark.parametrize("algo,eta_x,eta_y", [
+        (GDA, np.inf, 0.1), (LOCAL_SGDA, 0.1, np.inf), (FEDGDA_GT, np.inf, np.inf),
+        (GDA, np.nan, 0.1),
+    ])
+    def test_stepsizes_must_be_finite(self, algo, eta_x, eta_y):
+        with pytest.raises(ValueError, match="stepsizes must be finite and positive"):
+            AlgoConfig(algo, eta_x, eta_y, 1, 1, Iterate.zeros(1, 1))
+
     def test_negative_rounds_rejected(self):
         with pytest.raises(ValueError):
             AlgoConfig(GDA, 0.1, 0.1, 1, -1, Iterate.zeros(1, 1))
@@ -494,10 +501,11 @@ class TestStepsizeSelection:
     def test_diagonal_bound_is_below_every_candidate_norm(
         self, federation, exhaustive_scan, name, K
     ):
-        w, V, spread = _round_map_spectra(federation(name))
-        terms = _diagonal_terms(V, spread)
+        prob = federation(name)
+        w, V = prob.spectra
+        terms = _diagonal_terms(V, prob.Q_sum / prob.m)
         for eta, norm in exhaustive_scan(name, K):
-            bound = _round_map_lower_bound(terms, *_round_map_weights(w, eta, K))
+            bound = _round_map_lower_bound(terms, _round_map_weights(w, eta, K))
             assert bound <= norm
             # a d = 1 map is its own diagonal: the bound is sharp but for
             # the rounding allowance, 1e-10 of terms of order one
@@ -507,7 +515,7 @@ class TestStepsizeSelection:
     def test_rounding_allowance_grows_with_the_federation(self):
         assert _diagonal_slack(2, 1) == _diagonal_slack(20, 50) == 1e-10
         eps = np.finfo(float).eps
-        assert _diagonal_slack(1000, 2000) == 128.0 * 3000 * 2000 * eps > 1e-10
+        assert _diagonal_slack(1000, 2000) == 128.0 * 1003 * 2003 * eps > 1e-10
 
     def test_search_builds_a_candidate_that_ties_the_best(self, monkeypatch):
         # past the selected eta the norm dips and climbs back above the best
@@ -526,12 +534,12 @@ class TestStepsizeSelection:
             lo, hi = (tied, hi) if excess <= 0.0 else (lo, tied)
         else:
             pytest.fail("no stepsize ties the best from above")
-        _, V, spread = _round_map_spectra(prob)
+        _, V = prob.spectra
         monkeypatch.setattr(algorithms, "conservative_eta", lambda mu, L, K: tied)
         monkeypatch.setattr(
             algorithms, "_round_map_lower_bound",
-            lambda terms, shrink, geo: float(np.linalg.norm(
-                algorithms._round_map(V, spread, shrink, geo), 2)),
+            lambda terms, geo: float(np.linalg.norm(
+                algorithms._round_map(V, geo, prob.Q_sum / prob.m), 2)),
         )
         assert auto_eta_fedgda(prob, K) == EtaSelection(tied, fedgda_round_map_norm(prob, tied, K))
 
@@ -548,6 +556,25 @@ class TestStepsizeSelection:
         monkeypatch.setattr(algorithms, "_round_map", counted)
         assert auto_eta_fedgda(prob, 20) == expected
         assert 1 <= len(builds) <= 3  # of ETA_GRID_SIZE + 1 = 47 candidates
+
+    @pytest.mark.parametrize("name,K,eta", [
+        ("quad-seed-0", 1, 0.00030892207727639995),
+        ("quad-seed-0", 20, 0.00030892207727639995),
+        ("quad-seed-0", 50, 0.00015446103863819998),
+        ("quad-seed-7", 1, 0.0002841936064702546),
+        ("quad-seed-7", 20, 0.0002841936064702546),
+        ("quad-seed-7", 50, 0.0001420968032351273),
+        ("quad-seed-11", 1, 0.00030231116668863104),
+        ("quad-seed-11", 20, 0.00030231116668863104),
+        ("quad-seed-11", 50, 0.00015115558334431552),
+        ("scalar2", 1, 0.125),
+        ("scalar2", 20, 0.015625),
+        ("scalar2", 50, 0.0078125),
+    ])
+    def test_selected_stepsizes_are_pinned(self, federation, name, K, eta):
+        # the benchmark and acceptance traces run at these stepsizes; a
+        # selection that moves by one bit changes their bytes
+        assert auto_eta_fedgda(federation(name), K).eta == eta
 
     @pytest.mark.parametrize("K", [0, -2])
     def test_auto_eta_rejects_k_below_one(self, K):
@@ -607,3 +634,24 @@ class TestRoundMapOracle:
         for got, z, fixed in ((after.x, start.x, star.x), (after.y, start.y, star.y)):
             step = M @ (z - fixed)
             assert np.linalg.norm(got - (fixed + step)) <= 1e-12 * np.linalg.norm(step)
+
+
+class TestRoundMapMatrixPowerOracle:
+    @pytest.mark.parametrize("name", ["scalar2", "small", "independent-a"])
+    @pytest.mark.parametrize("K", [1, 5, 20])
+    @pytest.mark.parametrize("scale", [1.0, 0.1])
+    def test_round_map_matches_the_per_agent_form(self, federation, name, K, scale):
+        # the map as the per-agent sum the engine's arithmetic suggests,
+        # (1/m) sum_i [B_i^K - eta sum_{j<K} B_i^j (Qbar - Q_i)], built from
+        # matrix powers with no eigendecomposition
+        prob = federation(name)
+        eta = scale / estimate_constants(prob)[1]
+        Qbar = prob.Q_sum / prob.m
+        expected = np.zeros_like(Qbar)
+        for Q_i in prob.Q:
+            B = np.eye(prob.p) - eta * Q_i
+            S = sum(np.linalg.matrix_power(B, j) for j in range(K))
+            expected += np.linalg.matrix_power(B, K) - eta * S @ (Qbar - Q_i)
+        expected /= prob.m
+        M = fedgda_round_map(prob, eta, K)
+        assert np.linalg.norm(M - expected) <= 1e-12 * np.linalg.norm(expected)

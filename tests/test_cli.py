@@ -343,6 +343,28 @@ trace = {tmp_path / "t.csv"}
         assert main(["run", cfg]) == 2
         assert re.fullmatch(r"error: \[algo\]: K must be >= 1\n", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("stepsizes", [
+        "eta = inf", "eta_x = inf\neta_y = 0.1", "eta_x = 0.1\neta_y = inf", "eta = nan",
+    ])
+    def test_non_finite_stepsize_exits_2(self, tmp_path, capsys, stepsizes):
+        cfg = write(tmp_path / "c.ini", f"""
+[problem]
+kind = scalar2
+
+[algo]
+name = LocalSGDA
+K = 5
+rounds = 5
+{stepsizes}
+
+[output]
+trace = {tmp_path / "t.csv"}
+""")
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: [algo]: stepsizes must be finite and positive\n")
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_exits_2(self, tmp_path, capsys, alpha):
         problem = f"""
@@ -671,6 +693,21 @@ rademacher = 0.0
 """)
         assert main(["bounds", cfg]) == 2
         assert "delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "M_i = nan, 1", "epsilon = inf", "L_y = nan", "rademacher = nan",
+    ])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, line):
+        valid = {"M_i": "1, 1", "epsilon": "0.1", "L_y": "0.0", "rademacher": "0.0"}
+        key = line.split(" = ")[0]
+        lines = [line if name == key else f"{name} = {raw}" for name, raw in valid.items()]
+        cfg = write(tmp_path / "b.ini", "\n".join([
+            "[bounds]", "m = 2", "n = 10", "cover_size = 1", "delta = 0.5", *lines, ""]))
+        assert main(["bounds", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: \[bounds\]: [^\n]*{key} [^\n]*must be finite[^\n]*\n",
+                            captured.err)
 
 
 class TestGenData:

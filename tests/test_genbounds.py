@@ -95,6 +95,20 @@ class TestPopulationRiskBound:
         with pytest.raises(ValueError):
             make_inputs(rademacher=-0.1)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("M_i", [0.5, np.nan, 2.5], "loss bounds M_i must be finite"),
+        ("M_i", [0.5, 1.5, np.inf], "loss bounds M_i must be finite"),
+        ("epsilon", np.inf, "epsilon must be finite"),
+        ("epsilon", np.nan, "epsilon must be finite"),
+        ("L_y", np.nan, "L_y and rademacher must be finite"),
+        ("L_y", np.inf, "L_y and rademacher must be finite"),
+        ("rademacher", np.nan, "L_y and rademacher must be finite"),
+        ("rademacher", np.inf, "L_y and rademacher must be finite"),
+    ])
+    def test_non_finite_inputs_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            make_inputs(**{field: value})
+
 
 class TestWorstCaseBound:
     def test_reduces_to_population_bound_for_constant_inputs(self):
