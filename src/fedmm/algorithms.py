@@ -214,7 +214,7 @@ def run_algorithm(
 
 # ``AlgoConfig.algo`` names the method; the per-method names stay for callers
 # that import them
-run_gda = local_sgda = fedgda_gt = run_algorithm
+local_sgda = fedgda_gt = run_algorithm
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ Config files are INI-style text with three kinds of sections::
     kind = quadratic              name = FedGDAGT               trace = out.csv
     m = 20                        K = 20                        emit_plot_data = false
     d = 50                        rounds = 600                  timing = false
-    n = 500                       eta = 1e-4   (FedGDAGT may    robust_loss = true
+    n = 500                       eta = 1e-4   (FedGDAGT may    robust_loss = false
     seed = 7                                    omit it: auto)
     alpha = 5.0   (rlr only)
     radius_y = 1.0 (rlr only)
 
-Unknown sections or keys are rejected loudly, naming the offender. The
-environment variable ``FEDMM_SEED`` overrides the config seed when set.
+``robust_loss = true`` is for rlr only, where it is the default. A comment
+takes a line of its own. Unknown sections or keys are rejected loudly,
+naming the offender. The environment variable ``FEDMM_SEED`` overrides the
+config seed when set.
 
 Trace CSV schema (stable):
 ``round,algorithm,K,eta_x,eta_y,gap_sq,grad_norm,robust_loss,elapsed_ns``;
@@ -89,7 +91,9 @@ def _read_ini(path) -> configparser.ConfigParser:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
+        # configparser spreads its reason over several lines
+        reason = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"malformed config {path}: {reason}") from exc
     return parser
 
 
@@ -112,27 +116,25 @@ def _get(section, key, conv, what, *, required=True, default=None):
 
 
 def _to_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw}") from None
 
 
 # ---------------------------------------------------------------------------
 # problem construction
 # ---------------------------------------------------------------------------
 
-def _build_problem(section) -> tuple[MinimaxProblem, dict]:
+def _build_problem(section) -> tuple[MinimaxProblem, QuadraticGenSpec | RlrGenSpec | None]:
+    """The problem a ``[problem]`` section names, and the spec it was
+    generated from (None for scalar2)."""
     kind = _get(section, "kind", str, "problem")
     if kind not in PROBLEM_KINDS:
         raise ConfigError(f"unknown problem kind {kind!r}; choose from {PROBLEM_KINDS}")
     _check_keys("problem", section.keys(), _PROBLEM_KEYS[kind])
-
-    info = {"kind": kind}
     if kind == "scalar2":
-        return ScalarTwoAgent(), info
+        return ScalarTwoAgent(), None
 
     m = _get(section, "m", int, "problem")
     d = _get(section, "d", int, "problem")
@@ -144,12 +146,11 @@ def _build_problem(section) -> tuple[MinimaxProblem, dict]:
             seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"FEDMM_SEED must be an integer, got {env_seed!r}") from exc
-    info.update(m=m, d=d, n=n, seed=seed)
 
     try:
         if kind == "quadratic":
             spec = QuadraticGenSpec(m=m, d=d, n_i=n, seed=seed)
-            return gen_quadratic(spec), {**info, "spec": spec}
+            return gen_quadratic(spec), spec
         alpha = _get(section, "alpha", float, "problem")
         radius_y = _get(section, "radius_y", float, "problem",
                         required=False, default=1.0)
@@ -160,7 +161,7 @@ def _build_problem(section) -> tuple[MinimaxProblem, dict]:
                 [a.A for a in problem.agents], [a.b for a in problem.agents],
                 y_radius=radius_y,
             )
-        return problem, {**info, "alpha": alpha, "spec": spec}
+        return problem, spec
     except ValueError as exc:
         raise ConfigError(f"problem generation failed: {exc}") from exc
 
@@ -309,7 +310,7 @@ def _execute(config_path, *, expect_compare: bool) -> int:
     parser = _read_ini(config_path)
     if "problem" not in parser:
         raise ConfigError("missing required section [problem]")
-    problem, _info = _build_problem(parser["problem"])
+    problem, _spec = _build_problem(parser["problem"])
     algo_sections = _algo_sections(parser)
     if expect_compare and len(algo_sections) < 2:
         raise ConfigError("compare needs at least two [algo] sections")
@@ -351,14 +352,6 @@ def _write_outputs(output: dict, runs: list[tuple[str, RunTrace]]) -> None:
         write_plot_csv(Path(output["trace"]).with_suffix(".plot.csv"), runs)
 
 
-def cmd_run(config_path) -> int:
-    return _execute(config_path, expect_compare=False)
-
-
-def cmd_compare(config_path) -> int:
-    return _execute(config_path, expect_compare=True)
-
-
 def cmd_fixed_point(K: int, eta: float) -> int:
     report = fixed_point_report(K, eta, eta)
     star = report.z_star
@@ -389,11 +382,9 @@ def cmd_bounds(inputs_path) -> int:
     def parse_list(raw: str):
         return [float(tok) for tok in raw.replace(",", " ").split()]
 
-    m = _get(section, "m", int, "bounds")
-    vc_dim = _get(section, "vc_dim", int, "bounds", required=False)
     try:
         inputs = BoundInputs(
-            m=m,
+            m=_get(section, "m", int, "bounds"),
             n=_get(section, "n", int, "bounds"),
             M_i=parse_list(_get(section, "M_i", str, "bounds")),
             cover_size=_get(section, "cover_size", int, "bounds"),
@@ -401,7 +392,7 @@ def cmd_bounds(inputs_path) -> int:
             epsilon=_get(section, "epsilon", float, "bounds"),
             L_y=_get(section, "L_y", float, "bounds"),
             rademacher=_get(section, "rademacher", float, "bounds"),
-            vc_dim=vc_dim,
+            vc_dim=_get(section, "vc_dim", int, "bounds", required=False),
         )
     except ValueError as exc:
         raise ConfigError(f"[bounds]: {exc}") from exc
@@ -413,9 +404,9 @@ def cmd_bounds(inputs_path) -> int:
     print(f"lipschitz_term      = {terms['lipschitz_term']!r}")
     print(f"population-risk bound = empirical risk f(x,y) + {slack!r}")
     print(f"worst-case-risk bound = worst-case empirical risk g(x) + {slack!r}")
-    if vc_dim is not None:
+    if inputs.vc_dim is not None:
         max_sum = float(np.dot(inputs.M_i, inputs.M_i))
-        value = vc_rademacher_bound(inputs.m, inputs.n, vc_dim, max_sum)
+        value = vc_rademacher_bound(inputs.m, inputs.n, inputs.vc_dim, max_sum)
         print(f"vc_rademacher_bound = {value!r}")
     return 0
 
@@ -427,12 +418,11 @@ def cmd_gen_data(config_path, out_path) -> int:
     for name in parser.sections():
         if name != "problem":
             raise ConfigError(f"unknown section [{name}] (gen-data reads only [problem])")
-    problem, info = _build_problem(parser["problem"])
-    if "spec" not in info:
+    problem, spec = _build_problem(parser["problem"])
+    if spec is None:
         raise ConfigError("gen-data needs a generated problem kind (quadratic or rlr)")
-    save_dataset(out_path, problem, info["spec"])
-    print(f"wrote {info['kind']} dataset (m={info['m']}, d={info['d']}, "
-          f"n={info['n']}, seed={info['seed']}) to {out_path}")
+    save_dataset(out_path, problem, spec)
+    print(f"wrote {spec} to {out_path}")
     return 0
 
 
@@ -449,38 +439,33 @@ def _parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one algorithm from a config file")
     p_run.add_argument("config")
+    p_run.set_defaults(func=lambda a: _execute(a.config, expect_compare=False))
 
     p_cmp = sub.add_parser("compare", help="run several algorithms on one problem")
     p_cmp.add_argument("config")
+    p_cmp.set_defaults(func=lambda a: _execute(a.config, expect_compare=True))
 
     p_fp = sub.add_parser("fixed-point",
                           help="fixed-point study on the two-agent scalar problem")
     p_fp.add_argument("--K", type=int, required=True)
     p_fp.add_argument("--eta", type=float, required=True)
+    p_fp.set_defaults(func=lambda a: cmd_fixed_point(a.K, a.eta))
 
     p_bounds = sub.add_parser("bounds", help="evaluate generalization bounds")
     p_bounds.add_argument("inputs")
+    p_bounds.set_defaults(func=lambda a: cmd_bounds(a.inputs))
 
     p_gen = sub.add_parser("gen-data", help="generate and dump a dataset container")
     p_gen.add_argument("config")
     p_gen.add_argument("--out", required=True)
+    p_gen.set_defaults(func=lambda a: cmd_gen_data(a.config, a.out))
     return top
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args.config)
-        if args.command == "compare":
-            return cmd_compare(args.config)
-        if args.command == "fixed-point":
-            return cmd_fixed_point(args.K, args.eta)
-        if args.command == "bounds":
-            return cmd_bounds(args.inputs)
-        if args.command == "gen-data":
-            return cmd_gen_data(args.config, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.func(args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -11,7 +11,9 @@ Draws come from ``numpy.random.Generator`` (PCG64) instances keyed by
 * ``sub`` indexes the tensors of one stream in the documented order below.
 
 Normal variates use the Generator's native ziggurat sampler; determinism is
-guaranteed within this implementation, not across libraries.
+guaranteed within this implementation, not across libraries. A generator
+draws from its spec's seed alone and never retries under another, so the
+spec (which the dataset container stores as its header) names the data.
 
 Quadratic recipe (one problem): alpha ~ N(0, 10^2) from stream 0; per agent i,
 sub 0: A_i entries ~ N(0, (2/i)^2); sub 1: mu_i entries ~ N(alpha, 1);
@@ -32,12 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import UNCONSTRAINED
-from .problems import (
-    RobustLinearRegression,
-    SingularProblemError,
-    UncoupledQuadratic,
-    closed_form_minimax,
-)
+from .problems import RobustLinearRegression, UncoupledQuadratic
 
 PROBLEM_STREAM = 0
 
@@ -92,31 +89,17 @@ def _quadratic_agent_data(seed: int, i: int, d: int, n: int, alpha: float):
 
 
 def gen_quadratic(spec: QuadraticGenSpec) -> UncoupledQuadratic:
-    """Generate the uncoupled quadratic federation for ``spec``.
+    """Generate the uncoupled quadratic federation for ``spec``, from
+    ``spec.seed`` alone: there is no retry under another seed.
 
-    If the summed curvature turns out numerically singular, so that
-    ``closed_form_minimax`` rejects the problem, regeneration is retried with
-    seed+1 up to three times.
+    With ``n_i >= d`` each A_i'A_i is positive definite almost surely; a
+    numerically singular sum still raises ``SingularProblemError`` from the
+    ``UncoupledQuadratic`` constructor.
     """
-    last_error: Exception | None = None
-    for attempt in range(4):
-        seed = spec.seed + attempt
-        alpha = float(substream(seed, PROBLEM_STREAM, 0).normal(0.0, 10.0))
-        Qs, cs = [], []
-        for i in range(1, spec.m + 1):
-            Q, c = _quadratic_agent_data(seed, i, spec.d, spec.n_i, alpha)
-            Qs.append(Q)
-            cs.append(c)
-        try:
-            problem = UncoupledQuadratic(Qs, cs)
-            closed_form_minimax(problem)
-            return problem
-        except SingularProblemError as exc:
-            last_error = exc
-    raise SingularProblemError(
-        f"could not generate a well-conditioned problem from seed {spec.seed} "
-        f"after 4 attempts: {last_error}"
-    )
+    alpha = float(substream(spec.seed, PROBLEM_STREAM, 0).normal(0.0, 10.0))
+    Qs, cs = zip(*(_quadratic_agent_data(spec.seed, i, spec.d, spec.n_i, alpha)
+                   for i in range(1, spec.m + 1)))
+    return UncoupledQuadratic(Qs, cs)
 
 
 def gen_rlr(spec: RlrGenSpec) -> RobustLinearRegression:
@@ -138,7 +121,7 @@ def gen_rlr(spec: RlrGenSpec) -> RobustLinearRegression:
 #
 # Layout (little-endian): magic "FEDMM1" (6 bytes) | kind u8 (1 = quadratic,
 # 2 = rlr) | m u64 | d u64 | n u64 | seed u64 | alpha f64 (0.0 for quadratic).
-# Payload, agents in ascending order, float64 row-major:
+# Payload, one row per agent in ascending order, float64 row-major:
 #   quadratic: Q_i (d*d), c_i (d)
 #   rlr:       A_i (n*d), b_i (n)
 # ---------------------------------------------------------------------------
@@ -152,59 +135,68 @@ _HEADER = struct.Struct("<6sBQQQQd")
 def save_dataset(path, problem, spec) -> None:
     """Dump a generated problem so runs can be replayed without regeneration.
 
-    The header has no field for feasible sets, so a problem is refused,
-    before the file is opened, unless its sets are the ones ``load_dataset``
-    rebuilds: unconstrained for a quadratic, the unit Y ball for rlr. Nor
-    has it a field for a quadratic's x-linear term, which ``load_dataset``
-    rebuilds as a_i = 2c_i, so a quadratic with any other is refused too.
+    The header is ``spec``, so a problem is refused, before the file is
+    opened, unless ``spec`` describes it: its kind, ``m``, ``d`` and, for
+    rlr, ``n_i`` samples at every agent. Nor has the header a field for
+    feasible sets or a quadratic's x-linear term: the sets must be the ones
+    ``load_dataset`` rebuilds (unconstrained for a quadratic, the unit Y ball
+    for rlr) and the x term a_i = 2c_i.
     """
-    if isinstance(problem, UncoupledQuadratic):
+    name = MAGIC.decode()
+    if (problem.m, problem.p) != (spec.m, spec.d):
+        raise ValueError(f"spec has m = {spec.m}, d = {spec.d}; the problem has "
+                         f"m = {problem.m}, d = {problem.p}")
+    if isinstance(problem, UncoupledQuadratic) and isinstance(spec, QuadraticGenSpec):
         sets = problem.sets
         if sets.set_x.kind != UNCONSTRAINED or sets.set_y.kind != UNCONSTRAINED:
             raise ValueError(
-                f"a {MAGIC.decode()} container has no field for feasible sets; it "
+                f"a {name} container has no field for feasible sets; it "
                 f"stores only unconstrained quadratic problems, not X "
                 f"{sets.set_x.kind} and Y {sets.set_y.kind}"
             )
         if not np.array_equal(problem.a, 2.0 * problem.c):
             raise ValueError(
-                f"a {MAGIC.decode()} container has no field for the x-linear "
+                f"a {name} container has no field for the x-linear "
                 f"term; it stores only quadratic problems with a_i = 2c_i"
             )
-        kind, alpha = KIND_QUADRATIC, 0.0
-        blocks = [(a.Q, a.c) for a in problem.agents]
-    elif isinstance(problem, RobustLinearRegression):
+        kind, alpha, mats, vecs = KIND_QUADRATIC, 0.0, problem.Q, problem.c
+    elif isinstance(problem, RobustLinearRegression) and isinstance(spec, RlrGenSpec):
         radius = problem.sets.set_y.radius
         if radius != 1.0:
             raise ValueError(
-                f"a {MAGIC.decode()} container has no field for the y-ball; it "
+                f"a {name} container has no field for the y-ball; it "
                 f"stores only the unit ball, not radius {radius!r}"
             )
-        kind, alpha = KIND_RLR, float(spec.alpha)
-        blocks = [(a.A, a.b) for a in problem.agents]
+        counts = [a.n for a in problem.agents]
+        if any(n != spec.n_i for n in counts):
+            raise ValueError(f"spec has n_i = {spec.n_i} samples per agent; "
+                             f"the problem has {counts}")
+        kind, alpha = KIND_RLR, spec.alpha
+        mats = np.stack([a.A for a in problem.agents])
+        vecs = np.stack([a.b for a in problem.agents])
     else:
-        raise ValueError(f"cannot dump a {type(problem).__name__}")
-    header = _HEADER.pack(
-        MAGIC, kind, spec.m, spec.d, spec.n_i, spec.seed, alpha
-    )
+        raise ValueError(
+            f"cannot dump a {type(problem).__name__} under a {type(spec).__name__}")
+    # the exact (m, matrix + vector) array load_dataset reads
+    payload = np.concatenate([mats.reshape(spec.m, -1), vecs], axis=1)
     with open(path, "wb") as fh:
-        fh.write(header)
-        for mat, vec in blocks:
-            fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(vec, dtype="<f8").tobytes())
+        fh.write(_HEADER.pack(MAGIC, kind, spec.m, spec.d, spec.n_i, spec.seed, alpha))
+        fh.write(payload.astype("<f8", copy=False).tobytes())
 
 
 def load_dataset(path):
-    """Read a container back; returns (problem, info dict)."""
+    """Read a container back; returns (problem, spec), where ``spec`` is the
+    ``QuadraticGenSpec`` or ``RlrGenSpec`` it was saved under."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size or raw[:6] != MAGIC:
         raise ValueError(f"{path} is not a FEDMM1 dataset container")
     magic, kind, m, d, n, seed, alpha = _HEADER.unpack_from(raw)
-    info = {"kind": kind, "m": m, "d": d, "n": n, "seed": seed, "alpha": alpha}
     if kind == KIND_QUADRATIC:
+        spec = QuadraticGenSpec(m=m, d=d, n_i=n, seed=seed)
         mat_shape, vec_len = (d, d), d
     elif kind == KIND_RLR:
+        spec = RlrGenSpec(m=m, d=d, n_i=n, alpha=alpha, seed=seed)
         mat_shape, vec_len = (n, d), n
     else:
         raise ValueError(f"unknown dataset kind {kind}")
@@ -221,5 +213,5 @@ def load_dataset(path):
     mats = payload[:, :mat_len].reshape(m, *mat_shape)
     vecs = payload[:, mat_len:]
     if kind == KIND_QUADRATIC:
-        return UncoupledQuadratic(mats, vecs), info
-    return RobustLinearRegression(mats, vecs), info
+        return UncoupledQuadratic(mats, vecs), spec
+    return RobustLinearRegression(mats, vecs), spec

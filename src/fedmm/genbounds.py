@@ -56,8 +56,9 @@ class BoundInputs:
             raise ValueError("epsilon must be finite and positive")
         if not (0 <= self.L_y < np.inf and 0 <= self.rademacher < np.inf):
             raise ValueError("L_y and rademacher must be finite and nonnegative")
-        if self.vc_dim is not None and self.vc_dim < 1:
-            raise ValueError("vc_dim must be >= 1 when given")
+        if self.vc_dim is not None and not 1 <= self.vc_dim <= self.m * self.n:
+            raise ValueError(f"vc_dim must lie in [1, m*n = {self.m * self.n}] "
+                             f"when given, got {self.vc_dim}")
 
 
 def concentration_term(inputs: BoundInputs) -> float:

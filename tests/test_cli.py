@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedmm.cli import CSV_HEADER, main
-from fedmm.datagen import load_dataset
+from fedmm.datagen import QuadraticGenSpec, RlrGenSpec, gen_quadratic, load_dataset
 from fedmm.genbounds import BoundInputs, bound_terms, vc_rademacher_bound
 
 
@@ -711,7 +711,7 @@ rademacher = 0.0
 
 
 class TestGenData:
-    def test_round_trip(self, tmp_path):
+    def gen_quadratic_data(self, tmp_path, capsys):
         cfg = write(tmp_path / "g.ini", """
 [problem]
 kind = quadratic
@@ -722,9 +722,23 @@ seed = 12
 """)
         out = tmp_path / "data.fedmm"
         assert main(["gen-data", cfg, "--out", str(out)]) == 0
-        problem, info = load_dataset(out)
-        assert info["m"] == 3 and info["d"] == 4 and info["seed"] == 12
+        problem, spec = load_dataset(out)
+        assert capsys.readouterr().out == f"wrote {spec} to {out}\n"
+        return problem, spec
+
+    def test_round_trip(self, tmp_path, capsys):
+        problem, spec = self.gen_quadratic_data(tmp_path, capsys)
+        assert spec == QuadraticGenSpec(m=3, d=4, n_i=8, seed=12)
         assert len(problem.agents) == 3
+
+    def test_header_names_the_seed_the_data_came_from(self, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setenv("FEDMM_SEED", "99")
+        problem, spec = self.gen_quadratic_data(tmp_path, capsys)
+        assert spec == QuadraticGenSpec(m=3, d=4, n_i=8, seed=99)
+        regenerated = gen_quadratic(spec)
+        assert np.array_equal(problem.Q, regenerated.Q)
+        assert np.array_equal(problem.c, regenerated.c)
 
     def test_scalar2_has_nothing_to_dump(self, tmp_path, capsys):
         cfg = write(tmp_path / "g.ini", "[problem]\nkind = scalar2\n")
@@ -761,6 +775,111 @@ seed = 8
 """)
         out = tmp_path / "data.fedmm"
         assert main(["gen-data", cfg, "--out", str(out)]) == 0
-        problem, info = load_dataset(out)
-        assert info["alpha"] == 2.0
+        problem, spec = load_dataset(out)
+        assert spec == RlrGenSpec(m=2, d=3, n_i=5, alpha=2.0, seed=8)
         assert problem.agents[0].A.shape == (5, 3)
+
+
+RUN_PROBLEM = "[problem]\nkind = scalar2\n"
+RUN_ALGO = "[algo]\nname = GDA\neta = 0.1\nrounds = 1\n"
+RUN_OUTPUT = "[output]\ntrace = {trace}\n"
+BOUNDS = """[bounds]
+m = 2
+n = 10
+M_i = 1, 1
+cover_size = 1
+delta = 0.5
+epsilon = 0.1
+L_y = 0.0
+rademacher = 0.0
+"""
+QUAD_PROBLEM = "[problem]\nkind = quadratic\nm = 2\nd = 3\nn = 6\nseed = 5\n"
+
+# (command, config text, FEDMM_SEED, what the one error line must name)
+BRANCHES = {
+    "malformed-ini": ("run", "kind = scalar2\n" + RUN_ALGO, None, "malformed config"),
+    "malformed-line": ("run", RUN_PROBLEM + "garbage\n" + RUN_ALGO, None, "[line  3]: 'garbage"),
+    "missing-key": ("run", RUN_PROBLEM + "[algo]\nname = GDA\neta = 0.1\n" + RUN_OUTPUT,
+                    None, "missing required key 'rounds' in [algo]"),
+    "non-boolean-timing": ("run", RUN_PROBLEM + RUN_ALGO + RUN_OUTPUT + "timing = maybe\n",
+                           None, "key 'timing' in [output]: cannot parse 'maybe'"),
+    "unknown-kind": ("run", "[problem]\nkind = cubic\n" + RUN_ALGO + RUN_OUTPUT,
+                     None, "unknown problem kind 'cubic'"),
+    "non-integer-seed": ("run", QUAD_PROBLEM + RUN_ALGO + RUN_OUTPUT, "seven",
+                         "FEDMM_SEED must be an integer, got 'seven'"),
+    "empty-label": ("compare", RUN_PROBLEM + RUN_ALGO.replace("[algo]", "[algo:]")
+                    + RUN_ALGO.replace("[algo]", "[algo:b]") + RUN_OUTPUT,
+                    None, "empty label in section [algo:]"),
+    "unknown-algorithm": ("run", RUN_PROBLEM + RUN_ALGO.replace("GDA", "Adam") + RUN_OUTPUT,
+                          None, "unknown algorithm 'Adam' in [algo]"),
+    "eta-x-alone": ("run", RUN_PROBLEM + RUN_ALGO.replace("eta", "eta_x") + RUN_OUTPUT,
+                    None, "eta_x and eta_y must be given together"),
+    "missing-output": ("run", RUN_PROBLEM + RUN_ALGO, None,
+                       "missing required section [output]"),
+    "run-missing-problem": ("run", RUN_ALGO + RUN_OUTPUT, None,
+                            "missing required section [problem]"),
+    "gen-data-missing-problem": ("gen-data", "", None,
+                                 "missing required section [problem]"),
+    "missing-bounds": ("bounds", "[limits]\nm = 1\n", None,
+                       "missing required section [bounds]"),
+    "bounds-unknown-section": ("bounds", BOUNDS + "[extra]\n", None,
+                               "unknown section [extra]"),
+    "gen-data-unknown-section": ("gen-data", QUAD_PROBLEM + RUN_ALGO, None,
+                                 "unknown section [algo]"),
+    "vc-dim-above-m-n": ("bounds", BOUNDS + "vc_dim = 100\n", None, "vc_dim"),
+}
+
+
+class TestConfigErrorBranches:
+    """Each config error exits 2 before writing anything, with one line on
+    stderr that names the offending item."""
+
+    @pytest.mark.parametrize("case", BRANCHES)
+    def test_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, case):
+        command, text, env_seed, named = BRANCHES[case]
+        trace = tmp_path / "t.csv"
+        cfg = write(tmp_path / "c.ini", text.format(trace=trace))
+        if env_seed is not None:
+            monkeypatch.setenv("FEDMM_SEED", env_seed)
+        out = tmp_path / "data.fedmm"
+        argv = [command, cfg] + (["--out", str(out)] if command == "gen-data" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: [^\n]*{re.escape(named)}[^\n]*\n", captured.err)
+        assert not trace.exists() and not out.exists()
+
+
+class TestPlotMetrics:
+    @pytest.mark.parametrize("robust_loss, metric", [
+        ("", "robust_loss"), ("robust_loss = false", "grad_norm"),
+    ])
+    def test_rlr_plot_rows(self, tmp_path, robust_loss, metric):
+        out = tmp_path / "rlr.csv"
+        cfg = write(tmp_path / "c.ini", f"""
+[problem]
+kind = rlr
+m = 2
+d = 3
+n = 6
+alpha = 1.0
+seed = 4
+
+[algo]
+name = GDA
+eta = 1e-3
+rounds = 3
+
+[output]
+trace = {out}
+emit_plot_data = true
+{robust_loss}
+""")
+        assert main(["run", cfg]) == 0
+        trace = read_rows(out)
+        column = CSV_HEADER.split(",").index(metric)
+        plot = out.with_suffix(".plot.csv").read_text().splitlines()
+        assert plot[0] == "round,algorithm,metric,value"
+        assert [line.split(",") for line in plot[1:]] == [
+            [row[0], "GDA", metric, row[column]] for row in trace
+        ]

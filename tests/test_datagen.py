@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from fedmm.datagen import (
     KIND_QUADRATIC,
     KIND_RLR,
+    MAGIC,
     QuadraticGenSpec,
     RlrGenSpec,
     gen_quadratic,
@@ -124,23 +127,27 @@ class TestRngAdapter:
         assert not np.array_equal(a, c)
 
 
+# the documented header layout, stated independently of the module
+HEADER = struct.Struct("<6sBQQQQd")
+
+
 class TestContainer:
     def test_quadratic_round_trip(self, tmp_path):
         spec = QuadraticGenSpec(m=3, d=4, n_i=10, seed=17)
         prob = gen_quadratic(spec)
         path = tmp_path / "quad.fedmm"
         save_dataset(path, prob, spec)
-        loaded, info = load_dataset(path)
-        assert info == {"kind": KIND_QUADRATIC, "m": 3, "d": 4, "n": 10,
-                        "seed": 17, "alpha": 0.0}
+        assert HEADER.unpack_from(path.read_bytes()) == (
+            MAGIC, KIND_QUADRATIC, 3, 4, 10, 17, 0.0)
+        loaded, loaded_spec = load_dataset(path)
+        assert type(loaded_spec) is QuadraticGenSpec and loaded_spec == spec
         for a, b in zip(prob.agents, loaded.agents):
             assert np.array_equal(a.Q, b.Q)
             assert np.array_equal(a.c, b.c)
             assert np.array_equal(a.a, b.a)
-        # save -> load -> save, with the spec rebuilt from the header
+        # save -> load -> save, under the spec read back
         again = tmp_path / "again.fedmm"
-        save_dataset(again, loaded, QuadraticGenSpec(
-            m=info["m"], d=info["d"], n_i=info["n"], seed=info["seed"]))
+        save_dataset(again, loaded, loaded_spec)
         assert again.read_bytes() == path.read_bytes()
 
     def test_rlr_round_trip(self, tmp_path):
@@ -148,17 +155,54 @@ class TestContainer:
         prob = gen_rlr(spec)
         path = tmp_path / "rlr.fedmm"
         save_dataset(path, prob, spec)
-        loaded, info = load_dataset(path)
-        assert info["kind"] == KIND_RLR
-        assert info["alpha"] == 4.0
+        assert HEADER.unpack_from(path.read_bytes()) == (
+            MAGIC, KIND_RLR, 2, 3, 5, 19, 4.0)
+        loaded, loaded_spec = load_dataset(path)
+        assert type(loaded_spec) is RlrGenSpec and loaded_spec == spec
         for a, b in zip(prob.agents, loaded.agents):
             assert np.array_equal(a.A, b.A)
             assert np.array_equal(a.b, b.b)
         again = tmp_path / "again.fedmm"
-        save_dataset(again, loaded, RlrGenSpec(
-            m=info["m"], d=info["d"], n_i=info["n"], alpha=info["alpha"],
-            seed=info["seed"]))
+        save_dataset(again, loaded, loaded_spec)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("case", ["quad-m", "quad-d", "rlr-m", "rlr-d"])
+    def test_spec_of_another_size_is_refused_before_writing(self, tmp_path, case):
+        # the header would name one federation and the payload hold another,
+        # which load_dataset rejects as a size mismatch
+        if case.startswith("quad"):
+            prob = gen_quadratic(QuadraticGenSpec(m=3, d=4, n_i=10, seed=17))
+            spec = (QuadraticGenSpec(m=5, d=4, n_i=10, seed=17) if case == "quad-m"
+                    else QuadraticGenSpec(m=3, d=5, n_i=10, seed=17))
+        else:
+            prob = gen_rlr(RlrGenSpec(m=2, d=3, n_i=5, alpha=1.0, seed=19))
+            spec = (RlrGenSpec(m=3, d=3, n_i=5, alpha=1.0, seed=19) if case == "rlr-m"
+                    else RlrGenSpec(m=2, d=2, n_i=5, alpha=1.0, seed=19))
+        path = tmp_path / "other.fedmm"
+        with pytest.raises(ValueError, match=rf"spec has m = {spec.m}, d = {spec.d}"):
+            save_dataset(path, prob, spec)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("counts", [(6, 9), (6, 6)])
+    def test_rlr_sample_counts_other_than_the_spec_are_refused(self, tmp_path, counts):
+        rng = np.random.default_rng(3)
+        prob = RobustLinearRegression([rng.normal(size=(n, 2)) for n in counts],
+                                      [rng.normal(size=n) for n in counts])
+        spec = RlrGenSpec(m=2, d=2, n_i=9, alpha=1.0, seed=0)
+        path = tmp_path / "ragged.fedmm"
+        with pytest.raises(ValueError, match=r"n_i = 9 .*\[6, (9|6)\]"):
+            save_dataset(path, prob, spec)
+        assert not path.exists()
+
+    def test_spec_of_the_other_kind_is_refused(self, tmp_path):
+        quad = gen_quadratic(QuadraticGenSpec(m=2, d=3, n_i=6, seed=29))
+        rlr = gen_rlr(RlrGenSpec(m=2, d=3, n_i=6, alpha=1.0, seed=29))
+        path = tmp_path / "kind.fedmm"
+        with pytest.raises(ValueError, match="UncoupledQuadratic under a RlrGenSpec"):
+            save_dataset(path, quad, RlrGenSpec(m=2, d=3, n_i=6, alpha=1.0, seed=29))
+        with pytest.raises(ValueError, match="RobustLinearRegression under a Quad"):
+            save_dataset(path, rlr, QuadraticGenSpec(m=2, d=3, n_i=6, seed=29))
+        assert not path.exists()
 
     def test_rlr_with_other_y_radius_is_refused_before_writing(self, tmp_path):
         spec = RlrGenSpec(m=2, d=3, n_i=5, alpha=1.0, seed=37)

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import fedmm
+from fedmm.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = {info.name for info in pkgutil.iter_modules(fedmm.__path__)}
@@ -73,3 +74,29 @@ def test_readme_dotted_names_resolve():
     assert "fedmm.problems" in names and "UncoupledQuadratic.spectra" in names
     missing = {name: unresolved(name) for name in names if unresolved(name)}
     assert missing == {}
+
+
+def ini_block(heading):
+    text = README.read_text(encoding="utf-8")
+    found = re.search(rf"^### {heading}\n.*?^```ini\n(.*?)^```", text, re.M | re.S)
+    assert found, f"README has no ini block under '{heading}'"
+    return found.group(1)
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    block = ini_block("Config format")
+    trace = tmp_path / "out.csv"
+    assert "\ntrace = out.csv\n" in block
+    cfg = tmp_path / "example.ini"
+    cfg.write_text(block.replace("\ntrace = out.csv\n", f"\ntrace = {trace}\n"),
+                   encoding="utf-8")
+    assert main(["run", str(cfg)]) == 0, capsys.readouterr().err
+    # a header and rounds 0..600
+    assert len(trace.read_text().splitlines()) == 602
+
+
+def test_readme_bounds_example_runs(tmp_path, capsys):
+    inputs = tmp_path / "bounds.ini"
+    inputs.write_text(ini_block("Bounds input file"), encoding="utf-8")
+    assert main(["bounds", str(inputs)]) == 0, capsys.readouterr().err
+    assert "vc_rademacher_bound = " in capsys.readouterr().out
