@@ -147,13 +147,15 @@ def _build_problem(section) -> tuple[MinimaxProblem, QuadraticGenSpec | RlrGenSp
         except ValueError as exc:
             raise ConfigError(f"FEDMM_SEED must be an integer, got {env_seed!r}") from exc
 
+    if kind == "rlr":
+        alpha = _get(section, "alpha", float, "problem")
+        radius_y = _get(section, "radius_y", float, "problem",
+                        required=False, default=1.0)
+
     try:
         if kind == "quadratic":
             spec = QuadraticGenSpec(m=m, d=d, n_i=n, seed=seed)
             return gen_quadratic(spec), spec
-        alpha = _get(section, "alpha", float, "problem")
-        radius_y = _get(section, "radius_y", float, "problem",
-                        required=False, default=1.0)
         spec = RlrGenSpec(m=m, d=d, n_i=n, alpha=alpha, seed=seed)
         problem = gen_rlr(spec)
         if radius_y != 1.0:
@@ -382,18 +384,21 @@ def cmd_bounds(inputs_path) -> int:
     def parse_list(raw: str):
         return [float(tok) for tok in raw.replace(",", " ").split()]
 
+    # every key is read before the try, so a missing or unparsable one is
+    # reported by ``_get`` alone, not wrapped in a second "[bounds]: "
+    values = dict(
+        m=_get(section, "m", int, "bounds"),
+        n=_get(section, "n", int, "bounds"),
+        M_i=_get(section, "M_i", parse_list, "bounds"),
+        cover_size=_get(section, "cover_size", int, "bounds"),
+        delta=_get(section, "delta", float, "bounds"),
+        epsilon=_get(section, "epsilon", float, "bounds"),
+        L_y=_get(section, "L_y", float, "bounds"),
+        rademacher=_get(section, "rademacher", float, "bounds"),
+        vc_dim=_get(section, "vc_dim", int, "bounds", required=False),
+    )
     try:
-        inputs = BoundInputs(
-            m=_get(section, "m", int, "bounds"),
-            n=_get(section, "n", int, "bounds"),
-            M_i=parse_list(_get(section, "M_i", str, "bounds")),
-            cover_size=_get(section, "cover_size", int, "bounds"),
-            delta=_get(section, "delta", float, "bounds"),
-            epsilon=_get(section, "epsilon", float, "bounds"),
-            L_y=_get(section, "L_y", float, "bounds"),
-            rademacher=_get(section, "rademacher", float, "bounds"),
-            vc_dim=_get(section, "vc_dim", int, "bounds", required=False),
-        )
+        inputs = BoundInputs(**values)
     except ValueError as exc:
         raise ConfigError(f"[bounds]: {exc}") from exc
 

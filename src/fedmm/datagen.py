@@ -192,14 +192,20 @@ def load_dataset(path):
     if len(raw) < _HEADER.size or raw[:6] != MAGIC:
         raise ValueError(f"{path} is not a FEDMM1 dataset container")
     magic, kind, m, d, n, seed, alpha = _HEADER.unpack_from(raw)
-    if kind == KIND_QUADRATIC:
-        spec = QuadraticGenSpec(m=m, d=d, n_i=n, seed=seed)
-        mat_shape, vec_len = (d, d), d
-    elif kind == KIND_RLR:
-        spec = RlrGenSpec(m=m, d=d, n_i=n, alpha=alpha, seed=seed)
-        mat_shape, vec_len = (n, d), n
-    else:
-        raise ValueError(f"unknown dataset kind {kind}")
+    try:
+        if kind == KIND_QUADRATIC:
+            # save_dataset writes +0.0 here; any other value would be lost
+            if alpha != 0.0 or np.signbit(alpha):
+                raise ValueError(f"a quadratic header has alpha 0.0, got {alpha!r}")
+            spec = QuadraticGenSpec(m=m, d=d, n_i=n, seed=seed)
+            mat_shape, vec_len = (d, d), d
+        elif kind == KIND_RLR:
+            spec = RlrGenSpec(m=m, d=d, n_i=n, alpha=alpha, seed=seed)
+            mat_shape, vec_len = (n, d), n
+        else:
+            raise ValueError(f"unknown dataset kind {kind}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     mat_len = mat_shape[0] * mat_shape[1]
     expected = _HEADER.size + 8 * m * (mat_len + vec_len)
     if len(raw) != expected:

@@ -151,7 +151,9 @@ class RademacherEstimate:
     num_draws: int
 
 
-SIGMA_BLOCK_ROWS = 256  # sign draws that ``estimate_rademacher`` holds at once
+# Sign draws that ``estimate_rademacher`` holds at once. Keep it even: every
+# block but the last then uses up whole 64-bit words of the sign stream.
+SIGMA_BLOCK_ROWS = 256
 
 
 def estimate_rademacher(
@@ -160,26 +162,36 @@ def estimate_rademacher(
     """Monte-Carlo average over sign draws of the per-draw maximum correlation
     max_rows (1/mn) sum_j sigma_j * loss_j, plus its standard error.
 
-    The signs are drawn from one ``rng.integers(0, 2, ...)`` stream in blocks
-    of ``SIGMA_BLOCK_ROWS`` draws; each block is turned into +-1 in place,
-    multiplied by the loss table, and only each draw's maximum is kept. Memory
-    is therefore two blocks of SIGMA_BLOCK_ROWS x mn plus one float per draw,
-    not the whole num_sigma_draws x mn sign matrix. The signs are those of
-    one draw of the whole matrix; the products can differ from a single
-    product of the whole matrix only in the last bits, where BLAS orders a
-    short block's sums differently.
+    The signs are those of one ``default_rng(seed).integers(0, 2, size=(
+    num_sigma_draws, mn))`` draw, mapped to +-1, but read straight off the
+    generator's raw 64-bit words: two signs per word, low half first, each
+    +1 exactly where that 32-bit half has its top bit set. They are drawn in
+    blocks of ``SIGMA_BLOCK_ROWS`` draws into one reused buffer, multiplied by
+    the loss table, and only each draw's maximum is kept. Memory is therefore
+    about two blocks of SIGMA_BLOCK_ROWS x mn plus one float per draw, not the
+    whole num_sigma_draws x mn sign matrix. The products can differ from a
+    single product of the whole matrix only in the last bits, where BLAS
+    orders a short block's sums differently.
     """
     if num_sigma_draws < 1:
         raise ValueError("need at least one sigma draw")
     mn = sample.m * sample.n
-    rng = np.random.default_rng(seed)
+    bitgen = np.random.default_rng(seed).bit_generator
     sups = np.empty(num_sigma_draws)
+    block = np.empty((min(SIGMA_BLOCK_ROWS, num_sigma_draws), mn))
     for start in range(0, num_sigma_draws, SIGMA_BLOCK_ROWS):
         stop = min(start + SIGMA_BLOCK_ROWS, num_sigma_draws)
-        sigma = rng.integers(0, 2, size=(stop - start, mn)).astype(np.float64)
+        sigma = block[: stop - start]
+        count = sigma.size
+        # numpy's integers(0, 2) applies Lemire's method to one 32-bit draw
+        # per sign; for a range of 2 it never rejects and returns bit 31. PCG64
+        # serves 32-bit draws as the low, then the high half of each raw word,
+        # so the little-endian int32 view is negative exactly where it draws 1.
+        top = bitgen.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<i4")
+        np.less(top[:count].reshape(sigma.shape), 0, out=sigma)
         sigma *= 2.0
         sigma -= 1.0
-        sups[start:stop] = ((sigma @ sample.loss_table.T) / mn).max(axis=1)
+        sups[start:stop] = (sigma @ sample.loss_table.T).max(axis=1) / mn
     value = float(sups.mean())
     stderr = float(sups.std(ddof=1) / math.sqrt(num_sigma_draws)) if num_sigma_draws > 1 else 0.0
     return RademacherEstimate(value, stderr, num_sigma_draws)

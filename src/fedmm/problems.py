@@ -336,15 +336,17 @@ class RobustLinearRegression(MinimaxProblem):
         self._target_sq = np.array([np.dot(a.b, a.b) for a in agents])
         self._feat_sum, self._target_sum = sums[:, :d], sums[:, d]
         self._n = np.array(n, dtype=np.float64)
+        self._grad_scale = (2.0 / self._n)[:, None]
 
     def stacked_grads(self, X, Y):
         # with t = x'y the residual is r = Ax + t1 - b, so
-        # 1'r = s'x + nt - beta and (A + 1y')'r = Gx + ts - h + y(1'r)
-        t = np.sum(X * Y, axis=1)
-        rsum = np.sum(self._feat_sum * X, axis=1) + self._n * t - self._target_sum
+        # 1'r = s'x + nt - beta and (A + 1y')'r = Gx + ts - h + y(1'r);
+        # np.add.reduce is np.sum's reduction without its Python wrapper
+        t = np.add.reduce(X * Y, axis=1)
+        rsum = np.add.reduce(self._feat_sum * X, axis=1) + self._n * t - self._target_sum
         Ar = (np.matmul(self._gram, X[:, :, None])[:, :, 0]
               + t[:, None] * self._feat_sum - self._feat_target)
-        scale = (2.0 / self._n)[:, None]
+        scale = self._grad_scale
         GX = scale * (Ar + Y * rsum[:, None]) + X
         GY = (scale * rsum[:, None]) * X
         return GX, GY

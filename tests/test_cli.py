@@ -850,6 +850,37 @@ class TestConfigErrorBranches:
         assert not trace.exists() and not out.exists()
 
 
+RLR_PROBLEM = "[problem]\nkind = rlr\nm = 2\nd = 3\nn = 6\nseed = 5\n"
+
+# (command, config text, the whole error line): a key that is missing or
+# unparsable is named by its own reason, not wrapped in a second context
+KEY_ERRORS = {
+    "bounds-missing-n": ("bounds", BOUNDS.replace("n = 10\n", ""),
+                         "missing required key 'n' in [bounds]"),
+    "bounds-unparsable-M_i": ("bounds", BOUNDS.replace("M_i = 1, 1", "M_i = one, two"),
+                              "key 'M_i' in [bounds]: cannot parse 'one, two'"),
+    "gen-data-missing-alpha": ("gen-data", RLR_PROBLEM,
+                               "missing required key 'alpha' in [problem]"),
+    "run-unparsable-radius": ("run", RLR_PROBLEM + "alpha = 1.0\nradius_y = wide\n"
+                              + RUN_ALGO + RUN_OUTPUT,
+                              "key 'radius_y' in [problem]: cannot parse 'wide'"),
+}
+
+
+@pytest.mark.parametrize("case", KEY_ERRORS)
+def test_key_error_names_its_context_once(tmp_path, capsys, case):
+    command, text, line = KEY_ERRORS[case]
+    trace = tmp_path / "t.csv"
+    cfg = write(tmp_path / "c.ini", text.format(trace=trace))
+    out = tmp_path / "data.fedmm"
+    argv = [command, cfg] + (["--out", str(out)] if command == "gen-data" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+    assert not trace.exists() and not out.exists()
+
+
 class TestPlotMetrics:
     @pytest.mark.parametrize("robust_loss, metric", [
         ("", "robust_loss"), ("robust_loss = false", "grad_norm"),

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -256,4 +257,41 @@ class TestContainer:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="size mismatch"):
+            load_dataset(path)
+
+    @staticmethod
+    def _patched(path, **fields):
+        """Rewrite the header of the container at ``path`` with ``fields``."""
+        raw = path.read_bytes()
+        names = ("magic", "kind", "m", "d", "n", "seed", "alpha")
+        header = dict(zip(names, HEADER.unpack_from(raw)))
+        header.update(fields)
+        path.write_bytes(HEADER.pack(*(header[k] for k in names)) + raw[HEADER.size:])
+
+    @pytest.mark.parametrize("alpha", [1.0, -0.0, float("nan")])
+    def test_quadratic_header_with_an_alpha_is_refused(self, tmp_path, alpha):
+        # the quadratic spec has no alpha, so a load -> save would write 0.0
+        spec = QuadraticGenSpec(m=2, d=3, n_i=6, seed=23)
+        path = tmp_path / "quad.fedmm"
+        save_dataset(path, gen_quadratic(spec), spec)
+        self._patched(path, alpha=alpha)
+        expected = rf"^{re.escape(str(path))}: .*alpha 0\.0, got {alpha!r}$"
+        with pytest.raises(ValueError, match=expected):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("kind, fields, reason", [
+        (KIND_QUADRATIC, dict(n=1), "n_i must be >= d"),
+        (KIND_QUADRATIC, dict(d=0), "m and d must be >= 1"),
+        (KIND_RLR, dict(alpha=float("inf")), "alpha must be finite and >= 0"),
+        (KIND_RLR, dict(n=0), "m, d and n_i must be >= 1"),
+        (9, {}, "unknown dataset kind 9"),
+    ])
+    def test_invalid_header_reason_names_the_file(self, tmp_path, kind, fields, reason):
+        spec = (QuadraticGenSpec(m=2, d=3, n_i=6, seed=23) if kind == KIND_QUADRATIC
+                else RlrGenSpec(m=2, d=3, n_i=6, alpha=1.0, seed=23))
+        prob = gen_quadratic(spec) if kind == KIND_QUADRATIC else gen_rlr(spec)
+        path = tmp_path / "foreign.fedmm"
+        save_dataset(path, prob, spec)
+        self._patched(path, kind=kind, **fields)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {reason}"):
             load_dataset(path)

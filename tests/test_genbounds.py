@@ -271,6 +271,23 @@ class TestRademacherEstimator:
         assert peak < 16 * 2**20  # the whole sign matrix alone is 80 MB
         assert (est.value, est.stderr) == rademacher_by_definition(table, 10, 50, 20_000, 5)
 
+    @pytest.mark.parametrize("seed", [0, 5, 8, 11])
+    @pytest.mark.parametrize("count", [1, 2, 91, 128_000, 128_001])
+    def test_signs_from_raw_words_are_those_of_integers(self, seed, count):
+        # the identity the estimator's sign draw rests on: integers(0, 2)
+        # returns bit 31 of one 32-bit draw per sign, and PCG64 serves those
+        # as the low, then the high half of each raw 64-bit word
+        words = np.random.default_rng(seed).bit_generator.random_raw((count + 1) // 2)
+        top = words.astype("<u8", copy=False).view("<i4")[:count]
+        signs = np.where(top < 0, 1, -1)
+        expected = 2 * np.random.default_rng(seed).integers(0, 2, size=count) - 1
+        assert np.array_equal(signs, expected)
+
+    def test_sign_blocks_use_up_whole_words(self):
+        # an even row count makes every block but the last an even number of
+        # signs, so no block leaves half a raw word to the next
+        assert SIGMA_BLOCK_ROWS % 2 == 0
+
     def test_rejects_empty_or_misshapen_tables(self):
         with pytest.raises(ValueError):
             FiniteHypothesisSample(np.zeros((0, 4)), m=2, n=2)
