@@ -12,11 +12,11 @@ One round engine and one runner, ``run_algorithm``, serve all three methods;
 ``gda_step`` is a separately written centralized step that tests hold the
 engine against.
 
+All three step z = (x, y) down the GDA field F = (grad_x f, -grad_y f).
 Within one communication round the m agents share nothing, so the engine
-advances all of them together: their iterates are the rows of (m, p) and
-(m, q) arrays, and each local step is one batched ``stacked_grads`` call of
-the problem rather than m calls to per-agent oracles. Every server
-aggregation is a deterministic ascending-index reduction over those rows.
+advances all of them together as the rows z_i of one (m, p + q) array: a
+local step is one batched ``stacked_field`` call and one array update. Every
+server aggregation is a deterministic ascending-index reduction over rows.
 The centralized step is computed as the average of per-agent steps
 (algebraically identical to stepping along the averaged gradient), so a K=1
 local run and a centralized run produce bitwise identical traces.
@@ -54,10 +54,9 @@ class DivergenceError(RuntimeError):
 
     def __init__(self, algo: str, round_index: int, magnitude: float):
         self.round_index = round_index
-        super().__init__(
-            f"{algo} diverged at round {round_index}: "
-            f"iterate magnitude {magnitude:.3e} exceeds {DIVERGENCE_LIMIT:.0e}"
-        )
+        reason = (f"iterate magnitude {magnitude:.3e} exceeds {DIVERGENCE_LIMIT:.0e}"
+                  if np.isfinite(magnitude) else "iterate is not finite")
+        super().__init__(f"{algo} diverged at round {round_index}: {reason}")
 
 
 @dataclass
@@ -132,45 +131,45 @@ def gda_step(
 # round engine
 # ---------------------------------------------------------------------------
 
-def _round(
-    problem: MinimaxProblem, config: AlgoConfig, x: Vector, y: Vector,
-    GX: np.ndarray, GY: np.ndarray, gbar: tuple[Vector, Vector] | None,
-) -> tuple[Vector, Vector]:
-    """One communication round of ``config.algo`` from the synchronized
-    iterate (x, y), where (GX, GY) is ``problem.synced_grads(x, y)`` and
-    ``gbar`` its agent average (needed by FedGDA-GT only).
+def _stacked_eta(problem: MinimaxProblem, eta_x: float, eta_y: float):
+    """Stepsize of z = (x, y): the scalar, or each block's over its entries."""
+    return eta_x if eta_x == eta_y else np.repeat([eta_x, eta_y], [problem.p, problem.q])
 
-    Every agent walks K local steps and the server averages the endpoints;
-    the m local iterates are the rows of (m, p) and (m, q) arrays, and each
-    local step takes every agent's gradient in one ``stacked_grads`` call.
-    The first step uses the supplied gradients. FedGDA-GT adds to each local
-    gradient the correction (averaged gradient minus local gradient, both at
-    the synchronized iterate), which vanishes identically in the homogeneous
+
+def _round(problem: MinimaxProblem, config: AlgoConfig, z: Vector, F: np.ndarray,
+           Fbar: Vector | None = None) -> Vector:
+    """One communication round of ``config.algo`` from the synchronized
+    iterate z, where F is every agent's field at z and ``Fbar`` its agent
+    average (needed by FedGDA-GT only).
+
+    Every agent walks K local steps, the first along the supplied field, and
+    the server averages the endpoints. FedGDA-GT adds to each local field
+    the correction Fbar - F, which vanishes identically in the homogeneous
     case. GDA and FedGDA-GT project the average onto X and Y; Local SGDA
     applies no projection.
     """
+    eta = _stacked_eta(problem, config.eta_x, config.eta_y)
     tracking = config.algo == FEDGDA_GT
     if tracking:
-        CX, CY = gbar[0] - GX, gbar[1] - GY
-    X, Y = x, y
+        C = Fbar - F
+    Z = z
     for step in range(config.K):
         if step:
-            GX, GY = problem.stacked_grads(X, Y)
+            F = problem.stacked_field(Z)
         if tracking:
-            GX = GX + CX
-            GY = GY + CY
-        X = X - config.eta_x * GX
-        Y = Y + config.eta_y * GY
-    x, y = average_vectors(X), average_vectors(Y)
+            F = F + C
+        Z = Z - eta * F
+    z = average_vectors(Z)
     if config.algo == LOCAL_SGDA:
-        return x, y
-    return problem.sets.set_x.project(x), problem.sets.set_y.project(y)
+        return z
+    p, sets = problem.p, problem.sets
+    return np.concatenate((sets.set_x.project(z[:p]), sets.set_y.project(z[p:])))
 
 
-def _check_divergence(algo: str, round_index: int, x: Vector, y: Vector) -> None:
-    # np.maximum, unlike max(), keeps a NaN from either block
-    magnitude = float(np.maximum(np.max(np.abs(x)), np.max(np.abs(y))))
-    if not np.isfinite(magnitude) or magnitude > DIVERGENCE_LIMIT:
+def _check_divergence(algo: str, round_index: int, z: Vector) -> None:
+    # np.maximum, unlike max(), keeps a NaN, and a NaN fails the comparison
+    magnitude = float(np.maximum.reduce(np.abs(z)))
+    if not magnitude <= DIVERGENCE_LIMIT:
         raise DivergenceError(algo, round_index, magnitude)
 
 
@@ -183,32 +182,35 @@ def run_algorithm(
 ) -> RunTrace:
     """Run ``config.algo`` for ``config.rounds`` rounds from ``config.init``.
 
-    Every agent's gradient is taken, and averaged, once per synchronized
+    Every agent's field is taken, and averaged, once per synchronized
     iterate: it gives the recorded gradient norm and the next round's first
     local step (and, for FedGDA-GT, the tracking correction). Local SGDA
     with K = 1 is exactly the centralized method: its trace coincides
-    bitwise with iterating ``gda_step`` on unconstrained problems.
+    bitwise with iterating ``gda_step`` on unconstrained problems. Overflow
+    in a diverging run is left to the divergence check, which reports it.
     """
     problem._check(config.init)
     start = time.perf_counter_ns()
     trace = RunTrace(config)
-    x, y = config.init.x.copy(), config.init.y.copy()
-    for t in range(config.rounds + 1):
-        if t:
-            x, y = _round(problem, config, x, y, GX, GY, (gx, gy))
-            _check_divergence(config.algo, t, x, y)
-        GX, GY = problem.synced_grads(x, y)
-        z = Iterate(x.copy(), y.copy())
-        gx, gy = average_vectors(GX), average_vectors(GY)
-        loss = robust_loss_fn(z) if robust_loss_fn is not None else None
-        trace.records.append(RoundRecord(
-            round=t,
-            iterate=z,
-            grad_norm=float(np.sqrt(np.dot(gx, gx) + np.dot(gy, gy))),
-            gap_sq=optimality_gap(z, z_star) if z_star is not None else None,
-            robust_loss=loss,
-            elapsed_ns=time.perf_counter_ns() - start,
-        ))
+    p, m, z = problem.p, problem.m, config.init.stacked
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(config.rounds + 1):
+            if t:
+                z = _round(problem, config, z, F, Fbar)
+                _check_divergence(config.algo, t, z)
+            F = problem.stacked_field(z[None].repeat(m, axis=0))
+            Fbar = average_vectors(F)
+            fx, fy = Fbar[:p], Fbar[p:]
+            it = Iterate(z[:p].copy(), z[p:].copy())
+            trace.records.append(RoundRecord(
+                round=t,
+                iterate=it,
+                # two dots: one over all p + q entries would sum in another order
+                grad_norm=float(np.sqrt(np.dot(fx, fx) + np.dot(fy, fy))),
+                gap_sq=optimality_gap(it, z_star) if z_star is not None else None,
+                robust_loss=robust_loss_fn(it) if robust_loss_fn is not None else None,
+                elapsed_ns=time.perf_counter_ns() - start,
+            ))
     return trace
 
 
@@ -225,7 +227,7 @@ def local_sgda_residual(
     problem: MinimaxProblem, z: Iterate, K: int, eta_x: float, eta_y: float
 ) -> Vector:
     """Averaged sum of local gradients along every agent's K-step path from z,
-    one ``stacked_grads`` call per local step.
+    one ``stacked_field`` call per local step.
 
     A point is a fixed point of the uncorrected scheme exactly when this
     vanishes; with K = 1 it reduces to the averaged gradient, so it measures
@@ -234,17 +236,16 @@ def local_sgda_residual(
     if K < 1:
         raise ValueError("K must be >= 1")
     problem._check(z)
-    m = problem.m
-    X, Y = z.x[None, :].repeat(m, axis=0), z.y[None, :].repeat(m, axis=0)
-    acc_x, acc_y = np.zeros((m, problem.p)), np.zeros((m, problem.q))
+    eta = _stacked_eta(problem, eta_x, eta_y)
+    Z = z.stacked[None].repeat(problem.m, axis=0)
+    acc = np.zeros(Z.shape)
     for step in range(K):
         if step:
-            X = X - eta_x * GX
-            Y = Y + eta_y * GY
-        GX, GY = problem.stacked_grads(X, Y)
-        acc_x += GX
-        acc_y += GY
-    return np.concatenate([average_vectors(acc_x), average_vectors(acc_y)])
+            Z = Z - eta * F
+        F = problem.stacked_field(Z)
+        acc += F
+    r = average_vectors(acc)
+    return np.concatenate((r[:problem.p], -r[problem.p:]))
 
 
 # ---------------------------------------------------------------------------

@@ -121,19 +121,20 @@ def local_sgda_limit(
     """Iterate the uncorrected scheme from the origin until the per-round
     displacement falls below ``LIMIT_TOL * (1 + |z|)``; an independent
     oracle for the closed form."""
-    z = Iterate.zeros(problem.p, problem.q)
-    config = AlgoConfig(LOCAL_SGDA, eta_x, eta_y, K, max_rounds, z)
-    x, y = z.x.copy(), z.y.copy()
-    for t in range(1, max_rounds + 1):
-        x_next, y_next = _round(problem, config, x, y, *problem.synced_grads(x, y), None)
-        _check_divergence(LOCAL_SGDA, t, x_next, y_next)
-        moved = float(np.sqrt(
-            np.dot(x_next - x, x_next - x) + np.dot(y_next - y, y_next - y)
-        ))
-        x, y = x_next, y_next
-        if moved <= LIMIT_TOL * (1.0 + float(np.sqrt(np.dot(x, x) + np.dot(y, y)))):
-            return LimitResult(Iterate(x, y), t, True)
-    return LimitResult(Iterate(x, y), max_rounds, False)
+    p, m, z = problem.p, problem.m, np.zeros(problem.p + problem.q)
+    config = AlgoConfig(LOCAL_SGDA, eta_x, eta_y, K, max_rounds, Iterate(z[:p], z[p:]))
+    # overflow in a diverging run is left to the divergence check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, max_rounds + 1):
+            z_next = _round(problem, config, z, problem.stacked_field(z[None].repeat(m, 0)))
+            _check_divergence(LOCAL_SGDA, t, z_next)
+            # two dots each: one over all p + q entries would sum in another order
+            step, z = z_next - z, z_next
+            moved = float(np.sqrt(np.dot(step[:p], step[:p]) + np.dot(step[p:], step[p:])))
+            if moved <= LIMIT_TOL * (1.0 + float(np.sqrt(np.dot(z[:p], z[:p])
+                                                         + np.dot(z[p:], z[p:])))):
+                return LimitResult(Iterate(z[:p], z[p:]), t, True)
+    return LimitResult(Iterate(z[:p], z[p:]), max_rounds, False)
 
 
 @dataclass

@@ -132,7 +132,7 @@ class RlrAgent(LocalObjective):
     This per-agent oracle keeps the raw samples, which the dataset container
     stores and replays, and evaluates the definition directly. Value and
     gradients depend on the data only through the O(d^2) statistics A'A, A'1,
-    A'b, 1'b, b'b and n; ``RobustLinearRegression.stacked_grads`` and
+    A'b, 1'b, b'b and n; ``RobustLinearRegression.stacked_field`` and
     ``total_losses`` use those, at a cost independent of n.
     """
 
@@ -205,33 +205,28 @@ class MinimaxProblem:
             raise DimensionMismatchError(self.p + self.q, z.p + z.q, "iterate")
         return z
 
-    def stacked_grads(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every agent's gradient pair at its own point: row i of the (m, p)
-        and (m, q) results is agent i's (grad_x, grad_y) at (X[i], Y[i]).
+    def stacked_field(self, Z: np.ndarray) -> np.ndarray:
+        """Every agent's GDA field at its own point: row i of the result is
+        F_i = (grad_x f_i, -grad_y f_i) at row i = (x_i, y_i) of the (m, p + q)
+        stack Z. Negation is exact, so the y half is bitwise -grad_y f_i.
 
         This default asks each agent's oracle in ascending order; the problem
         families below override it with one batched evaluation.
         """
-        GX = np.array([a.grad_x(x, y) for a, x, y in zip(self.agents, X, Y)])
-        GY = np.array([a.grad_y(x, y) for a, x, y in zip(self.agents, X, Y)])
-        return GX, GY
+        p = self.p
+        return np.array([np.concatenate((a.grad_x(z[:p], z[p:]), -a.grad_y(z[:p], z[p:])))
+                         for a, z in zip(self.agents, Z)])
 
-    def synced_grads(self, x: Vector, y: Vector) -> tuple[np.ndarray, np.ndarray]:
-        """``stacked_grads`` with every agent at the same point (x, y)."""
-        m = self.m
-        return self.stacked_grads(x[None, :].repeat(m, axis=0),
-                                  y[None, :].repeat(m, axis=0))
+    def gda_field(self, z: Iterate) -> Vector:
+        """The monotone operator F(z) = (grad_x f, -grad_y f) of the averaged
+        objective: the ascending average of every agent's field at z."""
+        self._check(z)
+        return average_vectors(self.stacked_field(z.stacked[None].repeat(self.m, axis=0)))
 
     def global_grad(self, z: Iterate) -> tuple[Vector, Vector]:
         """Arithmetic mean of local gradients, ascending agent order."""
-        self._check(z)
-        GX, GY = self.synced_grads(z.x, z.y)
-        return average_vectors(GX), average_vectors(GY)
-
-    def gda_field(self, z: Iterate) -> Vector:
-        """The stacked monotone operator F(z) = (grad_x f, -grad_y f)."""
-        gx, gy = self.global_grad(z)
-        return np.concatenate([gx, -gy])
+        F = self.gda_field(z)
+        return F[:self.p], -F[self.p:]
 
 
 class UncoupledQuadratic(MinimaxProblem):
@@ -256,7 +251,9 @@ class UncoupledQuadratic(MinimaxProblem):
         self.Q.flags.writeable = False
         agents = [QuadraticAgent(Q, a, c) for Q, a, c in zip(self.Q, self.a, self.c)]
         super().__init__(agents, sets)
-        # the (m, 1) curvature column of a d = 1 federation, see stacked_grads
+        # the field's offset (a_i, c_i) as one (m, 2d) array, and the (m, 1)
+        # curvature column of a d = 1 federation; see stacked_field
+        self._offset = np.concatenate((self.a, self.c), axis=1)
         self._curv_col = self.Q[:, :, 0] if self.p == 1 else None
         # positive definiteness of sum(Q_i) guarantees a unique stationary pair;
         # copied, so that the (m, d, d) buffer of running sums is not kept
@@ -277,20 +274,19 @@ class UncoupledQuadratic(MinimaxProblem):
         w.flags.writeable = V.flags.writeable = False
         return w, V
 
-    def stacked_grads(self, X, Y):
-        # one batched matrix-vector product per block; np.matmul runs the
-        # same product per agent as Q_i @ x, so rows equal the agent oracles
-        # bit for bit (np.einsum would not). For d = 1 that product is one
-        # multiplication, which the elementwise product gives at less cost
+    def stacked_field(self, Z):
+        # F_i = Q_i (x_i, y_i) + (a_i, c_i): one broadcast np.matmul runs the
+        # matrix-vector product of Q_i @ x per agent and block, so rows equal
+        # the agent oracles bit for bit (np.einsum would not, nor Q_i times the
+        # (d, 2) matrix [x_i, y_i], a matrix-matrix kernel). For d = 1 it is
+        # one multiplication, which the elementwise product gives at less cost
         if self._curv_col is not None:
-            GX = self._curv_col * X
-            GY = -(self._curv_col * Y)
+            F = self._curv_col * Z
         else:
-            GX = np.matmul(self.Q, X[:, :, None])[:, :, 0]
-            GY = -np.matmul(self.Q, Y[:, :, None])[:, :, 0]
-        GX += self.a
-        GY -= self.c
-        return GX, GY
+            m, d = self.m, self.p
+            F = np.matmul(self.Q[:, None], Z.reshape(m, 2, d, 1)).reshape(m, 2 * d)
+        F += self._offset
+        return F
 
 
 class ScalarTwoAgent(UncoupledQuadratic):
@@ -337,19 +333,21 @@ class RobustLinearRegression(MinimaxProblem):
         self._feat_sum, self._target_sum = sums[:, :d], sums[:, d]
         self._n = np.array(n, dtype=np.float64)
         self._grad_scale = (2.0 / self._n)[:, None]
+        self._neg_scale = -self._grad_scale  # exact: the y half of the field
 
-    def stacked_grads(self, X, Y):
-        # with t = x'y the residual is r = Ax + t1 - b, so
-        # 1'r = s'x + nt - beta and (A + 1y')'r = Gx + ts - h + y(1'r);
-        # np.add.reduce is np.sum's reduction without its Python wrapper
+    def stacked_field(self, Z):
+        # with t = x'y the residual is r = Ax + t1 - b, so 1'r = s'x + nt - beta
+        # and (A + 1y')'r = Gx + ts - h + y(1'r). X and Y come from one
+        # transposing copy, which costs less than strided reads of Z
+        m, d = self.m, self.p
+        X, Y = Z.reshape(m, 2, d).transpose(1, 0, 2).copy()
         t = np.add.reduce(X * Y, axis=1)
-        rsum = np.add.reduce(self._feat_sum * X, axis=1) + self._n * t - self._target_sum
+        rsum = (np.add.reduce(self._feat_sum * X, axis=1) + self._n * t
+                - self._target_sum)[:, None]
         Ar = (np.matmul(self._gram, X[:, :, None])[:, :, 0]
               + t[:, None] * self._feat_sum - self._feat_target)
-        scale = self._grad_scale
-        GX = scale * (Ar + Y * rsum[:, None]) + X
-        GY = (scale * rsum[:, None]) * X
-        return GX, GY
+        return np.concatenate((self._grad_scale * (Ar + Y * rsum) + X,
+                               (self._neg_scale * rsum) * X), axis=1)
 
     def total_losses(self, x: Vector, Y: np.ndarray) -> np.ndarray:
         """Sum over agents of f_i(x, y) for every row y of the (k, q) stack Y.

@@ -24,7 +24,7 @@ from fedmm.algorithms import (
     run_algorithm,
 )
 from fedmm.analysis import local_sgda_fixed_point
-from fedmm.core import FeasibleSet, Iterate, ProductSet
+from fedmm.core import FeasibleSet, Iterate, ProductSet, average_vectors
 from fedmm.datagen import QuadraticGenSpec, RlrGenSpec, gen_quadratic, gen_rlr
 from fedmm.problems import (
     MinimaxProblem,
@@ -204,9 +204,55 @@ def rlr_on_small_ball():
                                   y_radius=0.05)
 
 
+def split_block_run(problem, config):
+    """(x, y, grad_norm) at every round of ``config.algo``, from a loop over
+    the per-agent oracles that steps x down grad_x and y up grad_y as two
+    blocks, each with its own stepsize, in ascending agent order."""
+    x, y = config.init.x, config.init.y
+    records = []
+    for t in range(config.rounds + 1):
+        if t:
+            xs, ys = [], []
+            for agent in problem.agents:
+                xi, yi = x, y
+                for _ in range(config.K):
+                    xi, yi = (xi - config.eta_x * agent.grad_x(xi, yi),
+                              yi + config.eta_y * agent.grad_y(xi, yi))
+                xs.append(xi)
+                ys.append(yi)
+            x, y = average_vectors(xs), average_vectors(ys)
+            if config.algo != LOCAL_SGDA:
+                x, y = problem.sets.set_x.project(x), problem.sets.set_y.project(y)
+        gx = average_vectors([a.grad_x(x, y) for a in problem.agents])
+        gy = average_vectors([a.grad_y(x, y) for a in problem.agents])
+        records.append((x, y, float(np.sqrt(np.dot(gx, gx) + np.dot(gy, gy)))))
+    return records
+
+
 class TestStackedEngine:
     """Each family's batched oracle against the same agents run through the
-    default per-agent loop of a plain ``MinimaxProblem``."""
+    default per-agent loop of a plain ``MinimaxProblem``, and the stacked
+    iterate against x and y stepped as two blocks."""
+
+    @pytest.mark.parametrize("algo,K,etas,make", [
+        (GDA, 1, (2e-2, 3e-2), quadratic_on_y_ball),
+        (LOCAL_SGDA, 5, (2e-3, 3e-3), quadratic_on_y_ball),
+        # the plain problem over RLR agents: the batched statistics agree
+        # with the agents' per-sample oracles to rounding only
+        (LOCAL_SGDA, 5, (3e-3, 1e-3), lambda: MinimaxProblem(rlr_on_small_ball().agents)),
+    ], ids=["gda-quadratic-ball", "lsgda-quadratic", "lsgda-rlr-agents"])
+    def test_unequal_stepsizes_match_a_split_block_loop_bitwise(self, algo, K, etas, make):
+        # eta_x != eta_y steps the stacked iterate with a vector of stepsizes
+        prob = make()
+        init = Iterate(np.full(prob.p, 0.5), np.full(prob.q, -0.2))
+        cfg = AlgoConfig(algo, *etas, K, 30, init)
+        trace = run_algorithm(prob, cfg)
+        reference = split_block_run(prob, cfg)
+        assert len(trace.records) == len(reference) == 31
+        for rec, (x, y, grad_norm) in zip(trace.records, reference):
+            assert np.array_equal(rec.iterate.x, x)
+            assert np.array_equal(rec.iterate.y, y)
+            assert rec.grad_norm == grad_norm
 
     @pytest.mark.parametrize("algo,K", [(GDA, 1), (LOCAL_SGDA, 6), (FEDGDA_GT, 6)])
     @pytest.mark.parametrize("make,eta,rtol", [
@@ -285,6 +331,20 @@ class TestLocalSgda:
             run_algorithm(prob, cfg)
         assert ei.value.round_index >= 1
         assert "round" in str(ei.value)
+
+    def test_divergence_message_names_a_finite_magnitude_or_non_finite_iterate(self):
+        assert str(DivergenceError(GDA, 4, 2.5e12)) == (
+            "GDA diverged at round 4: iterate magnitude 2.500e+12 exceeds 1e+12")
+        for magnitude in (np.nan, np.inf):
+            assert str(DivergenceError(GDA, 4, magnitude)) == (
+                "GDA diverged at round 4: iterate is not finite")
+
+    def test_a_run_that_overflows_stops_at_the_divergence_check_without_warnings(self):
+        # pyproject.toml turns a RuntimeWarning into an error
+        prob = gen_rlr(RlrGenSpec(m=10, d=5, n_i=50, alpha=20.0, seed=11))
+        cfg = AlgoConfig(LOCAL_SGDA, 1e-3, 1e-3, 10, 20, Iterate.zeros(5, 5))
+        with pytest.raises(DivergenceError, match="round 1: iterate is not finite"):
+            run_algorithm(prob, cfg)
 
     def test_gap_recorded_when_z_star_given(self):
         prob = ScalarTwoAgent()

@@ -16,7 +16,13 @@ from fedmm.analysis import (
     optimality_gap,
     robust_loss,
 )
-from fedmm.algorithms import LOCAL_SGDA, AlgoConfig, auto_eta_fedgda, run_algorithm
+from fedmm.algorithms import (
+    LOCAL_SGDA,
+    AlgoConfig,
+    DivergenceError,
+    auto_eta_fedgda,
+    run_algorithm,
+)
 from fedmm.core import Iterate
 from fedmm.datagen import QuadraticGenSpec, RlrGenSpec, gen_quadratic, gen_rlr
 from fedmm.problems import (
@@ -138,6 +144,12 @@ class TestLocalSgdaFixedPoint:
         assert np.linalg.norm(z.stacked - ref) <= 1e-10 * np.linalg.norm(ref)
         assert np.array_equal(z.x, local_sgda_fixed_point(prob, 5, eta_x, eta_x).x)
         assert np.array_equal(z.y, local_sgda_fixed_point(prob, 5, eta_y, eta_y).y)
+
+    def test_an_overflowing_limit_stops_at_the_divergence_check(self):
+        # pyproject.toml turns a RuntimeWarning into an error
+        prob = gen_rlr(RlrGenSpec(m=10, d=5, n_i=50, alpha=20.0, seed=11))
+        with pytest.raises(DivergenceError, match="round 1: iterate is not finite"):
+            local_sgda_limit(prob, 10, 1e-3, 1e-3)
 
     def test_k1_is_the_minimax_point(self):
         prob = gen_quadratic(QuadraticGenSpec(m=4, d=6, n_i=12, seed=7))

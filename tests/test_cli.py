@@ -1,4 +1,7 @@
+import hashlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -109,6 +112,38 @@ trace = {out}
 """)
         assert main(["run", cfg]) == 3
         assert "diverged" in capsys.readouterr().err
+
+    def test_overflowing_divergence_prints_one_line(self, tmp_path):
+        # the first local steps overflow to inf and NaN; the divergence check
+        # alone reports it, with no numpy warning before its line
+        cfg = write(tmp_path / "c.ini", f"""
+[problem]
+kind = rlr
+m = 10
+d = 5
+n = 50
+alpha = 20
+seed = 11
+
+[algo:LocalSGDA]
+name = LocalSGDA
+K = 10
+eta = 1e-3
+rounds = 20
+
+[algo:FedGDAGT]
+name = FedGDAGT
+K = 10
+eta = 1e-3
+rounds = 20
+
+[output]
+trace = {tmp_path / "t.csv"}
+""")
+        proc = subprocess.run([sys.executable, "-m", "fedmm", "compare", cfg],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: LocalSGDA diverged at round 1: iterate is not finite\n"
 
     def test_in_process_determinism(self, tmp_path):
         o1, o2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -914,3 +949,45 @@ emit_plot_data = true
         assert [line.split(",") for line in plot[1:]] == [
             [row[0], "GDA", metric, row[column]] for row in trace
         ]
+
+
+class TestPinnedOutputs:
+    """SHA-256 of outputs of d = 1 problems, which involve no BLAS kernel, so
+    any change of their bits is a change of the program's arithmetic."""
+
+    def test_scalar_compare_trace(self, tmp_path):
+        out = tmp_path / "scalar.csv"
+        cfg = write(tmp_path / "c.ini", f"""
+[problem]
+kind = scalar2
+
+[algo:GDA]
+name = GDA
+eta = 0.01
+rounds = 200
+
+[algo:LocalSGDA]
+name = LocalSGDA
+K = 10
+eta = 1e-3
+rounds = 200
+
+[algo:FedGDAGT]
+name = FedGDAGT
+K = 10
+rounds = 200
+
+[output]
+trace = {out}
+""")
+        assert main(["compare", cfg]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e831172d3e54e93022d3f5e520232fdc5394e51e16961866d35596bf177848a4")
+
+    @pytest.mark.parametrize("K,eta,digest", [
+        ("10", "5e-4", "8e1f3f07340b0b92068b00cf522ad8ec89bdb2752a8702f4822cb767aa156e76"),
+        ("1", "0.1", "d1b337d4261fc0f3873fabf11fc1b619cd5c07591f54ebbc2c6ae6be045c2471"),
+    ], ids=["K10", "K1"])
+    def test_fixed_point_stdout(self, capsys, K, eta, digest):
+        assert main(["fixed-point", "--K", K, "--eta", eta]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

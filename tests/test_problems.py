@@ -282,23 +282,33 @@ class TestFiniteDifferences:
                 assert np.linalg.norm(fy - gy) <= 1e-5 * (1 + np.linalg.norm(gy))
 
 
-class TestStackedOracle:
-    """``stacked_grads`` puts agent i's gradient pair at (X[i], Y[i]) in row i."""
+def split_rows(prob, Z):
+    """(X, Y) halves of a stacked (m, p + q) array."""
+    return Z[:, :prob.p], Z[:, prob.p:]
 
-    @pytest.mark.parametrize("family", ["scalar2", "quadratic", "quadratic-d1"])
+
+class TestStackedOracle:
+    """``stacked_field`` puts agent i's field (grad_x, -grad_y) at row i of Z
+    in row i of its result."""
+
+    @pytest.mark.parametrize("family", ["scalar2", "quadratic", "quadratic-d1", "agent-list"])
     def test_rows_equal_agent_oracles_bitwise(self, family):
         prob = {"scalar2": ScalarTwoAgent,
                 "quadratic": lambda: random_quadratic(m=4, seed=15),
-                "quadratic-d1": lambda: random_quadratic(m=9, d=1, seed=15)}[family]()
+                "quadratic-d1": lambda: random_quadratic(m=9, d=1, seed=15),
+                # no batched override: the default asks each agent's oracle
+                "agent-list": lambda: MinimaxProblem(random_rlr(m=3, d=4, n=6, seed=15).agents),
+                }[family]()
         rng = np.random.default_rng(16)
         for _ in range(100):
-            X = rng.normal(0, 3, size=(prob.m, prob.p))
-            Y = rng.normal(0, 3, size=(prob.m, prob.q))
-            GX, GY = prob.stacked_grads(X, Y)
-            assert GX.shape == (prob.m, prob.p) and GY.shape == (prob.m, prob.q)
+            Z = rng.normal(0, 3, size=(prob.m, prob.p + prob.q))
+            F = prob.stacked_field(Z)
+            assert F.shape == Z.shape
+            X, Y = split_rows(prob, Z)
+            FX, FY = split_rows(prob, F)
             for i, agent in enumerate(prob.agents):
-                assert np.array_equal(GX[i], agent.grad_x(X[i], Y[i]))
-                assert np.array_equal(GY[i], agent.grad_y(X[i], Y[i]))
+                assert np.array_equal(FX[i], agent.grad_x(X[i], Y[i]))
+                assert np.array_equal(FY[i], -agent.grad_y(X[i], Y[i]))
 
     @pytest.mark.parametrize("make", [ScalarTwoAgent,
                                       lambda: random_quadratic(m=9, d=1, seed=24)])
@@ -307,11 +317,11 @@ class TestStackedOracle:
         prob = make()
         rng = np.random.default_rng(25)
         for _ in range(100):
-            X = rng.normal(0, 3, size=(prob.m, 1))
-            Y = rng.normal(0, 3, size=(prob.m, 1))
-            GX, GY = prob.stacked_grads(X, Y)
-            assert np.array_equal(GX, np.matmul(prob.Q, X[:, :, None])[:, :, 0] + prob.a)
-            assert np.array_equal(GY, -np.matmul(prob.Q, Y[:, :, None])[:, :, 0] - prob.c)
+            Z = rng.normal(0, 3, size=(prob.m, 2))
+            X, Y = split_rows(prob, Z)
+            FX, FY = split_rows(prob, prob.stacked_field(Z))
+            assert np.array_equal(FX, np.matmul(prob.Q, X[:, :, None])[:, :, 0] + prob.a)
+            assert np.array_equal(FY, np.matmul(prob.Q, Y[:, :, None])[:, :, 0] + prob.c)
 
     def test_rlr_rows_match_agent_oracles_and_central_differences(self):
         # unequal sample counts, so the zero padding of the batched
@@ -321,16 +331,26 @@ class TestStackedOracle:
         prob = RobustLinearRegression([rng.normal(1.0, 2.0, size=(n, 4)) for n in counts],
                                       [rng.normal(size=n) for n in counts])
         for _ in range(100):
-            X = rng.normal(size=(prob.m, prob.p))
-            Y = rng.normal(size=(prob.m, prob.q))
-            GX, GY = prob.stacked_grads(X, Y)
+            Z = rng.normal(size=(prob.m, prob.p + prob.q))
+            X, Y = split_rows(prob, Z)
+            FX, FY = split_rows(prob, prob.stacked_field(Z))
             for i, agent in enumerate(prob.agents):
                 gx, gy = agent.grad_x(X[i], Y[i]), agent.grad_y(X[i], Y[i])
-                assert np.linalg.norm(GX[i] - gx) <= 1e-12 * np.linalg.norm(gx)
-                assert np.linalg.norm(GY[i] - gy) <= 1e-12 * np.linalg.norm(gy)
+                assert np.linalg.norm(FX[i] - gx) <= 1e-12 * np.linalg.norm(gx)
+                assert np.linalg.norm(FY[i] + gy) <= 1e-12 * np.linalg.norm(gy)
                 fx, fy = finite_difference_gradients(agent, X[i], Y[i])
-                assert np.linalg.norm(fx - GX[i]) <= 1e-5 * (1 + np.linalg.norm(GX[i]))
-                assert np.linalg.norm(fy - GY[i]) <= 1e-5 * (1 + np.linalg.norm(GY[i]))
+                assert np.linalg.norm(fx - FX[i]) <= 1e-5 * (1 + np.linalg.norm(FX[i]))
+                assert np.linalg.norm(fy + FY[i]) <= 1e-5 * (1 + np.linalg.norm(FY[i]))
+
+    def test_global_grad_and_gda_field_share_one_average(self):
+        prob = random_quadratic(m=5, d=3, seed=28)
+        z = Iterate(np.full(3, 0.7), np.full(3, -1.2))
+        F = prob.gda_field(z)
+        gx, gy = prob.global_grad(z)
+        assert np.array_equal(F, np.concatenate([gx, -gy]))
+        for g, agent_grad in ((gx, "grad_x"), (gy, "grad_y")):
+            rows = [getattr(a, agent_grad)(z.x, z.y) for a in prob.agents]
+            assert np.array_equal(g, np.add.accumulate(rows, axis=0)[-1] / prob.m)
 
     def test_global_grad_is_the_average_of_the_per_agent_loop(self):
         prob = random_rlr(m=3, d=4, n=6, seed=18)
