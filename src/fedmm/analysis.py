@@ -32,7 +32,7 @@ from .problems import (
 LIMIT_TOL = 1e-13  # relative per-round displacement that ends ``local_sgda_limit``
 SAMPLE_SCALE = 10.0  # standard deviation of the property checks' random points
 MONOTONICITY_SLACK = 1e-9  # absolute tolerance of ``check_strong_monotonicity``
-POWER_BLOCK = 1 << 17  # powers that ``_geometric_sums`` holds at once (1 MiB)
+POWER_BLOCK = 1 << 17  # powers a ``_geometric_sums`` block holds when K <= it (1 MiB)
 
 
 class UnstableStepsizeError(ValueError):
@@ -46,8 +46,10 @@ class UnstableStepsizeError(ValueError):
 def _geometric_sums(ratio: np.ndarray, K: int) -> np.ndarray:
     """sum_{j<K} r^j for every entry r of ``ratio``, term by term.
 
-    Powers are formed for a block of entries at a time, at most
-    ``POWER_BLOCK`` of them, so memory does not grow with K. Each entry's
+    Powers are formed for a block of entries at a time, each with its whole
+    row of K powers, so a block holds at most max(POWER_BLOCK, K) powers
+    besides the K exponents: memory is flat in K up to ``POWER_BLOCK`` and
+    grows linearly in K beyond it. Each entry's
     sum is the pairwise sum ``np.sum`` takes over its own row of powers, so
     the result is bitwise that of one (..., K) array of every power.
     """

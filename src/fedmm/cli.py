@@ -1,20 +1,12 @@
 """Experiment harness: config-driven runs, comparisons, and data export.
 
-Config files are INI-style text with three kinds of sections::
-
-    [problem]                     [algo]  (or [algo:<label>])   [output]
-    kind = quadratic              name = FedGDAGT               trace = out.csv
-    m = 20                        K = 20                        emit_plot_data = false
-    d = 50                        rounds = 600                  timing = false
-    n = 500                       eta = 1e-4   (FedGDAGT may    robust_loss = false
-    seed = 7                                    omit it: auto)
-    alpha = 5.0   (rlr only)
-    radius_y = 1.0 (rlr only)
-
-``robust_loss = true`` is for rlr only, where it is the default. A comment
-takes a line of its own. Unknown sections or keys are rejected loudly,
-naming the offender. The environment variable ``FEDMM_SEED`` overrides the
-config seed when set.
+Config files are INI-style text with a ``[problem]`` section, one ``[algo]``
+section or several ``[algo:<label>]`` sections, and an ``[output]`` section.
+Each section's keys are the entries of its table below, read in table order;
+README "Config format" documents them. A comment takes a line of its own.
+Unknown sections or keys are rejected loudly, naming the offender, and the
+whole config is checked before the first run. The environment variable
+``FEDMM_SEED`` overrides the config seed when set.
 
 Trace CSV schema (stable):
 ``round,algorithm,K,eta_x,eta_y,gap_sq,grad_norm,robust_loss,elapsed_ns``;
@@ -33,6 +25,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -63,23 +56,51 @@ from .problems import (
     closed_form_minimax,
 )
 
-PROBLEM_KINDS = ("scalar2", "quadratic", "rlr")
-
-_PROBLEM_KEYS = {
-    "scalar2": {"kind"},
-    "quadratic": {"kind", "m", "d", "n", "seed"},
-    "rlr": {"kind", "m", "d", "n", "alpha", "seed", "radius_y"},
-}
-_ALGO_KEYS = {"name", "K", "rounds", "eta", "eta_x", "eta_y"}
-_OUTPUT_KEYS = {"trace", "emit_plot_data", "timing", "robust_loss"}
-_BOUNDS_KEYS = {"m", "n", "M_i", "cover_size", "delta", "epsilon", "L_y",
-                "rademacher", "vc_dim"}
-
 CSV_HEADER = "round,algorithm,K,eta_x,eta_y,gap_sq,grad_norm,robust_loss,elapsed_ns"
 
 
 class ConfigError(ValueError):
     """The config file is invalid; the message names the offending item."""
+
+
+def _to_bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw}") from None
+
+
+def _trace_path(raw: str) -> str:
+    if not Path(raw).name:
+        raise ValueError(f"not a file name: {raw!r}")
+    return raw
+
+
+def _float_list(raw: str) -> list[float]:
+    return [float(tok) for tok in raw.replace(",", " ").split()]
+
+
+# One table per section: key -> (parser, default or _REQUIRED), in read order.
+_REQUIRED = object()
+_SCALAR2 = {"kind": (str, _REQUIRED)}
+_QUADRATIC = {**_SCALAR2, "m": (int, _REQUIRED), "d": (int, _REQUIRED),
+              "n": (int, _REQUIRED), "seed": (int, _REQUIRED)}
+_PROBLEM_TABLES = {  # by kind; each table extends the one before it
+    "scalar2": _SCALAR2,
+    "quadratic": _QUADRATIC,
+    "rlr": {**_QUADRATIC, "alpha": (float, _REQUIRED), "radius_y": (float, 1.0)},
+}
+_ALGO_TABLE = {"name": (str, _REQUIRED), "K": (int, 1), "rounds": (int, _REQUIRED),
+               "eta": (float, None), "eta_x": (float, None), "eta_y": (float, None)}
+_OUTPUT_TABLE = {"trace": (_trace_path, _REQUIRED), "emit_plot_data": (_to_bool, False),
+                 "timing": (_to_bool, False), "robust_loss": (_to_bool, None)}
+_BOUNDS_TABLE = {  # the fields of BoundInputs
+    "m": (int, _REQUIRED), "n": (int, _REQUIRED), "M_i": (_float_list, _REQUIRED),
+    "cover_size": (int, _REQUIRED), "delta": (float, _REQUIRED),
+    "epsilon": (float, _REQUIRED), "L_y": (float, _REQUIRED),
+    "rademacher": (float, _REQUIRED), "vc_dim": (int, None),
+}
+PROBLEM_KINDS = tuple(_PROBLEM_TABLES)
 
 
 def _read_ini(path) -> configparser.ConfigParser:
@@ -97,29 +118,36 @@ def _read_ini(path) -> configparser.ConfigParser:
     return parser
 
 
-def _check_keys(section: str, present, allowed) -> None:
-    for key in present:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+def _check_sections(parser, required: str, known: str, note: str = "") -> None:
+    """The ``required`` section is present and every section's name matches
+    the regular expression ``known`` in full."""
+    if required not in parser:
+        raise ConfigError(f"missing required section [{required}]")
+    for name in parser.sections():
+        if not re.fullmatch(known, name):
+            raise ConfigError(f"unknown section [{name}]{note}")
 
 
-def _get(section, key, conv, what, *, required=True, default=None):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in [{what}]")
-        return default
-    raw = section[key]
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r} in [{what}]: cannot parse {raw!r}") from exc
-
-
-def _to_bool(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {raw}") from None
+def _read(section, name: str, table: dict) -> dict:
+    """The section's value of every key in ``table``, parsed, or its default.
+    A key the table lacks is rejected first, then the table's keys are read
+    in order."""
+    for key in section:
+        if key not in table:
+            raise ConfigError(f"unknown key {key!r} in section [{name}]")
+    values = {}
+    for key, (parse, default) in table.items():
+        if key not in section:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r} in [{name}]")
+            values[key] = default
+            continue
+        raw = section[key]
+        try:
+            values[key] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r} in [{name}]: cannot parse {raw!r}") from exc
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -129,74 +157,61 @@ def _to_bool(raw: str) -> bool:
 def _build_problem(section) -> tuple[MinimaxProblem, QuadraticGenSpec | RlrGenSpec | None]:
     """The problem a ``[problem]`` section names, and the spec it was
     generated from (None for scalar2)."""
-    kind = _get(section, "kind", str, "problem")
-    if kind not in PROBLEM_KINDS:
+    kind = section.get("kind")
+    if kind is not None and kind not in _PROBLEM_TABLES:
         raise ConfigError(f"unknown problem kind {kind!r}; choose from {PROBLEM_KINDS}")
-    _check_keys("problem", section.keys(), _PROBLEM_KEYS[kind])
+    # with no kind, the widest table accepts every known key and names the
+    # missing 'kind'
+    values = _read(section, "problem", _PROBLEM_TABLES.get(kind, _PROBLEM_TABLES["rlr"]))
     if kind == "scalar2":
         return ScalarTwoAgent(), None
 
-    m = _get(section, "m", int, "problem")
-    d = _get(section, "d", int, "problem")
-    n = _get(section, "n", int, "problem")
-    seed = _get(section, "seed", int, "problem")
     env_seed = os.environ.get("FEDMM_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            values["seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"FEDMM_SEED must be an integer, got {env_seed!r}") from exc
-
-    if kind == "rlr":
-        alpha = _get(section, "alpha", float, "problem")
-        radius_y = _get(section, "radius_y", float, "problem",
-                        required=False, default=1.0)
+    shape = dict(m=values["m"], d=values["d"], n_i=values["n"], seed=values["seed"])
 
     try:
         if kind == "quadratic":
-            spec = QuadraticGenSpec(m=m, d=d, n_i=n, seed=seed)
+            spec = QuadraticGenSpec(**shape)
             return gen_quadratic(spec), spec
-        spec = RlrGenSpec(m=m, d=d, n_i=n, alpha=alpha, seed=seed)
+        spec = RlrGenSpec(**shape, alpha=values["alpha"])
         problem = gen_rlr(spec)
-        if radius_y != 1.0:
+        if values["radius_y"] != 1.0:
             problem = RobustLinearRegression(
                 [a.A for a in problem.agents], [a.b for a in problem.agents],
-                y_radius=radius_y,
+                y_radius=values["radius_y"],
             )
         return problem, spec
     except ValueError as exc:
         raise ConfigError(f"problem generation failed: {exc}") from exc
 
 
-def _algo_sections(parser) -> list[tuple[str, str | None]]:
-    """(section name, label) for every algo section, in file order."""
+def _algo_sections(parser) -> list[tuple[str, str]]:
+    """(section name, label) for every algo section, in file order; the
+    label of ``[algo]`` is ''."""
     found = []
     for name in parser.sections():
-        if name == "algo":
-            found.append((name, None))
-        elif name.startswith("algo:"):
-            label = name[len("algo:"):]
-            if not label:
-                raise ConfigError(f"empty label in section [{name}]")
-            found.append((name, label))
-        elif name not in ("problem", "output"):
-            raise ConfigError(f"unknown section [{name}]")
+        head, colon, label = name.partition(":")
+        if head != "algo":
+            continue
+        if colon and not label:
+            raise ConfigError(f"empty label in section [{name}]")
+        found.append((name, label))
     return found
 
 
-def _build_algo(section, section_name: str, problem: MinimaxProblem,
-                label: str | None) -> tuple[str, AlgoConfig]:
-    _check_keys(section_name, section.keys(), _ALGO_KEYS)
-    name = _get(section, "name", str, section_name)
+def _build_algo(section, section_name: str, problem: MinimaxProblem) -> AlgoConfig:
+    values = _read(section, section_name, _ALGO_TABLE)
+    name = values["name"]
     if name not in ALGORITHMS:
         raise ConfigError(
             f"unknown algorithm {name!r} in [{section_name}]; choose from {ALGORITHMS}"
         )
-    K = _get(section, "K", int, section_name, required=False, default=1)
-    rounds = _get(section, "rounds", int, section_name)
-    eta = _get(section, "eta", float, section_name, required=False)
-    eta_x = _get(section, "eta_x", float, section_name, required=False)
-    eta_y = _get(section, "eta_y", float, section_name, required=False)
+    K, eta, eta_x, eta_y = values["K"], values["eta"], values["eta_x"], values["eta_y"]
 
     if eta is not None and (eta_x is not None or eta_y is not None):
         raise ConfigError(f"[{section_name}]: give either eta or eta_x/eta_y, not both")
@@ -219,28 +234,19 @@ def _build_algo(section, section_name: str, problem: MinimaxProblem,
 
     init = Iterate.zeros(problem.p, problem.q)
     try:
-        config = AlgoConfig(algo=name, eta_x=eta_x, eta_y=eta_y, K=K,
-                            rounds=rounds, init=init)
+        return AlgoConfig(algo=name, eta_x=eta_x, eta_y=eta_y, K=K,
+                          rounds=values["rounds"], init=init)
     except ValueError as exc:
         raise ConfigError(f"[{section_name}]: {exc}") from exc
-    return (label if label is not None else name), config
 
 
 def _build_output(parser, problem: MinimaxProblem) -> dict:
     if "output" not in parser:
         raise ConfigError("missing required section [output]")
-    section = parser["output"]
-    _check_keys("output", section.keys(), _OUTPUT_KEYS)
+    out = _read(parser["output"], "output", _OUTPUT_TABLE)
     is_rlr = isinstance(problem, RobustLinearRegression)
-    out = {
-        "trace": _get(section, "trace", str, "output"),
-        "emit_plot_data": _get(section, "emit_plot_data", _to_bool, "output",
-                               required=False, default=False),
-        "timing": _get(section, "timing", _to_bool, "output",
-                       required=False, default=False),
-        "robust_loss": _get(section, "robust_loss", _to_bool, "output",
-                            required=False, default=is_rlr),
-    }
+    if out["robust_loss"] is None:
+        out["robust_loss"] = is_rlr
     if out["robust_loss"] and not is_rlr:
         raise ConfigError("robust_loss tracking is only available for rlr problems")
     return out
@@ -310,8 +316,7 @@ def write_plot_csv(path, runs: list[tuple[str, RunTrace]]) -> None:
 
 def _execute(config_path, *, expect_compare: bool) -> int:
     parser = _read_ini(config_path)
-    if "problem" not in parser:
-        raise ConfigError("missing required section [problem]")
+    _check_sections(parser, "problem", r"problem|output|algo(:.*)?")
     problem, _spec = _build_problem(parser["problem"])
     algo_sections = _algo_sections(parser)
     if expect_compare and len(algo_sections) < 2:
@@ -319,6 +324,13 @@ def _execute(config_path, *, expect_compare: bool) -> int:
     if not expect_compare and len(algo_sections) != 1:
         raise ConfigError("run needs exactly one [algo] section")
     output = _build_output(parser, problem)
+    algos = {}  # label -> config, in file order; all built before the first run
+    for section_name, label in algo_sections:
+        config = _build_algo(parser[section_name], section_name, problem)
+        label = label or config.algo
+        if label in algos:
+            raise ConfigError(f"duplicate algorithm label {label!r}")
+        algos[label] = config
 
     try:
         z_star = closed_form_minimax(problem)
@@ -329,12 +341,7 @@ def _execute(config_path, *, expect_compare: bool) -> int:
         loss_fn = lambda z: robust_loss(problem, z.x).value  # noqa: E731
 
     runs = []
-    labels = set()
-    for section_name, label in algo_sections:
-        label, config = _build_algo(parser[section_name], section_name, problem, label)
-        if label in labels:
-            raise ConfigError(f"duplicate algorithm label {label!r}")
-        labels.add(label)
+    for label, config in algos.items():
         try:
             trace = run_algorithm(problem, config, z_star=z_star, robust_loss_fn=loss_fn)
         except DivergenceError:
@@ -373,30 +380,10 @@ def cmd_fixed_point(K: int, eta: float) -> int:
 
 def cmd_bounds(inputs_path) -> int:
     parser = _read_ini(inputs_path)
-    if "bounds" not in parser:
-        raise ConfigError("missing required section [bounds]")
-    for name in parser.sections():
-        if name != "bounds":
-            raise ConfigError(f"unknown section [{name}]")
-    section = parser["bounds"]
-    _check_keys("bounds", section.keys(), _BOUNDS_KEYS)
-
-    def parse_list(raw: str):
-        return [float(tok) for tok in raw.replace(",", " ").split()]
-
+    _check_sections(parser, "bounds", "bounds")
     # every key is read before the try, so a missing or unparsable one is
-    # reported by ``_get`` alone, not wrapped in a second "[bounds]: "
-    values = dict(
-        m=_get(section, "m", int, "bounds"),
-        n=_get(section, "n", int, "bounds"),
-        M_i=_get(section, "M_i", parse_list, "bounds"),
-        cover_size=_get(section, "cover_size", int, "bounds"),
-        delta=_get(section, "delta", float, "bounds"),
-        epsilon=_get(section, "epsilon", float, "bounds"),
-        L_y=_get(section, "L_y", float, "bounds"),
-        rademacher=_get(section, "rademacher", float, "bounds"),
-        vc_dim=_get(section, "vc_dim", int, "bounds", required=False),
-    )
+    # reported by ``_read`` alone, not wrapped in a second "[bounds]: "
+    values = _read(parser["bounds"], "bounds", _BOUNDS_TABLE)
     try:
         inputs = BoundInputs(**values)
     except ValueError as exc:
@@ -418,11 +405,7 @@ def cmd_bounds(inputs_path) -> int:
 
 def cmd_gen_data(config_path, out_path) -> int:
     parser = _read_ini(config_path)
-    if "problem" not in parser:
-        raise ConfigError("missing required section [problem]")
-    for name in parser.sections():
-        if name != "problem":
-            raise ConfigError(f"unknown section [{name}] (gen-data reads only [problem])")
+    _check_sections(parser, "problem", "problem", " (gen-data reads only [problem])")
     problem, spec = _build_problem(parser["problem"])
     if spec is None:
         raise ConfigError("gen-data needs a generated problem kind (quadratic or rlr)")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from fedmm.cli import CSV_HEADER, main
+from fedmm.cli import _BOUNDS_TABLE, CSV_HEADER, main
 from fedmm.datagen import QuadraticGenSpec, RlrGenSpec, gen_quadratic, load_dataset
 from fedmm.genbounds import BoundInputs, bound_terms, vc_rademacher_bound
 
@@ -862,6 +863,8 @@ BRANCHES = {
     "gen-data-unknown-section": ("gen-data", QUAD_PROBLEM + RUN_ALGO, None,
                                  "unknown section [algo]"),
     "vc-dim-above-m-n": ("bounds", BOUNDS + "vc_dim = 100\n", None, "vc_dim"),
+    "empty-trace": ("run", RUN_PROBLEM + RUN_ALGO + "[output]\ntrace =\n", None,
+                    "key 'trace' in [output]: cannot parse ''"),
 }
 
 
@@ -886,6 +889,43 @@ class TestConfigErrorBranches:
 
 
 RLR_PROBLEM = "[problem]\nkind = rlr\nm = 2\nd = 3\nn = 6\nseed = 5\n"
+RLR_ALGO = "[algo:a]\nname = LocalSGDA\nK = 2\neta = 1e-3\nrounds = 5\n"
+
+# (config text, the whole error line): an error in a later algo section
+LATER_SECTION_ERRORS = {
+    "bad-key": (RUN_PROBLEM + RUN_ALGO.replace("[algo]", "[algo:a]")
+                + RUN_ALGO.replace("[algo]", "[algo:b]") + "bogus = 1\n" + RUN_OUTPUT,
+                "unknown key 'bogus' in section [algo:b]"),
+    "duplicate-label": (RUN_PROBLEM + RUN_ALGO.replace("[algo]", "[algo:GDA]") + RUN_ALGO
+                        + RUN_OUTPUT, "duplicate algorithm label 'GDA'"),
+    "auto-eta-refused": (RLR_PROBLEM + "alpha = 1.0\n" + RLR_ALGO
+                         + "[algo:b]\nname = FedGDAGT\nK = 2\nrounds = 5\n" + RUN_OUTPUT,
+                         "[algo:b]: cannot auto-select a stepsize for this problem "
+                         "(constants are not estimated for RobustLinearRegression; "
+                         "supply stepsizes explicitly); give eta explicitly"),
+    # the first algorithm would diverge: the config error comes first, exit 2
+    "after-divergent": (RUN_PROBLEM + RUN_ALGO.replace("[algo]", "[algo:a]")
+                        .replace("eta = 0.1\nrounds = 1", "eta = 10.0\nrounds = 100")
+                        + RUN_ALGO.replace("[algo]", "[algo:b]").replace("rounds", "round")
+                        + RUN_OUTPUT, "unknown key 'round' in section [algo:b]"),
+}
+
+
+@pytest.mark.parametrize("case", LATER_SECTION_ERRORS)
+def test_later_section_error_precedes_every_run(tmp_path, capsys, monkeypatch, case):
+    text, line = LATER_SECTION_ERRORS[case]
+    trace = tmp_path / "t.csv"
+    cfg = write(tmp_path / "c.ini", text.format(trace=trace))
+    calls = []
+    monkeypatch.setattr("fedmm.cli.run_algorithm", lambda *a, **kw: calls.append(a))
+    assert main(["compare", cfg]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not trace.exists()
+
+
+def test_bounds_table_is_the_bound_inputs_fields():
+    assert list(_BOUNDS_TABLE) == [f.name for f in dataclasses.fields(BoundInputs)]
 
 # (command, config text, the whole error line): a key that is missing or
 # unparsable is named by its own reason, not wrapped in a second context

@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 import fedmm
-from fedmm.cli import main
+from fedmm.cli import (_ALGO_TABLE, _BOUNDS_TABLE, _OUTPUT_TABLE, _PROBLEM_TABLES,
+                       main)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = {info.name for info in pkgutil.iter_modules(fedmm.__path__)}
@@ -100,3 +101,14 @@ def test_readme_bounds_example_runs(tmp_path, capsys):
     inputs.write_text(ini_block("Bounds input file"), encoding="utf-8")
     assert main(["bounds", str(inputs)]) == 0, capsys.readouterr().err
     assert "vc_rademacher_bound = " in capsys.readouterr().out
+
+
+def documented_keys(heading):
+    """Every ``key =`` name of a README ini block, commented ones included."""
+    return set(re.findall(r"(\w+) =", ini_block(heading)))
+
+
+def test_readme_config_keys_are_the_tables():
+    tables = [*_PROBLEM_TABLES.values(), _ALGO_TABLE, _OUTPUT_TABLE]
+    assert documented_keys("Config format") == set().union(*tables)
+    assert documented_keys("Bounds input file") == set(_BOUNDS_TABLE)
