@@ -198,23 +198,27 @@ def robust_loss(problem: RobustLinearRegression, x_hat) -> RobustLossResult:
 
     Every agent's loss depends on the shift y only through t = x'y and is
     convex in it (the y-Hessian is 2 x x'), so the maximum over the ball
-    ||y - center|| <= R lies at one of the two points center +- R x/||x||.
-    Both are evaluated in one call of ``problem.total_losses``, from the
-    problem's O(d^2) per-agent statistics (no sample is touched and no array
-    grows with n), and the larger is returned; for x = 0 the loss is constant
-    in y and the center is returned. Note this is the SUM of per-agent losses,
-    not their mean: it exceeds the averaged objective by a factor of m.
+    ||y - center|| <= R lies at one of the two points center +- R x/||x||,
+    where t = center'x +- R||x||. ``problem.total_losses`` evaluates both
+    values as scalars from one federation-level (d + 2) x (d + 1) matrix
+    of the statistics, in O(d^2) whatever m and n are, and the larger is
+    returned with its point; for x = 0 the loss is constant in y and the
+    center is returned. Note this is the SUM of per-agent losses, not their
+    mean: it exceeds the averaged objective by a factor of m.
     """
     x = as_vector(x_hat, problem.p, "x_hat")
     ball = problem.sets.set_y
-    if np.any(x):
-        step = x * (ball.radius / norm(x))
-        candidates = ball.center + np.array([step, -step])
-    else:
-        candidates = np.array([ball.center])
-    values = problem.total_losses(x, candidates)
-    best = int(np.argmax(values))
-    return RobustLossResult(float(values[best]), candidates[best], 0)
+    t = float(ball.center @ x)
+    if not x.any():
+        (value,) = problem.total_losses(x, (t,))
+        return RobustLossResult(value, ball.center.copy(), 0)
+    x_norm = norm(x)
+    reach = ball.radius * x_norm
+    value, lower = problem.total_losses(x, (t + reach, t - reach))
+    step = x * (ball.radius / x_norm)
+    if lower > value:
+        value, step = lower, -step
+    return RobustLossResult(value, ball.center + step, 0)
 
 
 # ---------------------------------------------------------------------------

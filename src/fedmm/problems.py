@@ -129,22 +129,27 @@ class RlrAgent(LocalObjective):
 
     f(x, y) = (1/n) sum_j (x'(a_j + y) - b_j)^2 + 1/2 ||x||^2.
 
-    This per-agent oracle keeps the raw samples, which the dataset container
-    stores and replays, and evaluates the definition directly. Value and
-    gradients depend on the data only through the O(d^2) statistics A'A, A'1,
-    A'b, 1'b, b'b and n; ``RobustLinearRegression.stacked_field`` and
-    ``total_losses`` use those, at a cost independent of n.
+    This per-agent oracle keeps read-only copies of the raw samples, which
+    the dataset container stores and replays, and evaluates the definition
+    directly; it is the reference the batched paths are tested against.
+    Value and gradients depend on the data only through the O(d^2)
+    statistics A'A, A'1, A'b, 1'b, b'b and n, which
+    ``RobustLinearRegression`` lifts into the arrays its field and its total
+    loss read, at a cost independent of n.
     """
 
     def __init__(self, features, targets):
-        A = np.asarray(features, dtype=np.float64)
-        b = as_vector(targets)
+        # copies, so that no caller can change the samples behind the
+        # statistics a federation built from them
+        A = np.array(features, dtype=np.float64)
+        b = as_vector(targets).copy()
         if A.ndim != 2:
             raise ValueError(f"features must be a 2-D array, got shape {A.shape}")
         if A.shape[0] != b.shape[0]:
             raise DimensionMismatchError(A.shape[0], b.shape[0], "targets")
         if A.shape[0] < 1:
             raise ValueError("need at least one sample")
+        A.flags.writeable = b.flags.writeable = False
         self.A = A
         self.b = b
         self.n = A.shape[0]
@@ -247,13 +252,15 @@ class UncoupledQuadratic(MinimaxProblem):
         self.Q = np.array(Q_list, dtype=np.float64)
         self.c = np.array(c_list, dtype=np.float64)
         self.a = 2.0 * self.c if a_list is None else np.array(a_list, dtype=np.float64)
-        # read-only, like the agents' views of it: Q_sum and spectra never go stale
-        self.Q.flags.writeable = False
+        # read-only, like the agents' views of them: Q_sum, spectra and the
+        # field's offset never go stale
+        self.Q.flags.writeable = self.a.flags.writeable = self.c.flags.writeable = False
         agents = [QuadraticAgent(Q, a, c) for Q, a, c in zip(self.Q, self.a, self.c)]
         super().__init__(agents, sets)
         # the field's offset (a_i, c_i) as one (m, 2d) array, and the (m, 1)
         # curvature column of a d = 1 federation; see stacked_field
         self._offset = np.concatenate((self.a, self.c), axis=1)
+        self._offset.flags.writeable = False
         self._curv_col = self.Q[:, :, 0] if self.p == 1 else None
         # positive definiteness of sum(Q_i) guarantees a unique stationary pair;
         # copied, so that the (m, d, d) buffer of running sums is not kept
@@ -302,7 +309,11 @@ class ScalarTwoAgent(UncoupledQuadratic):
 
 
 class RobustLinearRegression(MinimaxProblem):
-    """Federated robust least squares: min over x, max over ||y|| <= radius."""
+    """Federated robust least squares: min over x, max over ||y|| <= radius.
+
+    The batched paths read the agents' samples only through ``lifted``,
+    two read-only arrays of their statistics built on first use.
+    """
 
     def __init__(self, features_per_agent, targets_per_agent, y_radius: float = 1.0):
         if len(features_per_agent) != len(targets_per_agent):
@@ -315,55 +326,90 @@ class RobustLinearRegression(MinimaxProblem):
             FeasibleSet.unconstrained(d), FeasibleSet.ball(np.zeros(d), y_radius)
         )
         super().__init__(agents, sets)
-        # per-agent sufficient statistics from one batched Gram matrix and one
-        # column sum of Z = [A, b], samples zero-padded to a common count
-        # (padding rows add nothing): G = A'A, h = A'b, s = A'1, beta = 1'b
-        n = [a.n for a in agents]
-        Z = np.zeros((self.m, max(n), d + 1))
+
+    @cached_property
+    def lifted(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L, M), read-only: every agent's field as one (m, d + 2, d + 2)
+        stack L, and the federation's total loss as one (d + 2, d + 1)
+        matrix M, from one batched Gram matrix of the samples on first use.
+
+        With t = x'y and v = (x, t, 1), L_i v = ((2/n)(Gx + ts - h) + x,
+        rho, -rho) with rho = (2/n)(s'x + nt - beta), the scaled residual sum
+        of r = Ax + t1 - b; see ``stacked_field``. M sums
+        (1/n_i)[[G, -h], [-h', b'b], [s', -beta]] over agents in ascending
+        order; see ``total_losses``. Here G = A'A, h = A'b, s = A'1 and
+        beta = 1'b of each agent.
+        """
+        m, d, agents = self.m, self.p, self.agents
+        # S_i = V_i'V_i of V_i = [A_i, b_i, 1] is [[G, h, s], [h', b'b, beta],
+        # [s', beta, n]]; samples are zero-padded to a common count (padding
+        # rows add nothing)
+        n = np.array([a.n for a in agents], dtype=np.float64)
+        V = np.zeros((m, max(a.n for a in agents), d + 2))
         for i, a in enumerate(agents):
-            Z[i, :a.n, :d] = a.A
-            Z[i, :a.n, d] = a.b
-        S = np.matmul(Z.transpose(0, 2, 1), Z)
-        sums = Z.sum(axis=1)
-        self._gram, self._feat_target = S[:, :d, :d], S[:, :d, d]
-        # b'b as ``RlrAgent.value`` forms it at x = 0, not the Gram entry
-        # S[:, d, d]: the total loss of the zero model is then bitwise the sum
-        # of the agents' values, never an ulp below the loss at y = 0
-        self._target_sq = np.array([np.dot(a.b, a.b) for a in agents])
-        self._feat_sum, self._target_sum = sums[:, :d], sums[:, d]
-        self._n = np.array(n, dtype=np.float64)
-        self._grad_scale = (2.0 / self._n)[:, None]
-        self._neg_scale = -self._grad_scale  # exact: the y half of the field
+            V[i, :a.n, :d] = a.A
+            V[i, :a.n, d] = a.b
+        V[:, :, d + 1] = np.arange(V.shape[1]) < n[:, None]
+        S = np.matmul(V.transpose(0, 2, 1), V)
+        lift = np.array([*range(d), d + 1, d])  # S's rows and columns in v's order
+        L = np.empty((m, d + 2, d + 2))
+        L[:, :d + 1] = S[:, lift[:d + 1, None], lift] * (2.0 / n)[:, None, None]
+        L[:, :d + 1, d + 1] *= -1.0
+        L[:, d, d] = 2.0
+        L[:, range(d), range(d)] += 1.0
+        L[:, d + 1] = -L[:, d]
+        # b'b as ``RlrAgent.value`` forms it at x = 0, not the Gram entry: the
+        # total loss of the zero model is then bitwise the sum of the agents'
+        # values, never an ulp below the loss at y = 0
+        P = S[:, :, :d + 1]
+        P[:, d, d] = [np.dot(a.b, a.b) for a in agents]
+        P[:, :d, d] *= -1.0
+        P[:, d, :d] *= -1.0
+        P[:, d + 1, d] *= -1.0
+        P /= n[:, None, None]
+        # copied, so that the (m, d + 2, d + 1) buffer of running sums is not kept
+        M = ascending_sum(P).copy()
+        L.flags.writeable = M.flags.writeable = False
+        return L, M
 
     def stacked_field(self, Z):
-        # with t = x'y the residual is r = Ax + t1 - b, so 1'r = s'x + nt - beta
-        # and (A + 1y')'r = Gx + ts - h + y(1'r). X and Y come from one
-        # transposing copy, which costs less than strided reads of Z
-        m, d = self.m, self.p
-        X, Y = Z.reshape(m, 2, d).transpose(1, 0, 2).copy()
-        t = np.add.reduce(X * Y, axis=1)
-        rsum = (np.add.reduce(self._feat_sum * X, axis=1) + self._n * t
-                - self._target_sum)[:, None]
-        Ar = (np.matmul(self._gram, X[:, :, None])[:, :, 0]
-              + t[:, None] * self._feat_sum - self._feat_target)
-        return np.concatenate((self._grad_scale * (Ar + Y * rsum) + X,
-                               (self._neg_scale * rsum) * X), axis=1)
-
-    def total_losses(self, x: Vector, Y: np.ndarray) -> np.ndarray:
-        """Sum over agents of f_i(x, y) for every row y of the (k, q) stack Y.
-
-        With t = x'y the residual sum of squares ||Ax + t1 - b||^2 is
-        x'(Gx - 2h) + b'b + t(2(s'x - beta) + nt), so each agent's loss costs
-        O(d^2) whatever n is; agents are summed in ascending order. Forming
-        it from the statistics cancels where the fit is close, so it agrees
-        with ``RlrAgent.value`` to about 1e-14 relative, not to the last bit.
+        """Every agent's GDA field at its own row of Z, from one batched
+        product of the lifted statistics with v_i = (x_i, x_i'y_i, 1): its
+        rows give (2/n_i)(G_i x_i + t_i s_i - h_i) + x_i and +-rho_i, and
+        F_i = (that + rho_i y_i, -rho_i x_i), the rho terms one broadcast
+        product with the reversed view (y_i, x_i) of row i. Agrees with the
+        agents' oracles to a few rounding units of the size of the terms,
+        not to the last bit.
         """
-        t = Y @ x
-        fit = (np.matmul(self._gram, x) - 2.0 * self._feat_target) @ x + self._target_sq
-        slope = 2.0 * (self._feat_sum @ x - self._target_sum)
-        n = self._n[:, None]
-        rss = fit[:, None] + t * (slope[:, None] + n * t)
-        return ascending_sum(rss / n + 0.5 * np.dot(x, x))
+        m, d = self.m, self.p
+        halves = Z.reshape(m, 2, d)
+        X = halves[:, 0]
+        v = np.empty((m, d + 2, 1))
+        v[:, :d, 0] = X
+        v[:, d, 0] = np.einsum("ij,ij->i", X, halves[:, 1])
+        v[:, d + 1] = 1.0
+        W = np.matmul(self.lifted[0], v)
+        F = W[:, d:] * halves[:, ::-1]
+        F[:, 0] += W[:, :d, 0]
+        return F.reshape(m, 2 * d)
+
+    def total_losses(self, x: Vector, ts) -> list[float]:
+        """Sum over agents of f_i(x, y) at a shift y with x'y = t, for every
+        t in ``ts``: each agent's loss depends on y only through t.
+
+        With u = (x, 1) the sum is u'Pu + t(2 q'u + mt) + m||x||^2/2, read
+        from the one federation matrix M = [P; q'] of ``lifted`` in O(d^2)
+        whatever m and n are. Forming it from the statistics cancels where
+        the fit is close, so it agrees with ``RlrAgent.value`` to about
+        1e-14 relative, not to the last bit; at x = 0 it is bitwise the sum
+        of the agents' values.
+        """
+        d, M = self.p, self.lifted[1]
+        Pu = M[:, :d] @ x + M[:, d]
+        fit = float(Pu[:d] @ x + Pu[d])
+        slope = float(Pu[d + 1])
+        ridge = 0.5 * self.m * float(x @ x)
+        return [fit + t * (2.0 * slope + self.m * t) + ridge for t in ts]
 
 
 # ---------------------------------------------------------------------------

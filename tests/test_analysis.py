@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fedmm.analysis import (
     robust_loss,
 )
 from fedmm.algorithms import (
+    FEDGDA_GT,
     LOCAL_SGDA,
     AlgoConfig,
     DivergenceError,
@@ -340,6 +342,23 @@ class TestRobustLoss:
         x = np.zeros(5)
         assert robust_loss(prob, x).value == sum(a.value(x, x) for a in prob.agents)
 
+    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize("alpha, eta", [(1.0, 5e-3), (5.0, 1e-3), (20.0, 1e-4)])
+    def test_recorded_loss_never_below_the_loss_at_zero_shift(self, alpha, eta, seed):
+        # the rlr-robust benchmark's output check, with no tolerance: every
+        # recorded robust loss of both methods is >= the summed agent values
+        # at y = 0, including round 0 at x = 0, where the two are equal
+        prob = gen_rlr(RlrGenSpec(m=10, d=5, n_i=50, alpha=alpha, seed=seed))
+        y0 = np.zeros(5)
+        for algo in (LOCAL_SGDA, FEDGDA_GT):
+            config = AlgoConfig(algo, eta, eta, 10, 20, Iterate.zeros(5, 5))
+            trace = run_algorithm(prob, config,
+                                  robust_loss_fn=lambda z: robust_loss(prob, z.x).value)
+            assert len(trace.records) == 21
+            for rec in trace.records:
+                floor = float(sum(a.value(rec.iterate.x, y0) for a in prob.agents))
+                assert rec.robust_loss >= floor, (algo, rec.round)
+
     def test_deterministic(self):
         prob = tiny_rlr(m=2, d=3, n=4, seed=6)
         x_hat = np.array([0.3, -0.7, 1.1])
@@ -352,6 +371,85 @@ class TestRobustLoss:
         prob = tiny_rlr(m=2, d=3, n=4, seed=7)
         res = robust_loss(prob, np.array([1.0, 2.0, -0.5]))
         assert np.linalg.norm(res.y) <= 1.0 + 1e-12
+
+
+def exact_residuals(agent, x, y):
+    """Agent's shifted rows u_j = a_j + y and residuals r_j = x'u_j - b_j in
+    exact rational arithmetic, with |r|_j = |x|'|u_j| + |b_j|, the sum of the
+    absolute values of r_j's terms."""
+    rows = [[Fraction(float(a)) + yk for a, yk in zip(row, y)] for row in agent.A]
+    r, r_abs = [], []
+    for u, b in zip(rows, map(Fraction, agent.b.tolist())):
+        r.append(sum(xk * uk for xk, uk in zip(x, u)) - b)
+        r_abs.append(sum(abs(xk * uk) for xk, uk in zip(x, u)) + abs(b))
+    return rows, r, r_abs
+
+
+def exact_total_loss(prob, x, y):
+    """(sum_i f_i(x, y), the same sum over the absolute values of its terms),
+    both exact, from the per-sample definition."""
+    x, y = list(map(Fraction, x.tolist())), list(map(Fraction, y.tolist()))
+    ridge = sum(xk * xk for xk in x) / 2
+    total = total_abs = Fraction(0)
+    for agent in prob.agents:
+        _, r, r_abs = exact_residuals(agent, x, y)
+        total += sum(v * v for v in r) / agent.n + ridge
+        total_abs += sum(v * v for v in r_abs) / agent.n + ridge
+    return total, total_abs
+
+
+class TestExactRlrOracle:
+    """The per-sample RLR definition evaluated in ``fractions.Fraction`` on a
+    tiny federation with unequal sample counts. The float field and robust
+    loss must lie within a few rounding units of the sum of the absolute
+    values of the definition's terms: a bound that holds whatever form
+    (samples or statistics) the float code evaluates."""
+
+    counts = (3, 5, 4)
+    # (longest sum + a few) rounding units: n_max + d + 4, doubled
+    tol = 2 * (max(counts) + 2 + 4) * np.finfo(np.float64).eps
+
+    def problem(self):
+        rng = np.random.default_rng(40)
+        return RobustLinearRegression([rng.normal(1.0, 2.0, size=(n, 2)) for n in self.counts],
+                                      [rng.normal(size=n) for n in self.counts], y_radius=0.5)
+
+    def test_field_rows(self):
+        prob = self.problem()
+        rng = np.random.default_rng(41)
+        for scale in (1e-2, 1.0, 10.0):
+            for _ in range(10):
+                Z = rng.normal(0.0, scale, size=(prob.m, 4))
+                F = prob.stacked_field(Z)
+                for agent, z, f in zip(prob.agents, Z, F):
+                    x, y = list(map(Fraction, z[:2].tolist())), list(map(Fraction, z[2:].tolist()))
+                    rows, r, r_abs = exact_residuals(agent, x, y)
+                    scale_n = Fraction(2, agent.n)
+                    exact = [scale_n * sum(rj * u[k] for rj, u in zip(r, rows)) + x[k]
+                             for k in range(2)]
+                    exact += [-scale_n * sum(r) * xk for xk in x]
+                    bound = [scale_n * sum(ra * abs(u[k]) for ra, u in zip(r_abs, rows))
+                             + abs(x[k]) for k in range(2)]
+                    bound += [scale_n * sum(r_abs) * abs(xk) for xk in x]
+                    for got, want, size in zip(f.tolist(), exact, bound):
+                        assert abs(Fraction(got) - want) <= self.tol * size
+
+    def test_robust_loss_is_the_worse_ball_candidate(self):
+        prob = self.problem()
+        ball = prob.sets.set_y
+        rng = np.random.default_rng(42)
+        for scale in (1e-2, 1.0, 10.0):
+            for _ in range(10):
+                x = rng.normal(0.0, scale, size=2)
+                res = robust_loss(prob, x)
+                step = x * (ball.radius / np.linalg.norm(x))
+                candidates = [ball.center + step, ball.center - step]
+                assert any(np.array_equal(res.y, y) for y in candidates)
+                other = next(y for y in candidates if not np.array_equal(res.y, y))
+                worst, worst_abs = exact_total_loss(prob, x, res.y)
+                rival, rival_abs = exact_total_loss(prob, x, other)
+                assert abs(Fraction(res.value) - worst) <= self.tol * worst_abs
+                assert worst >= rival - self.tol * (worst_abs + rival_abs)
 
 
 class TestStrongMonotonicityCheck:

@@ -170,6 +170,41 @@ trace = {out}
         assert main(["run", c2]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
+    def test_rlr_compare_determinism(self, tmp_path):
+        # robust loss recorded every round, as the rlr default
+        o1, o2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = """
+[problem]
+kind = rlr
+m = 10
+d = 5
+n = 50
+alpha = 5.0
+seed = 11
+
+[algo:local]
+name = LocalSGDA
+K = 10
+eta = 1e-3
+rounds = 20
+
+[algo:tracked]
+name = FedGDAGT
+K = 10
+eta = 1e-3
+rounds = 20
+
+[output]
+trace = {out}
+"""
+        c1 = write(tmp_path / "c1.ini", base.format(out=o1))
+        c2 = write(tmp_path / "c2.ini", base.format(out=o2))
+        assert main(["compare", c1]) == 0
+        assert main(["compare", c2]) == 0
+        rows = read_rows(o1)
+        assert len(rows) == 2 * 21 and all(r[7] != "" for r in rows)
+        assert o1.read_bytes() == o2.read_bytes()
+
     def test_fedmm_seed_env_override(self, tmp_path, monkeypatch):
         o1, o2 = tmp_path / "a.csv", tmp_path / "b.csv"
         base = """

@@ -248,6 +248,35 @@ class TestCurvatureFacts:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 1.0
 
+    def test_linear_terms_and_field_offset_are_read_only(self):
+        # a writable c would let the agents' oracles and the batched field,
+        # whose offset is a copy of (a, c), disagree
+        prob = random_quadratic(m=3, d=4, seed=29)
+        agent = prob.agents[0]
+        for arr in (prob.a, prob.c, prob._offset, agent.a, agent.c):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] += 10.0
+        Z = np.ones((3, 8))
+        assert np.array_equal(prob.stacked_field(Z)[0, 4:], -agent.grad_y(Z[0, :4], Z[0, 4:]))
+
+    def test_rlr_samples_and_statistics_cannot_change_after_construction(self):
+        rng = np.random.default_rng(30)
+        feats = [rng.normal(size=(n, 3)) for n in (4, 6)]
+        tgts = [rng.normal(size=n) for n in (4, 6)]
+        prob = RobustLinearRegression(feats, tgts)
+        reference = RlrAgent(feats[0].copy(), tgts[0].copy())
+        feats[0][0, 0] += 5.0  # the caller's arrays: the problem keeps copies
+        tgts[0][0] -= 3.0
+        agent = prob.agents[0]
+        x, y = np.ones(3), np.zeros(3)
+        F = prob.stacked_field(np.tile(np.concatenate((x, y)), (2, 1)))
+        gx = agent.grad_x(x, y)
+        assert np.array_equal(gx, reference.grad_x(x, y))
+        assert np.linalg.norm(F[0, :3] - gx) <= 1e-12 * np.linalg.norm(gx)
+        for arr in (agent.A, agent.b, *prob.lifted):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] += 1.0
+
     def test_curvature_sum_is_the_ascending_loop_bitwise(self):
         prob = random_quadratic(m=5, d=3, seed=26)
         total = prob.Q[0].copy()
