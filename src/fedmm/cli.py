@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import re
 import sys
@@ -266,14 +267,18 @@ def _write_atomic(path, lines: list[str]) -> None:
     and no partial file behind."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    fh = open(tmp, "xb")
     try:
-        with fh:
-            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        # the reason names the configured path, not the temporary file
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_trace_csv(path, runs: list[tuple[str, RunTrace]], *, timing: bool) -> None:
@@ -389,17 +394,29 @@ def cmd_bounds(inputs_path) -> int:
     except ValueError as exc:
         raise ConfigError(f"[bounds]: {exc}") from exc
 
-    terms = bound_terms(inputs)
-    slack = sum(terms.values())
-    print(f"rademacher_term     = {terms['rademacher_term']!r}")
-    print(f"concentration_term  = {terms['concentration_term']!r}")
-    print(f"lipschitz_term      = {terms['lipschitz_term']!r}")
-    print(f"population-risk bound = empirical risk f(x,y) + {slack!r}")
-    print(f"worst-case-risk bound = worst-case empirical risk g(x) + {slack!r}")
+    # every number is computed and checked before the first line is printed,
+    # so finite inputs whose bound overflows give one error line, no output
+    # and no numpy warning
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = bound_terms(inputs)
+            results["slack"] = sum(results.values())
+            if inputs.vc_dim is not None:
+                max_sum = float(np.dot(inputs.M_i, inputs.M_i))
+                results["vc_rademacher_bound"] = vc_rademacher_bound(
+                    inputs.m, inputs.n, inputs.vc_dim, max_sum)
+    except OverflowError as exc:
+        raise ConfigError(f"[bounds]: the inputs overflow the bounds ({exc})") from exc
+    for name, value in results.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"[bounds]: the inputs overflow the bounds ({name} = {value!r})")
+    print(f"rademacher_term     = {results['rademacher_term']!r}")
+    print(f"concentration_term  = {results['concentration_term']!r}")
+    print(f"lipschitz_term      = {results['lipschitz_term']!r}")
+    print(f"population-risk bound = empirical risk f(x,y) + {results['slack']!r}")
+    print(f"worst-case-risk bound = worst-case empirical risk g(x) + {results['slack']!r}")
     if inputs.vc_dim is not None:
-        max_sum = float(np.dot(inputs.M_i, inputs.M_i))
-        value = vc_rademacher_bound(inputs.m, inputs.n, inputs.vc_dim, max_sum)
-        print(f"vc_rademacher_bound = {value!r}")
+        print(f"vc_rademacher_bound = {results['vc_rademacher_bound']!r}")
     return 0
 
 

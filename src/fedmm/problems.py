@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    UNCONSTRAINED,
     DimensionMismatchError,
     FeasibleSet,
     Iterate,
@@ -132,10 +133,10 @@ class RlrAgent(LocalObjective):
     This per-agent oracle keeps read-only copies of the raw samples, which
     the dataset container stores and replays, and evaluates the definition
     directly; it is the reference the batched paths are tested against.
-    Value and gradients depend on the data only through the O(d^2)
-    statistics A'A, A'1, A'b, 1'b, b'b and n, which
-    ``RobustLinearRegression`` lifts into the arrays its field and its total
-    loss read, at a cost independent of n.
+    With t = x'y the residuals are r = Vv for V = [A, 1, -b] and
+    v = (x, t, 1), so value and gradients depend on the data only through
+    the Gram matrix V'V, from which ``RobustLinearRegression`` builds the
+    arrays its field and its total loss read, at a cost independent of n.
     """
 
     def __init__(self, features, targets):
@@ -194,8 +195,9 @@ class MinimaxProblem:
                 raise DimensionMismatchError(p, a.p, f"agent {i} dims")
         if sets is None:
             sets = ProductSet.unconstrained(p, q)
-        if sets.set_x.dim != p or sets.set_y.dim != q:
-            raise DimensionMismatchError(p, sets.set_x.dim, "feasible set dims")
+        for block, dim, feasible in (("x", p, sets.set_x), ("y", q, sets.set_y)):
+            if feasible.dim != dim:
+                raise DimensionMismatchError(dim, feasible.dim, f"feasible set {block}")
         self.agents = agents
         self.sets = sets
         self.p = p
@@ -329,54 +331,46 @@ class RobustLinearRegression(MinimaxProblem):
 
     @cached_property
     def lifted(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L, M), read-only: every agent's field as one (m, d + 2, d + 2)
-        stack L, and the federation's total loss as one (d + 2, d + 1)
-        matrix M, from one batched Gram matrix of the samples on first use.
+        """(L, Sbar), read-only, from one batched Gram matrix on first use.
 
-        With t = x'y and v = (x, t, 1), L_i v = ((2/n)(Gx + ts - h) + x,
-        rho, -rho) with rho = (2/n)(s'x + nt - beta), the scaled residual sum
-        of r = Ax + t1 - b; see ``stacked_field``. M sums
-        (1/n_i)[[G, -h], [-h', b'b], [s', -beta]] over agents in ascending
-        order; see ``total_losses``. Here G = A'A, h = A'b, s = A'1 and
-        beta = 1'b of each agent.
+        An agent's residuals under a shift y with t = x'y are r = Vv for
+        V = [A, 1, -b] and v = (x, t, 1), so V'V = [[G, s, -h], [s', n, -beta],
+        [-h', -beta, b'b]] (G = A'A, s = A'1, h = A'b, beta = 1'b) is in v's
+        order and signs. The field stack L (m, d + 2, d + 2) is (2/n) V'V with
+        the ridge on the x diagonal and a last row -rho, so L v = ((2/n)A'r + x,
+        rho, -rho), rho = (2/n)1'r; see ``stacked_field``. Sbar (d + 2, d + 2)
+        is the federation Gram matrix sum_i V_i'V_i / n_i, summed in ascending
+        agent order, so the total loss is v'Sbar v + m||x||^2/2.
         """
         m, d, agents = self.m, self.p, self.agents
-        # S_i = V_i'V_i of V_i = [A_i, b_i, 1] is [[G, h, s], [h', b'b, beta],
-        # [s', beta, n]]; samples are zero-padded to a common count (padding
-        # rows add nothing)
+        # samples are zero-padded to a common count; a padding row is zero in
+        # every column of V, the column of ones included, so it adds nothing
         n = np.array([a.n for a in agents], dtype=np.float64)
         V = np.zeros((m, max(a.n for a in agents), d + 2))
         for i, a in enumerate(agents):
             V[i, :a.n, :d] = a.A
-            V[i, :a.n, d] = a.b
-        V[:, :, d + 1] = np.arange(V.shape[1]) < n[:, None]
+            V[i, :a.n, d + 1] = -a.b
+        V[:, :, d] = np.arange(V.shape[1]) < n[:, None]
         S = np.matmul(V.transpose(0, 2, 1), V)
-        lift = np.array([*range(d), d + 1, d])  # S's rows and columns in v's order
-        L = np.empty((m, d + 2, d + 2))
-        L[:, :d + 1] = S[:, lift[:d + 1, None], lift] * (2.0 / n)[:, None, None]
-        L[:, :d + 1, d + 1] *= -1.0
+        L = S * (2.0 / n)[:, None, None]
         L[:, d, d] = 2.0
         L[:, range(d), range(d)] += 1.0
         L[:, d + 1] = -L[:, d]
         # b'b as ``RlrAgent.value`` forms it at x = 0, not the Gram entry: the
         # total loss of the zero model is then bitwise the sum of the agents'
         # values, never an ulp below the loss at y = 0
-        P = S[:, :, :d + 1]
-        P[:, d, d] = [np.dot(a.b, a.b) for a in agents]
-        P[:, :d, d] *= -1.0
-        P[:, d, :d] *= -1.0
-        P[:, d + 1, d] *= -1.0
-        P /= n[:, None, None]
-        # copied, so that the (m, d + 2, d + 1) buffer of running sums is not kept
-        M = ascending_sum(P).copy()
-        L.flags.writeable = M.flags.writeable = False
-        return L, M
+        S[:, d + 1, d + 1] = [np.dot(a.b, a.b) for a in agents]
+        S /= n[:, None, None]
+        # copied, so that the (m, d + 2, d + 2) buffer of running sums is not kept
+        Sbar = ascending_sum(S).copy()
+        L.flags.writeable = Sbar.flags.writeable = False
+        return L, Sbar
 
     def stacked_field(self, Z):
         """Every agent's GDA field at its own row of Z, from one batched
-        product of the lifted statistics with v_i = (x_i, x_i'y_i, 1): its
-        rows give (2/n_i)(G_i x_i + t_i s_i - h_i) + x_i and +-rho_i, and
-        F_i = (that + rho_i y_i, -rho_i x_i), the rho terms one broadcast
+        product of the lifted stack L with v_i = (x_i, x_i'y_i, 1): with the
+        residuals r_i = V_i v_i its rows give (2/n_i)A_i'r_i + x_i and +-rho_i,
+        and F_i = (that + rho_i y_i, -rho_i x_i), the rho terms one broadcast
         product with the reversed view (y_i, x_i) of row i. Agrees with the
         agents' oracles to a few rounding units of the size of the terms,
         not to the last bit.
@@ -397,17 +391,18 @@ class RobustLinearRegression(MinimaxProblem):
         """Sum over agents of f_i(x, y) at a shift y with x'y = t, for every
         t in ``ts``: each agent's loss depends on y only through t.
 
-        With u = (x, 1) the sum is u'Pu + t(2 q'u + mt) + m||x||^2/2, read
-        from the one federation matrix M = [P; q'] of ``lifted`` in O(d^2)
-        whatever m and n are. Forming it from the statistics cancels where
-        the fit is close, so it agrees with ``RlrAgent.value`` to about
-        1e-14 relative, not to the last bit; at x = 0 it is bitwise the sum
-        of the agents' values.
+        The sum is v'Sbar v + m||x||^2/2 at v = (x, t, 1), read from the
+        federation Gram matrix Sbar of ``lifted`` in O(d^2) whatever m and n
+        are: of Su = Sbar[:, :d] x + Sbar[:, d + 1], the rows (x, 1) give the
+        fit at t = 0 and row t the slope, and Sbar[d, d] = m. Forming it from
+        the statistics cancels where the fit is close, so it agrees with
+        ``RlrAgent.value`` to about 1e-14 relative, not to the last bit; at
+        x = 0 it is bitwise the sum of the agents' values.
         """
-        d, M = self.p, self.lifted[1]
-        Pu = M[:, :d] @ x + M[:, d]
-        fit = float(Pu[:d] @ x + Pu[d])
-        slope = float(Pu[d + 1])
+        d, Sbar = self.p, self.lifted[1]
+        Su = Sbar[:, :d] @ x + Sbar[:, d + 1]
+        fit = float(Su[:d] @ x + Su[d + 1])
+        slope = float(Su[d])
         ridge = 0.5 * self.m * float(x @ x)
         return [fit + t * (2.0 * slope + self.m * t) + ridge for t in ts]
 
@@ -425,14 +420,18 @@ def require_quadratic(problem: MinimaxProblem, message: str) -> UncoupledQuadrat
 
 
 def closed_form_minimax(problem: MinimaxProblem) -> Iterate:
-    """The unique interior stationary pair, where the averaged gradient vanishes.
+    """The unique stationary pair of an unconstrained quadratic family.
 
-    For the quadratic family x* = -(sum Q_i)^-1 sum a_i and
-    y* = -(sum Q_i)^-1 sum c_i, one solve per block: a single two-column
-    solve rounds the scalar problem's x* to 3.3000000000000003 instead of
-    33/10. Robust linear regression has no closed form.
+    x* = -(sum Q_i)^-1 sum a_i and y* = -(sum Q_i)^-1 sum c_i, one solve per
+    block: a single two-column solve rounds the scalar problem's x* to
+    3.3000000000000003 instead of 33/10. Feasible sets are refused, since a
+    binding one moves the saddle point; RLR has no closed form.
     """
     problem = require_quadratic(problem, "no closed-form minimax point for {}")
+    kinds = problem.sets.set_x.kind, problem.sets.set_y.kind
+    if kinds != (UNCONSTRAINED, UNCONSTRAINED):
+        raise UnsupportedProblemError(
+            "no closed-form minimax point under the feasible sets x: {}, y: {}".format(*kinds))
     return Iterate(*(-solve_checked(problem.Q_sum, ascending_sum(v))
                      for v in (problem.a, problem.c)))
 

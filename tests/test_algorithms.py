@@ -502,6 +502,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AlgoConfig(GDA, 0.1, 0.1, 1, -1, Iterate.zeros(1, 1))
 
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_k_below_one_rejected(self, K):
+        with pytest.raises(ValueError, match="^K must be >= 1$"):
+            AlgoConfig(LOCAL_SGDA, 0.1, 0.1, K, 1, Iterate.zeros(1, 1))
+
 
 
 class TestStepsizeSelection:

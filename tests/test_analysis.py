@@ -37,6 +37,23 @@ from fedmm.problems import (
 )
 
 
+STATISTICS_CASES = ["alpha1", "alpha5", "alpha20", "ragged", "radius0.05"]
+
+
+def statistics_case(case, rng):
+    """The RLR federations the statistics tests run on; ``rng`` draws the
+    ragged one's samples."""
+    if case.startswith("alpha"):
+        return gen_rlr(RlrGenSpec(m=10, d=5, n_i=50, alpha=float(case[5:]), seed=11))
+    if case == "ragged":
+        counts = (6, 9, 4)
+        return RobustLinearRegression([rng.normal(1.0, 2.0, size=(n, 4)) for n in counts],
+                                      [rng.normal(size=n) for n in counts])
+    base = gen_rlr(RlrGenSpec(m=4, d=3, n_i=20, alpha=5.0, seed=3))
+    return RobustLinearRegression([a.A for a in base.agents],
+                                  [a.b for a in base.agents], y_radius=0.05)
+
+
 def tiny_rlr(m=3, d=1, n=1, seed=0):
     rng = np.random.default_rng(seed)
     feats = [rng.normal(size=(n, d)) for _ in range(m)]
@@ -306,19 +323,10 @@ class TestRobustLoss:
                 total = sum(a.value(x_hat, y) for a in prob.agents)
                 assert res.value >= total * (1.0 - 1e-12)
 
-    @pytest.mark.parametrize("case", ["alpha1", "alpha5", "alpha20", "ragged", "radius0.05"])
+    @pytest.mark.parametrize("case", STATISTICS_CASES)
     def test_statistics_match_the_per_agent_definition(self, case):
         rng = np.random.default_rng(21)
-        if case.startswith("alpha"):
-            prob = gen_rlr(RlrGenSpec(m=10, d=5, n_i=50, alpha=float(case[5:]), seed=11))
-        elif case == "ragged":
-            counts = (6, 9, 4)
-            prob = RobustLinearRegression([rng.normal(1.0, 2.0, size=(n, 4)) for n in counts],
-                                          [rng.normal(size=n) for n in counts])
-        else:
-            base = gen_rlr(RlrGenSpec(m=4, d=3, n_i=20, alpha=5.0, seed=3))
-            prob = RobustLinearRegression([a.A for a in base.agents],
-                                          [a.b for a in base.agents], y_radius=0.05)
+        prob = statistics_case(case, rng)
         ball = prob.sets.set_y
         models = [rng.normal(size=prob.p) * scale for scale in (1e-3, 1.0, 10.0) * 67][:200]
         for x in models + [np.zeros(prob.p)]:
@@ -333,6 +341,25 @@ class TestRobustLoss:
             res = robust_loss(prob, x)
             assert abs(res.value - totals[best]) <= 1e-13 * totals[best]
             assert np.array_equal(res.y, shifts[best])
+
+    @pytest.mark.parametrize("case", STATISTICS_CASES)
+    def test_total_loss_is_the_quadratic_form_of_the_federation_gram(self, case):
+        # r_i = V_i v with V_i = [A_i, 1, -b_i] and v = (x, x'y, 1), so the
+        # summed agent values are v'Sbar v + m|x|^2/2 for the federation Gram
+        # matrix Sbar = sum_i V_i'V_i / n_i
+        rng = np.random.default_rng(21)
+        prob = statistics_case(case, rng)
+        d, ball = prob.p, prob.sets.set_y
+        Sbar = prob.lifted[1]
+        assert Sbar.shape == (d + 2, d + 2) and np.array_equal(Sbar, Sbar.T)
+        models = [rng.normal(size=d) * scale for scale in (1e-3, 1.0, 10.0) * 20]
+        for x in models + [np.zeros(d)]:
+            # a shift inside the ball, then one on its boundary
+            for y in (ball.center + 0.5 * ball.radius * rng.uniform(size=d) / np.sqrt(d),
+                      ball.project(ball.center + rng.normal(size=d))):
+                v = np.concatenate((x, [x @ y, 1.0]))
+                total = sum(a.value(x, y) for a in prob.agents)
+                assert abs(v @ Sbar @ v + 0.5 * prob.m * (x @ x) - total) <= 1e-13 * total
 
     @pytest.mark.parametrize("alpha, seed", [(1.0, 5), (5.0, 4), (20.0, 2012)])
     def test_zero_model_loss_is_bitwise_the_sum_of_agent_values(self, alpha, seed):

@@ -354,7 +354,8 @@ trace = {tmp_path / "missing_dir" / "t.csv"}
         assert main(["run", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "missing_dir" in err
+        # the configured trace path, not the temporary file written first
+        assert str(tmp_path / "missing_dir" / "t.csv") in err and ".tmp" not in err
 
     def test_failed_write_leaves_existing_trace_intact(self, tmp_path, capsys,
                                                        monkeypatch):
@@ -779,6 +780,44 @@ rademacher = 0.0
         assert captured.out == ""
         assert re.fullmatch(rf"error: \[bounds\]: [^\n]*{key} [^\n]*must be finite[^\n]*\n",
                             captured.err)
+
+
+    # finite inputs whose bound overflows: 1e200 squared in sum M_i^2 (with
+    # numpy overflow warnings at the parent), cover_size / delta past the
+    # largest float (no warning at all), a cover size too large for a float
+    # (an OverflowError), and 0 * inf
+    OVERFLOWING = {
+        "M_i": ("M_i = 1e200, 2", "vc_dim = 1"),
+        "log": ("cover_size = 100000000000000000000000", "delta = 1e-300"),
+        "int": ("cover_size = 1" + "0" * 400,),
+        "nan": ("M_i = 0, 0", "cover_size = 100000000000000000000000", "delta = 1e-300"),
+        "rademacher": ("rademacher = 1e308",),
+    }
+
+    def overflowing_config(self, tmp_path, case):
+        lines = dict(line.split(" = ") for line in self.OVERFLOWING[case])
+        valid = {"m": "2", "n": "3", "M_i": "1, 2", "cover_size": "2", "delta": "0.5",
+                 "epsilon": "1", "L_y": "0", "rademacher": "0"}
+        valid.update(lines)
+        return write(tmp_path / "b.ini", "\n".join(
+            ["[bounds]", *(f"{key} = {raw}" for key, raw in valid.items()), ""]))
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING))
+    def test_overflowing_bound_exits_2_before_printing(self, tmp_path, capsys, case):
+        assert main(["bounds", self.overflowing_config(tmp_path, case)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: \[bounds\]: the inputs overflow the bounds [^\n]*\n",
+                            captured.err)
+
+    def test_overflowing_bound_prints_no_numpy_warning(self, tmp_path):
+        # in a fresh interpreter, where numpy's warnings are printed, not raised
+        result = subprocess.run(
+            [sys.executable, "-m", "fedmm", "bounds", self.overflowing_config(tmp_path, "M_i")],
+            capture_output=True, text=True)
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == ("error: [bounds]: the inputs overflow the bounds "
+                                 "(concentration_term = inf)\n")
 
 
 class TestGenData:

@@ -7,6 +7,7 @@ from fedmm.core import (
     FeasibleSet,
     Iterate,
     ProductSet,
+    as_vector,
     average_vectors,
 )
 
@@ -143,3 +144,18 @@ class TestIterate:
         c = z.copy()
         c.x[0] = 9.0
         assert z.x[0] == 1.0
+
+    @pytest.mark.parametrize("p, q", [(0, 1), (1, 0)])
+    def test_rejects_an_empty_block(self, p, q):
+        with pytest.raises(ValueError, match="^iterate blocks must have dimension >= 1$"):
+            Iterate(np.zeros(p), np.zeros(q))
+
+
+class TestInputChecks:
+    def test_unconstrained_set_needs_a_dimension(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            FeasibleSet.unconstrained(0)
+
+    def test_as_vector_refuses_a_matrix(self):
+        with pytest.raises(ValueError, match=r"^x: expected a 1-D array, got shape \(2, 2\)$"):
+            as_vector(np.eye(2), what="x")

@@ -76,6 +76,11 @@ class TestRlrGeneration:
         with pytest.raises(ValueError, match="alpha must be finite"):
             RlrGenSpec(m=2, d=3, n_i=4, alpha=alpha, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_must_be_an_unsigned_64_bit_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an unsigned 64-bit integer$"):
+            RlrGenSpec(m=2, d=3, n_i=4, alpha=1.0, seed=seed)
+
     def test_same_seed_identical(self):
         spec = RlrGenSpec(m=2, d=3, n_i=4, alpha=5.0, seed=9)
         p1, p2 = gen_rlr(spec), gen_rlr(spec)

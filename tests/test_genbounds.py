@@ -109,6 +109,11 @@ class TestPopulationRiskBound:
         with pytest.raises(ValueError, match=message):
             make_inputs(**{field: value})
 
+    @pytest.mark.parametrize("m, n", [(0, 50), (3, 0)])
+    def test_needs_an_agent_and_a_sample(self, m, n):
+        with pytest.raises(ValueError, match="^m and n must be >= 1$"):
+            make_inputs(m=m, n=n)
+
 
 class TestWorstCaseBound:
     def test_reduces_to_population_bound_for_constant_inputs(self):
@@ -206,6 +211,16 @@ class TestVcBound:
         with pytest.raises(ValueError, match="m\\*n >= d"):
             vc_rademacher_bound(2, 3, 7, 1.0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((0, 3, 1, 1.0), "m and n must be >= 1"),
+        ((2, 0, 1, 1.0), "m and n must be >= 1"),
+        ((2, 3, 0, 1.0), "d must be >= 1"),
+        ((2, 3, 1, -1.0), "max_sum_Mi2 must be nonnegative"),
+    ])
+    def test_rejects_invalid_arguments(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            vc_rademacher_bound(*args)
+
 
 class TestRademacherEstimator:
     def test_single_candidate_estimate_is_noise_around_zero(self):
@@ -298,3 +313,12 @@ class TestRademacherEstimator:
         sample = FiniteHypothesisSample(np.zeros((2, 4)), m=2, n=2)
         with pytest.raises(ValueError):
             estimate_rademacher(sample, 0, seed=0)
+
+    @pytest.mark.parametrize("m, n", [(0, 2), (2, 0)])
+    def test_rejects_an_empty_federation(self, m, n):
+        with pytest.raises(ValueError, match="^m and n must be >= 1$"):
+            FiniteHypothesisSample(np.zeros((2, 4)), m=m, n=n)
+
+    def test_rejects_a_table_that_is_not_2d(self):
+        with pytest.raises(ValueError, match=r"^loss table must be 2-D, got shape \(4,\)$"):
+            FiniteHypothesisSample(np.zeros(4), m=2, n=2)

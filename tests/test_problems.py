@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedmm.core import DimensionMismatchError, Iterate
+from fedmm.core import DimensionMismatchError, FeasibleSet, Iterate, ProductSet
 from fedmm.problems import (
     MinimaxProblem,
     QuadraticAgent,
@@ -14,6 +14,7 @@ from fedmm.problems import (
     closed_form_minimax,
     estimate_constants,
     finite_difference_gradients,
+    solve_checked,
 )
 from fedmm.datagen import QuadraticGenSpec, gen_quadratic
 
@@ -175,6 +176,36 @@ class TestClosedForm:
     def test_singular_curvature_rejected_at_construction(self):
         with pytest.raises(SingularProblemError):
             UncoupledQuadratic([np.zeros((2, 2))], [np.zeros(2)])
+
+    @pytest.mark.parametrize("block", ["x", "y"])
+    def test_refused_under_a_feasible_set(self, block):
+        # the interior point is not the saddle once a ball binds: with a
+        # y-ball of half the radius of |y*| it lies outside the ball
+        base = random_quadratic(m=4, d=4, seed=31)
+        z = closed_form_minimax(base)
+        radius = 0.5 * np.linalg.norm(z.y if block == "y" else z.x)
+        ball, free = FeasibleSet.ball(np.zeros(4), radius), FeasibleSet.unconstrained(4)
+        sets = ProductSet(ball, free) if block == "x" else ProductSet(free, ball)
+        prob = UncoupledQuadratic(base.Q, base.c, sets)
+        kinds = "x: ball, y: unconstrained" if block == "x" else "x: unconstrained, y: ball"
+        with pytest.raises(UnsupportedProblemError,
+                           match=f"^no closed-form minimax point under the feasible sets {kinds}$"):
+            closed_form_minimax(prob)
+
+
+class TestSolveChecked:
+    def test_singular_matrix_refused(self):
+        with pytest.raises(SingularProblemError, match="^curvature system is singular$"):
+            solve_checked(np.zeros((2, 2)), np.ones(2))
+
+    def test_ill_conditioned_matrix_refused_by_its_residual(self):
+        # the 14 x 14 Hilbert matrix: LAPACK returns a solution whose
+        # residual is far above the 1e-6 bound
+        H = 1.0 / (np.arange(14)[:, None] + np.arange(14) + 1.0)
+        b = np.random.default_rng(0).normal(size=14)
+        with pytest.raises(SingularProblemError,
+                           match=r"^linear solve residual \S+ too large; system near-singular$"):
+            solve_checked(H, b)
 
 
 def power_iteration_extremes(Q, iters=20000, tol=1e-13):
@@ -442,3 +473,43 @@ class TestValidation:
     def test_rlr_sample_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             RlrAgent(np.zeros((4, 2)), np.zeros(3))
+
+    @pytest.mark.parametrize("block", ["x", "y"])
+    def test_feasible_set_of_another_dimension_names_its_block(self, block):
+        wide, fits = FeasibleSet.ball(np.zeros(3), 1.0), FeasibleSet.unconstrained(2)
+        sets = ProductSet(wide, fits) if block == "x" else ProductSet(fits, wide)
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^feasible set {block}: expected dimension 2, got 3$"):
+            UncoupledQuadratic([np.eye(2)], [np.ones(2)], sets=sets)
+
+    def test_quadratic_agent_needs_a_square_q(self):
+        with pytest.raises(ValueError, match=r"^Q must be square, got shape \(2, 3\)$"):
+            QuadraticAgent(np.ones((2, 3)), np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("term", ["a", "c"])
+    def test_quadratic_agent_terms_need_q_length(self, term):
+        a, c = (np.zeros(3), np.zeros(2)) if term == "a" else (np.zeros(2), np.zeros(3))
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^{term}: expected dimension 2, got 3$"):
+            QuadraticAgent(np.eye(2), a, c)
+
+    def test_quadratic_family_needs_one_c_per_q(self):
+        with pytest.raises(ValueError, match="^need one c per Q$"):
+            UncoupledQuadratic([np.eye(2), np.eye(2)], [np.ones(2)])
+
+    def test_quadratic_family_needs_one_a_per_c(self):
+        with pytest.raises(ValueError, match="^need one a per c$"):
+            UncoupledQuadratic([np.eye(2)], [np.ones(2)], a_list=[np.ones(2), np.ones(2)])
+
+    def test_rlr_features_must_be_2d(self):
+        with pytest.raises(ValueError,
+                           match=r"^features must be a 2-D array, got shape \(3,\)$"):
+            RlrAgent(np.zeros(3), np.zeros(3))
+
+    def test_rlr_needs_a_sample(self):
+        with pytest.raises(ValueError, match="^need at least one sample$"):
+            RlrAgent(np.zeros((0, 2)), np.zeros(0))
+
+    def test_rlr_needs_one_target_vector_per_feature_matrix(self):
+        with pytest.raises(ValueError, match="^need one target vector per feature matrix$"):
+            RobustLinearRegression([np.ones((3, 2)), np.ones((3, 2))], [np.ones(3)])
