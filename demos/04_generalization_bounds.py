@@ -68,7 +68,7 @@ print(f"worst-case-over-y bound (same slack, worst-case inputs): "
 print()
 
 # --- closed-form cap for finite-valued losses ----------------------------
-sum_M_sq = float(np.dot(inputs.M_i, inputs.M_i))
+sum_M_sq = inputs.sum_M_i_sq
 for d in (2, 8, 32):
     cap = vc_rademacher_bound(m, n, d, sum_M_sq)
     print(f"VC-dimension {d:>2}: complexity cap {cap:.5f}")

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Iterate, Vector, ascending_sum, average_vectors, optimality_gap
-from .problems import MinimaxProblem, estimate_constants, require_quadratic
+from .problems import MinimaxProblem, UncoupledQuadratic, estimate_constants, require_family
 
 GDA = "GDA"
 LOCAL_SGDA = "LocalSGDA"
@@ -354,7 +354,7 @@ def fedgda_round_map(problem: MinimaxProblem, eta: float, K: int) -> np.ndarray:
     x - eta Sbar (Qbar x + abar). The map is I - eta Sbar Qbar, which equals
     (1/m) sum_i [B_i^K - eta S_i (Qbar - Q_i)] since B_i^K = I - eta S_i Q_i.
     """
-    problem = require_quadratic(problem, "no round map for {}")
+    problem = require_family(problem, UncoupledQuadratic, "no round map for {}")
     w, V = problem.spectra
     return _round_map(V, _round_map_weights(w, eta, K), problem.Q_sum / problem.m)
 

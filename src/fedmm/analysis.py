@@ -24,7 +24,7 @@ from .problems import (
     ScalarTwoAgent,
     UncoupledQuadratic,
     closed_form_minimax,
-    require_quadratic,
+    require_family,
     solve_checked,
 )
 
@@ -79,7 +79,8 @@ def local_sgda_fixed_point(
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    problem = require_quadratic(problem, "no closed-form Local SGDA fixed point for {}")
+    problem = require_family(problem, UncoupledQuadratic,
+                             "no closed-form Local SGDA fixed point for {}")
     w, V = problem.spectra
     Vt = V.transpose(0, 2, 1)
     weighted = {}  # stepsize -> (sum_i S_i Q_i, eigenvalues of every S_i)
@@ -200,12 +201,14 @@ def robust_loss(problem: RobustLinearRegression, x_hat) -> RobustLossResult:
     convex in it (the y-Hessian is 2 x x'), so the maximum over the ball
     ||y - center|| <= R lies at one of the two points center +- R x/||x||,
     where t = center'x +- R||x||. ``problem.total_losses`` evaluates both
-    values as scalars from one federation-level (d + 2) x (d + 1) matrix
-    of the statistics, in O(d^2) whatever m and n are, and the larger is
+    values as scalars from the (d + 2) x (d + 2) federation Gram matrix Sbar
+    of ``problem.lifted``, in O(d^2) whatever m and n are, and the larger is
     returned with its point; for x = 0 the loss is constant in y and the
     center is returned. Note this is the SUM of per-agent losses, not their
-    mean: it exceeds the averaged objective by a factor of m.
+    mean: it exceeds the averaged objective by a factor of m. Any other
+    problem type is refused with ``UnsupportedProblemError``.
     """
+    problem = require_family(problem, RobustLinearRegression, "no robust loss for {}")
     x = as_vector(x_hat, problem.p, "x_hat")
     ball = problem.sets.set_y
     t = float(ball.center @ x)
@@ -237,7 +240,9 @@ class MonotonicityReport:
 def _sampled_pairs(problem: MinimaxProblem, trials: int, seed: int):
     """Yield (z, z', d, |d|^2, F(z) - F(z')) with d = z - z' for ``trials``
     random pairs, skipping coincident ones; F is the stacked descent/ascent
-    field."""
+    field. Fewer than one trial is refused: a check would pass on nothing."""
+    if trials < 1:
+        raise ValueError(f"a property check needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     p, q = problem.p, problem.q
     for _ in range(trials):

@@ -14,23 +14,22 @@ absent metrics emit empty fields and rows are ordered by (algorithm, round).
 ``elapsed_ns`` is left empty unless ``timing = true``, so that identical
 config + seed reruns produce byte-identical files.
 
-Exit codes: 0 success, 2 config error or unreadable/unwritable file,
-3 divergence abort; ``compare`` still writes the traces of the algorithms
-that finished before the diverging one. Trace and plot files are replaced
-atomically, so a failed write leaves an existing file intact.
+Exit codes: 0 success, 2 config error, a refusal by the library (say, bounds
+that overflow, from ``genbounds``) or unreadable/unwritable file, 3
+divergence abort; ``compare`` still writes the traces of the algorithms that
+finished before the diverging one. This module only parses, dispatches and
+prints: trace and plot files, like containers, go through
+``datagen.write_atomic``, so a failed write leaves an existing file intact.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import re
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .algorithms import (
     ALGORITHMS,
@@ -41,14 +40,11 @@ from .algorithms import (
     auto_eta_fedgda,
     run_algorithm,
 )
-from .analysis import (
-    UnstableStepsizeError,
-    fixed_point_report,
-    robust_loss,
-)
+from .analysis import fixed_point_report, robust_loss
 from .core import Iterate
-from .datagen import QuadraticGenSpec, RlrGenSpec, gen_quadratic, gen_rlr, save_dataset
-from .genbounds import BoundInputs, bound_terms, vc_rademacher_bound
+from .datagen import (QuadraticGenSpec, RlrGenSpec, gen_quadratic, gen_rlr, save_dataset,
+                      write_atomic)
+from .genbounds import BoundInputs, bound_terms, population_risk_bound, vc_rademacher_bound
 from .problems import (
     MinimaxProblem,
     RobustLinearRegression,
@@ -261,26 +257,6 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _write_atomic(path, lines: list[str]) -> None:
-    """Write the lines to a temporary file next to ``path`` and rename it over
-    ``path`` once complete, so a failed write leaves an existing file intact
-    and no partial file behind."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        fh = open(tmp, "xb")
-        try:
-            with fh:
-                fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-    except OSError as exc:
-        # the reason names the configured path, not the temporary file
-        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
 def write_trace_csv(path, runs: list[tuple[str, RunTrace]], *, timing: bool) -> None:
     lines = [CSV_HEADER]
     for label, trace in sorted(runs, key=lambda item: item[0]):
@@ -297,7 +273,7 @@ def write_trace_csv(path, runs: list[tuple[str, RunTrace]], *, timing: bool) -> 
                 _fmt(rec.robust_loss),
                 str(rec.elapsed_ns) if timing else "",
             ]))
-    _write_atomic(path, lines)
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_plot_csv(path, runs: list[tuple[str, RunTrace]]) -> None:
@@ -312,7 +288,7 @@ def write_plot_csv(path, runs: list[tuple[str, RunTrace]]) -> None:
             else:
                 metric, value = "grad_norm", rec.grad_norm
             lines.append(f"{rec.round},{label},{metric},{_fmt(value)}")
-    _write_atomic(path, lines)
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -389,34 +365,22 @@ def cmd_bounds(inputs_path) -> int:
     # every key is read before the try, so a missing or unparsable one is
     # reported by ``_read`` alone, not wrapped in a second "[bounds]: "
     values = _read(parser["bounds"], "bounds", _BOUNDS_TABLE)
+    # every bound is evaluated before the first line is printed, so inputs
+    # the library refuses, overflowing ones included, print nothing
     try:
         inputs = BoundInputs(**values)
+        terms = bound_terms(inputs)
+        slack = population_risk_bound(inputs, 0.0)  # the bound at empirical risk 0
+        if inputs.vc_dim is not None:
+            vc = vc_rademacher_bound(inputs.m, inputs.n, inputs.vc_dim, inputs.sum_M_i_sq)
     except ValueError as exc:
         raise ConfigError(f"[bounds]: {exc}") from exc
-
-    # every number is computed and checked before the first line is printed,
-    # so finite inputs whose bound overflows give one error line, no output
-    # and no numpy warning
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            results = bound_terms(inputs)
-            results["slack"] = sum(results.values())
-            if inputs.vc_dim is not None:
-                max_sum = float(np.dot(inputs.M_i, inputs.M_i))
-                results["vc_rademacher_bound"] = vc_rademacher_bound(
-                    inputs.m, inputs.n, inputs.vc_dim, max_sum)
-    except OverflowError as exc:
-        raise ConfigError(f"[bounds]: the inputs overflow the bounds ({exc})") from exc
-    for name, value in results.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"[bounds]: the inputs overflow the bounds ({name} = {value!r})")
-    print(f"rademacher_term     = {results['rademacher_term']!r}")
-    print(f"concentration_term  = {results['concentration_term']!r}")
-    print(f"lipschitz_term      = {results['lipschitz_term']!r}")
-    print(f"population-risk bound = empirical risk f(x,y) + {results['slack']!r}")
-    print(f"worst-case-risk bound = worst-case empirical risk g(x) + {results['slack']!r}")
+    for name, value in terms.items():
+        print(f"{name:<20}= {value!r}")
+    print(f"population-risk bound = empirical risk f(x,y) + {slack!r}")
+    print(f"worst-case-risk bound = worst-case empirical risk g(x) + {slack!r}")
     if inputs.vc_dim is not None:
-        print(f"vc_rademacher_bound = {results['vc_rademacher_bound']!r}")
+        print(f"vc_rademacher_bound = {vc!r}")
     return 0
 
 
@@ -474,7 +438,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, UnstableStepsizeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and UnstableStepsizeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

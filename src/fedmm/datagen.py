@@ -28,8 +28,10 @@ b_{i,j} = x_i*'a_{i,j} + eps_j.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -132,6 +134,27 @@ KIND_RLR = 2
 _HEADER = struct.Struct("<6sBQQQQd")
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file next to ``path`` and rename it over
+    ``path`` once complete, so a failed write leaves an existing file intact
+    and no partial file behind. The one writer of every output file: trace
+    and plot CSVs and dataset containers."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        # the reason names the target path, not the temporary file
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def save_dataset(path, problem, spec) -> None:
     """Dump a generated problem so runs can be replayed without regeneration.
 
@@ -179,9 +202,8 @@ def save_dataset(path, problem, spec) -> None:
             f"cannot dump a {type(problem).__name__} under a {type(spec).__name__}")
     # the exact (m, matrix + vector) array load_dataset reads
     payload = np.concatenate([mats.reshape(spec.m, -1), vecs], axis=1)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, kind, spec.m, spec.d, spec.n_i, spec.seed, alpha))
-        fh.write(payload.astype("<f8", copy=False).tobytes())
+    write_atomic(path, _HEADER.pack(MAGIC, kind, spec.m, spec.d, spec.n_i, spec.seed, alpha)
+                 + payload.astype("<f8", copy=False).tobytes())
 
 
 def load_dataset(path):

@@ -3,7 +3,10 @@
 The bound evaluators are pure formula plumbing: they evaluate their
 right-hand sides exactly as written and make no probabilistic claims
 themselves. The cover size |Y_eps| is always an input, never computed, since
-building minimum covers is out of scope.
+building minimum covers is out of scope. Every evaluator returns a finite
+float or refuses: finite inputs whose bound overflows a float raise
+``ValueError("the inputs overflow the bounds (<name> = <value>)")``, naming
+the first term that overflowed, with no numpy warning.
 
 The complexity estimator is the *empirical* (conditional on one drawn
 dataset) variant: the supremum over models is replaced by an exact maximum
@@ -42,6 +45,8 @@ class BoundInputs:
 
     def __post_init__(self):
         object.__setattr__(self, "M_i", as_vector(self.M_i))
+        for name in ("delta", "epsilon", "L_y", "rademacher"):  # so no numpy scalar warns
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be >= 1")
         if self.M_i.shape[0] != self.m:
@@ -60,30 +65,48 @@ class BoundInputs:
             raise ValueError(f"vc_dim must lie in [1, m*n = {self.m * self.n}] "
                              f"when given, got {self.vc_dim}")
 
+    @property
+    def sum_M_i_sq(self) -> float:
+        """sum_i M_i^2 (the max_sum_Mi2 of ``vc_rademacher_bound``); inf,
+        without a numpy warning, when it overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.dot(self.M_i, self.M_i))
+
+
+def _finite(name: str, evaluate) -> float:
+    """``evaluate()``, refused unless finite (an integer no float holds is inf)."""
+    try:
+        value = float(evaluate())
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the inputs overflow the bounds ({name} = {value!r})")
+    return value
+
 
 def concentration_term(inputs: BoundInputs) -> float:
     """sqrt( sum_i M_i^2 / (2 m^2 n) * log(|Y_eps| / delta) )."""
-    sum_sq = float(np.dot(inputs.M_i, inputs.M_i))
-    return math.sqrt(
-        sum_sq / (2.0 * inputs.m**2 * inputs.n)
+    return _finite("concentration_term", lambda: math.sqrt(
+        inputs.sum_M_i_sq / (2.0 * inputs.m**2 * inputs.n)
         * math.log(inputs.cover_size / inputs.delta)
-    )
+    ))
 
 
 def bound_terms(inputs: BoundInputs) -> dict[str, float]:
     """The three slack terms shared by both high-probability bounds."""
     return {
-        "rademacher_term": 2.0 * inputs.rademacher,
+        "rademacher_term": _finite("rademacher_term", lambda: 2.0 * inputs.rademacher),
         "concentration_term": concentration_term(inputs),
-        "lipschitz_term": 2.0 * inputs.L_y * inputs.epsilon,
+        "lipschitz_term": _finite("lipschitz_term", lambda: 2.0 * inputs.L_y * inputs.epsilon),
     }
 
 
 def population_risk_bound(inputs: BoundInputs, empirical_risk: float) -> float:
     """High-probability upper bound on the population risk at a fixed (x, y):
-    empirical risk + 2 R(X, y) + concentration term + 2 L_y eps."""
+    empirical risk + 2 R(X, y) + concentration term + 2 L_y eps; at an
+    empirical risk of 0, the slack."""
     terms = bound_terms(inputs)
-    return float(empirical_risk) + sum(terms.values())
+    return _finite("risk_bound", lambda: float(empirical_risk) + sum(terms.values()))
 
 
 def worst_case_risk_bound(inputs: BoundInputs, worst_case_empirical: float) -> float:
@@ -105,11 +128,11 @@ def vc_rademacher_bound(m: int, n: int, d: int, max_sum_Mi2: float) -> float:
         raise ValueError("d must be >= 1")
     if m * n < d:
         raise ValueError(f"need m*n >= d, got m*n = {m * n} < d = {d}")
-    if max_sum_Mi2 < 0:
+    if not max_sum_Mi2 >= 0:
         raise ValueError("max_sum_Mi2 must be nonnegative")
-    return math.sqrt(
+    return _finite("vc_rademacher_bound", lambda: math.sqrt(
         2.0 * d * max_sum_Mi2 / (m**2 * n) * (1.0 + math.log(m * n / d))
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -320,14 +320,11 @@ class RobustLinearRegression(MinimaxProblem):
     def __init__(self, features_per_agent, targets_per_agent, y_radius: float = 1.0):
         if len(features_per_agent) != len(targets_per_agent):
             raise ValueError("need one target vector per feature matrix")
-        agents = [
-            RlrAgent(A, b) for A, b in zip(features_per_agent, targets_per_agent)
-        ]
-        d = agents[0].p
-        sets = ProductSet(
-            FeasibleSet.unconstrained(d), FeasibleSet.ball(np.zeros(d), y_radius)
+        # the base class refuses an empty federation before p is read
+        super().__init__(RlrAgent(A, b) for A, b in zip(features_per_agent, targets_per_agent))
+        self.sets = ProductSet(
+            FeasibleSet.unconstrained(self.p), FeasibleSet.ball(np.zeros(self.p), y_radius)
         )
-        super().__init__(agents, sets)
 
     @cached_property
     def lifted(self) -> tuple[np.ndarray, np.ndarray]:
@@ -411,10 +408,10 @@ class RobustLinearRegression(MinimaxProblem):
 # ground-truth solvers and constants
 # ---------------------------------------------------------------------------
 
-def require_quadratic(problem: MinimaxProblem, message: str) -> UncoupledQuadratic:
-    """``problem`` if it is a quadratic family, else an error: ``message``
-    with ``{}`` filled by the problem's type."""
-    if not isinstance(problem, UncoupledQuadratic):
+def require_family(problem: MinimaxProblem, family: type, message: str):
+    """``problem`` if it is an instance of ``family``, else an error:
+    ``message`` with ``{}`` filled by the problem's type."""
+    if not isinstance(problem, family):
         raise UnsupportedProblemError(message.format(type(problem).__name__))
     return problem
 
@@ -427,7 +424,7 @@ def closed_form_minimax(problem: MinimaxProblem) -> Iterate:
     3.3000000000000003 instead of 33/10. Feasible sets are refused, since a
     binding one moves the saddle point; RLR has no closed form.
     """
-    problem = require_quadratic(problem, "no closed-form minimax point for {}")
+    problem = require_family(problem, UncoupledQuadratic, "no closed-form minimax point for {}")
     kinds = problem.sets.set_x.kind, problem.sets.set_y.kind
     if kinds != (UNCONSTRAINED, UNCONSTRAINED):
         raise UnsupportedProblemError(
@@ -459,7 +456,7 @@ def estimate_constants(problem: MinimaxProblem) -> tuple[float, float]:
     mu is the smallest eigenvalue over all per-agent curvature matrices and L
     the largest, from one batched ``eigvalsh`` of a quadratic family's ``Q``.
     """
-    problem = require_quadratic(
-        problem, "constants are not estimated for {}; supply stepsizes explicitly")
+    problem = require_family(problem, UncoupledQuadratic,
+                             "constants are not estimated for {}; supply stepsizes explicitly")
     eigs = np.linalg.eigvalsh(problem.Q)
     return float(eigs[:, 0].min()), float(eigs[:, -1].max())

@@ -28,6 +28,7 @@ from fedmm.algorithms import (
 from fedmm.core import Iterate
 from fedmm.datagen import QuadraticGenSpec, RlrGenSpec, gen_quadratic, gen_rlr
 from fedmm.problems import (
+    MinimaxProblem,
     RobustLinearRegression,
     ScalarTwoAgent,
     UncoupledQuadratic,
@@ -127,6 +128,28 @@ class TestLocalSgdaFixedPoint:
         for z in (local_sgda_fixed_point_closed_form(K, eta_x, eta_y),
                   local_sgda_fixed_point(ScalarTwoAgent(), K, eta_x, eta_y)):
             assert (z.x[0], z.y[0]) == expected
+
+    @pytest.mark.parametrize("case", ["scalar2", "quad-seed7"])
+    @pytest.mark.parametrize("K", [2, 5, 20])
+    @pytest.mark.parametrize("eta_L", [1e-3, 1e-2, 1e-1])
+    def test_bias_law_to_first_order_in_eta(self, case, K, eta_L):
+        # The law, from sum_i S_i (Q_i x + a_i) = 0 with S_i = K I -
+        # eta K(K - 1)/2 Q_i + O(eta^2): each block of z_fp - z* is
+        # eta (K - 1)/2 Q_sum^-1 sum_i Q_i g_i up to a relative O(eta L), with
+        # g_i = Q_i x* + a_i (x block) or Q_i y* + c_i (y block). z* and the
+        # prediction come from plain solves, not from the fixed point's
+        # geometric sums.
+        prob = (ScalarTwoAgent() if case == "scalar2" else
+                gen_quadratic(QuadraticGenSpec(m=20, d=50, n_i=500, seed=7)))
+        eta = eta_L / estimate_constants(prob)[1]
+        fixed = local_sgda_fixed_point(prob, K, eta, eta)
+        Q_sum = prob.Q.sum(axis=0)
+        for z_fp, linear in ((fixed.x, prob.a), (fixed.y, prob.c)):
+            star = np.linalg.solve(Q_sum, -linear.sum(axis=0))
+            g = prob.Q @ star + linear
+            bias = eta * (K - 1) / 2 * np.linalg.solve(Q_sum, np.einsum("ijk,ik->j", prob.Q, g))
+            error = z_fp - star
+            assert np.linalg.norm(error - bias) <= eta_L * np.linalg.norm(error)
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_matches_the_simulated_limit_on_benchmark_federations(self, seed):
@@ -276,6 +299,14 @@ class TestOptimalityGap:
 
 
 class TestRobustLoss:
+    def test_other_problem_types_are_refused(self):
+        rlr = tiny_rlr(m=3, d=2, n=4, seed=2)
+        for problem, x in ((ScalarTwoAgent(), [1.0]),
+                           (MinimaxProblem(rlr.agents, rlr.sets), [1.0, 0.5])):
+            with pytest.raises(UnsupportedProblemError,
+                               match=f"^no robust loss for {type(problem).__name__}$"):
+                robust_loss(problem, x)
+
     def test_zero_model_gives_constant_objective(self):
         prob = tiny_rlr(m=3, d=2, n=4, seed=2)
         res = robust_loss(prob, np.zeros(2))
@@ -503,6 +534,17 @@ class TestStrongMonotonicityCheck:
         report = check_strong_monotonicity(prob, 1.0, 200, seed=10)
         assert report.passed
         assert report.min_ratio == 1.0
+
+
+@pytest.mark.parametrize("check", [
+    lambda trials: check_strong_monotonicity(ScalarTwoAgent(), 2.0, trials),
+    lambda trials: check_contraction(ScalarTwoAgent(), 2.0, 8.0, 0.01, trials),
+], ids=["monotonicity", "contraction"])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_property_check_that_samples_nothing_is_refused(check, trials):
+    # with no pair drawn there is nothing that could fail, so no pass to report
+    with pytest.raises(ValueError, match="trials >= 1"):
+        check(trials)
 
 
 class TestContractionCheck:

@@ -189,6 +189,22 @@ class TestContainer:
             save_dataset(path, prob, spec)
         assert not path.exists()
 
+    def test_failed_write_leaves_existing_container_intact(self, tmp_path, monkeypatch):
+        spec = QuadraticGenSpec(m=2, d=3, n_i=5, seed=1)
+        path = tmp_path / "data.fedmm"
+        save_dataset(path, gen_quadratic(spec), spec)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("fedmm.datagen.os.replace", refuse)
+        other = QuadraticGenSpec(m=2, d=3, n_i=5, seed=2)
+        with pytest.raises(OSError, match=f"^cannot write {re.escape(str(path))}: No space"):
+            save_dataset(path, gen_quadratic(other), other)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data.fedmm"]
+
     @pytest.mark.parametrize("counts", [(6, 9), (6, 6)])
     def test_rlr_sample_counts_other_than_the_spec_are_refused(self, tmp_path, counts):
         rng = np.random.default_rng(3)

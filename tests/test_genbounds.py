@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from fedmm.genbounds import (
     BoundInputs,
     FiniteHypothesisSample,
     bound_terms,
+    concentration_term,
     estimate_rademacher,
     massart_bound,
     population_risk_bound,
@@ -115,6 +118,66 @@ class TestPopulationRiskBound:
             make_inputs(m=m, n=n)
 
 
+def overflowing_inputs(overrides):
+    return BoundInputs(**{**dict(m=2, n=3, M_i=[1, 2], cover_size=2, delta=0.5,
+                                 epsilon=1, L_y=0, rademacher=0), **overrides})
+
+
+class TestOverflowRefused:
+    # finite inputs whose bound overflows a float: 1e200 squared in sum M_i^2,
+    # cover_size / delta past the largest float, a cover size no float holds,
+    # 0 * inf, and products past the largest float, also of a numpy scalar
+    OVERFLOWING = {
+        "M_i": (dict(M_i=[1e200, 2], vc_dim=1), "concentration_term = inf"),
+        "log": (dict(cover_size=10**23, delta=1e-300), "concentration_term = inf"),
+        "int": (dict(cover_size=10**400), "concentration_term = inf"),
+        "nan": (dict(M_i=[0, 0], cover_size=10**23, delta=1e-300), "concentration_term = nan"),
+        "rademacher": (dict(rademacher=1e308), "rademacher_term = inf"),
+        "numpy-scalar": (dict(rademacher=np.float64(1e308)), "rademacher_term = inf"),
+        "lipschitz": (dict(L_y=1e300, epsilon=1e300), "lipschitz_term = inf"),
+    }
+    EVALUATORS = {
+        "bound_terms": bound_terms,
+        "population_risk_bound": lambda inputs: population_risk_bound(inputs, 0.0),
+        "worst_case_risk_bound": lambda inputs: worst_case_risk_bound(inputs, 0.0),
+    }
+
+    def refuses(self, evaluate, inputs, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"the inputs overflow the bounds ({named})")):
+                evaluate(inputs)
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING))
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_every_bound_refuses_without_a_warning(self, case, evaluator):
+        overrides, named = self.OVERFLOWING[case]
+        self.refuses(self.EVALUATORS[evaluator], overflowing_inputs(overrides), named)
+
+    @pytest.mark.parametrize("case", ["M_i", "log", "int", "nan"])
+    def test_concentration_term_refuses_on_its_own(self, case):
+        overrides, named = self.OVERFLOWING[case]
+        self.refuses(concentration_term, overflowing_inputs(overrides), named)
+
+    def test_sum_of_finite_terms_that_overflows_is_refused(self):
+        inputs = make_inputs(rademacher=0.6e308, L_y=0.6e308, epsilon=1.0)
+        assert all(map(math.isfinite, bound_terms(inputs).values()))
+        with pytest.raises(ValueError, match=r"overflow the bounds \(risk_bound = inf\)"):
+            population_risk_bound(inputs, 0.0)
+
+    def test_sum_of_squares_overflows_to_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert make_inputs(M_i=[1e200, 2.0, 0.0]).sum_M_i_sq == math.inf
+        assert make_inputs().sum_M_i_sq == 0.25 + 2.25 + 6.25
+
+    @pytest.mark.parametrize("max_sum", [math.inf, 1e308])
+    def test_vc_bound_refuses_overflow(self, max_sum):
+        self.refuses(lambda s: vc_rademacher_bound(2, 3, 1, s), max_sum,
+                     "vc_rademacher_bound = inf")
+
+
 class TestWorstCaseBound:
     def test_reduces_to_population_bound_for_constant_inputs(self):
         inputs = make_inputs()
@@ -216,6 +279,7 @@ class TestVcBound:
         ((2, 0, 1, 1.0), "m and n must be >= 1"),
         ((2, 3, 0, 1.0), "d must be >= 1"),
         ((2, 3, 1, -1.0), "max_sum_Mi2 must be nonnegative"),
+        ((2, 3, 1, math.nan), "max_sum_Mi2 must be nonnegative"),
     ])
     def test_rejects_invalid_arguments(self, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

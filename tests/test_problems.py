@@ -465,6 +465,9 @@ class TestValidation:
     def test_empty_agent_list_rejected(self):
         with pytest.raises(ValueError):
             MinimaxProblem([])
+        for family in (UncoupledQuadratic, RobustLinearRegression):
+            with pytest.raises(ValueError, match="^a problem needs at least one agent$"):
+                family([], [])
 
     def test_asymmetric_q_rejected(self):
         with pytest.raises(ValueError):
