@@ -10,17 +10,34 @@ the first term that overflowed, with no numpy warning.
 
 The complexity estimator is the *empirical* (conditional on one drawn
 dataset) variant: the supremum over models is replaced by an exact maximum
-over the rows of a user-supplied loss table.
+over the rows of a user-supplied loss table. It reads its signs 64 to each
+raw word of a seeded PCG64 stream, in blocks of ``SIGMA_BLOCK_ROWS`` (256)
+draws, so its memory is about 9 bytes per sign of one block (the float64
+block and its unpacked bits) plus one float per draw, whatever the number of
+draws.
+
+Counts (``m``, ``n``, ``cover_size``, ``vc_dim``, ``num_sigma_draws``) are
+read with ``operator.index``: a Python or numpy integer is taken as a Python
+int, anything else is refused with a ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Vector, as_vector
+
+
+def _count(name: str, value) -> int:
+    """``value`` as a Python int, refused unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -47,6 +64,10 @@ class BoundInputs:
         object.__setattr__(self, "M_i", as_vector(self.M_i))
         for name in ("delta", "epsilon", "L_y", "rademacher"):  # so no numpy scalar warns
             object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("m", "n", "cover_size"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        if self.vc_dim is not None:
+            object.__setattr__(self, "vc_dim", _count("vc_dim", self.vc_dim))
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be >= 1")
         if self.M_i.shape[0] != self.m:
@@ -143,15 +164,19 @@ def vc_rademacher_bound(m: int, n: int, d: int, max_sum_Mi2: float) -> float:
 class FiniteHypothesisSample:
     """Loss table of shape (num_candidates, m*n): l(x, y; xi_{i,j}) for each
     candidate model x (row) at a fixed y over one drawn dataset, columns in
-    agent-major sample-minor order."""
+    agent-major sample-minor order. The sample keeps a read-only copy of the
+    table, so no caller can change it after its checks."""
 
     loss_table: np.ndarray
     m: int
     n: int
 
     def __post_init__(self):
-        table = np.asarray(self.loss_table, dtype=np.float64)
+        table = np.array(self.loss_table, dtype=np.float64)
+        table.flags.writeable = False
         object.__setattr__(self, "loss_table", table)
+        object.__setattr__(self, "m", _count("m", self.m))
+        object.__setattr__(self, "n", _count("n", self.n))
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be >= 1")
         if table.ndim != 2:
@@ -174,8 +199,9 @@ class RademacherEstimate:
     num_draws: int
 
 
-# Sign draws that ``estimate_rademacher`` holds at once. Keep it even: every
-# block but the last then uses up whole 64-bit words of the sign stream.
+# Sign draws that ``estimate_rademacher`` holds at once. Keep it a multiple
+# of 64: every block but the last then uses up whole 64-bit words of the sign
+# stream.
 SIGMA_BLOCK_ROWS = 256
 
 
@@ -186,16 +212,18 @@ def estimate_rademacher(
     max_rows (1/mn) sum_j sigma_j * loss_j, plus its standard error.
 
     The signs are those of one ``default_rng(seed).integers(0, 2, size=(
-    num_sigma_draws, mn))`` draw, mapped to +-1, but read straight off the
-    generator's raw 64-bit words: two signs per word, low half first, each
-    +1 exactly where that 32-bit half has its top bit set. They are drawn in
-    blocks of ``SIGMA_BLOCK_ROWS`` draws into one reused buffer, multiplied by
-    the loss table, and only each draw's maximum is kept. Memory is therefore
-    about two blocks of SIGMA_BLOCK_ROWS x mn plus one float per draw, not the
-    whole num_sigma_draws x mn sign matrix. The products can differ from a
-    single product of the whole matrix only in the last bits, where BLAS
-    orders a short block's sums differently.
+    num_sigma_draws, mn), dtype=bool)`` draw, False as -1 and True as +1.
+    numpy serves that draw as the bits of the generator's raw 64-bit words,
+    low bit first, so the signs are read straight off those words: 64 per
+    word. They are drawn in blocks of ``SIGMA_BLOCK_ROWS`` draws, written as
+    +-1 into one reused float64 block, multiplied by the loss table, and only
+    each draw's maximum is kept. Memory is therefore about 9 bytes per sign
+    of one SIGMA_BLOCK_ROWS x mn block plus one float per draw, not the whole
+    num_sigma_draws x mn sign matrix. The products can differ from a single
+    product of the whole matrix only in the last bits, where BLAS orders a
+    short block's sums differently.
     """
+    num_sigma_draws = _count("num_sigma_draws", num_sigma_draws)
     if num_sigma_draws < 1:
         raise ValueError("need at least one sigma draw")
     mn = sample.m * sample.n
@@ -206,13 +234,9 @@ def estimate_rademacher(
         stop = min(start + SIGMA_BLOCK_ROWS, num_sigma_draws)
         sigma = block[: stop - start]
         count = sigma.size
-        # numpy's integers(0, 2) applies Lemire's method to one 32-bit draw
-        # per sign; for a range of 2 it never rejects and returns bit 31. PCG64
-        # serves 32-bit draws as the low, then the high half of each raw word,
-        # so the little-endian int32 view is negative exactly where it draws 1.
-        top = bitgen.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<i4")
-        np.less(top[:count].reshape(sigma.shape), 0, out=sigma)
-        sigma *= 2.0
+        words = bitgen.random_raw(-(-count // 64)).astype("<u8", copy=False)
+        bits = np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
+        np.multiply(bits.reshape(sigma.shape), 2.0, out=sigma)
         sigma -= 1.0
         sups[start:stop] = (sigma @ sample.loss_table.T).max(axis=1) / mn
     value = float(sups.mean())

@@ -67,3 +67,46 @@ def test_one_writer_is_found():
 def test_files_are_written_only_by_the_one_writer(path):
     writes = [(path.name, where, line) for where, line in writing_calls(path)]
     assert [w for w in writes if w[:2] != ONE_WRITER] == []
+
+
+# every draw comes from a generator the caller seeds; the rest of numpy.random
+# (seed, normal, rand, shuffle, ...) acts on the legacy global state
+SEEDED_RANDOM = {"default_rng", "Generator", "PCG64", "SeedSequence"}
+
+
+def numpy_random_uses(source):
+    """(name, line) of everything a source reaches in numpy.random: each
+    ``np.random.<name>`` or ``numpy.random.<name>``, each name imported from
+    numpy.random, and numpy.random itself bound to a name of its own, which
+    would hide its uses from this check."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "random"
+                and getattr(node.value.value, "id", None) in ("np", "numpy")):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            yield from (("numpy.random", node.lineno) for alias in node.names
+                        if alias.name == "random")
+        elif isinstance(node, ast.Import):
+            yield from (("numpy.random", node.lineno) for alias in node.names
+                        if alias.name == "numpy.random" and alias.asname)
+
+
+@pytest.mark.parametrize("snippet, found", [
+    ("np.random.normal()", [("normal", 1)]),
+    ("numpy.random.seed(0)", [("seed", 1)]),
+    ("from numpy.random import rand, default_rng", [("rand", 1), ("default_rng", 1)]),
+    ("from numpy import random", [("numpy.random", 1)]),
+    ("import numpy.random as npr", [("numpy.random", 1)]),
+    ("rng = np.random.default_rng(0)\nrng.normal()", [("default_rng", 1)]),
+])
+def test_numpy_random_uses_are_found(snippet, found):
+    assert list(numpy_random_uses(snippet)) == found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_draw_is_seeded(path):
+    uses = numpy_random_uses(path.read_text(encoding="utf-8"))
+    assert [(path.name, name, line) for name, line in uses if name not in SEEDED_RANDOM] == []

@@ -24,8 +24,8 @@ from fedmm.genbounds import (
 def rademacher_by_definition(table, m, n, draws, seed):
     """(value, stderr) from the whole draws x mn sign matrix at once."""
     mn = m * n
-    sigma = np.random.default_rng(seed).integers(0, 2, size=(draws, mn)).astype(np.float64)
-    sigma = 2.0 * sigma - 1.0
+    signs = np.random.default_rng(seed).integers(0, 2, size=(draws, mn), dtype=bool)
+    sigma = 2.0 * signs.astype(np.float64) - 1.0
     sups = ((sigma @ table.T) / mn).max(axis=1)
     stderr = float(sups.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
     return float(sups.mean()), stderr
@@ -125,12 +125,15 @@ def overflowing_inputs(overrides):
 
 class TestOverflowRefused:
     # finite inputs whose bound overflows a float: 1e200 squared in sum M_i^2,
-    # cover_size / delta past the largest float, a cover size no float holds,
+    # cover_size / delta past the largest float, also with a numpy integer
+    # cover size, a cover size no float holds,
     # 0 * inf, and products past the largest float, also of a numpy scalar
     OVERFLOWING = {
         "M_i": (dict(M_i=[1e200, 2], vc_dim=1), "concentration_term = inf"),
         "log": (dict(cover_size=10**23, delta=1e-300), "concentration_term = inf"),
         "int": (dict(cover_size=10**400), "concentration_term = inf"),
+        "numpy-int": (dict(cover_size=np.int64(10**18), delta=1e-300),
+                      "concentration_term = inf"),
         "nan": (dict(M_i=[0, 0], cover_size=10**23, delta=1e-300), "concentration_term = nan"),
         "rademacher": (dict(rademacher=1e308), "rademacher_term = inf"),
         "numpy-scalar": (dict(rademacher=np.float64(1e308)), "rademacher_term = inf"),
@@ -155,7 +158,7 @@ class TestOverflowRefused:
         overrides, named = self.OVERFLOWING[case]
         self.refuses(self.EVALUATORS[evaluator], overflowing_inputs(overrides), named)
 
-    @pytest.mark.parametrize("case", ["M_i", "log", "int", "nan"])
+    @pytest.mark.parametrize("case", ["M_i", "log", "int", "numpy-int", "nan"])
     def test_concentration_term_refuses_on_its_own(self, case):
         overrides, named = self.OVERFLOWING[case]
         self.refuses(concentration_term, overflowing_inputs(overrides), named)
@@ -176,6 +179,42 @@ class TestOverflowRefused:
     def test_vc_bound_refuses_overflow(self, max_sum):
         self.refuses(lambda s: vc_rademacher_bound(2, 3, 1, s), max_sum,
                      "vc_rademacher_bound = inf")
+
+
+class TestIntegerInputs:
+    """Counts are read with operator.index: numpy integers become Python ints,
+    and a value that is not an integer is refused in one line."""
+
+    def test_numpy_integers_are_python_ints(self):
+        inputs = make_inputs(m=np.int64(3), n=np.int32(50), cover_size=np.int64(7),
+                             vc_dim=np.uint8(4))
+        assert [type(getattr(inputs, name)) for name in ("m", "n", "cover_size", "vc_dim")] \
+            == [int] * 4
+        assert bound_terms(inputs) == bound_terms(make_inputs(vc_dim=4))
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", 3.0), ("n", 50.0), ("cover_size", 2.5), ("cover_size", np.float64(7.0)),
+        ("vc_dim", 1.0), ("m", "3"),
+    ])
+    def test_bound_inputs_refuse_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            make_inputs(**{field: value})
+
+    @pytest.mark.parametrize("m, n, field", [(2.0, 2, "m"), (2, np.float64(2.0), "n")])
+    def test_sample_refuses_non_integers(self, m, n, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            FiniteHypothesisSample(np.zeros((2, 4)), m=m, n=n)
+
+    def test_sample_keeps_python_ints(self):
+        sample = FiniteHypothesisSample(np.zeros((2, 4)), m=np.int64(2), n=np.int8(2))
+        assert (type(sample.m), type(sample.n)) == (int, int)
+
+    def test_draw_count_must_be_an_integer(self):
+        sample = FiniteHypothesisSample(np.eye(4), m=2, n=2)
+        with pytest.raises(ValueError, match=r"^num_sigma_draws must be an integer, got 10\.0$"):
+            estimate_rademacher(sample, 10.0, seed=0)
+        assert estimate_rademacher(sample, np.int64(10), seed=0) \
+            == estimate_rademacher(sample, 10, seed=0)
 
 
 class TestWorstCaseBound:
@@ -351,21 +390,42 @@ class TestRademacherEstimator:
         assert (est.value, est.stderr) == rademacher_by_definition(table, 10, 50, 20_000, 5)
 
     @pytest.mark.parametrize("seed", [0, 5, 8, 11])
-    @pytest.mark.parametrize("count", [1, 2, 91, 128_000, 128_001])
+    @pytest.mark.parametrize("count", [1, 2, 63, 64, 65, 91, 128_000, 128_001])
     def test_signs_from_raw_words_are_those_of_integers(self, seed, count):
-        # the identity the estimator's sign draw rests on: integers(0, 2)
-        # returns bit 31 of one 32-bit draw per sign, and PCG64 serves those
-        # as the low, then the high half of each raw 64-bit word
-        words = np.random.default_rng(seed).bit_generator.random_raw((count + 1) // 2)
-        top = words.astype("<u8", copy=False).view("<i4")[:count]
-        signs = np.where(top < 0, 1, -1)
-        expected = 2 * np.random.default_rng(seed).integers(0, 2, size=count) - 1
-        assert np.array_equal(signs, expected)
+        # the identity the estimator's sign draw rests on: a bool draw of
+        # integers(0, 2) is the bits of the raw 64-bit words, low bit first
+        words = np.random.default_rng(seed).bit_generator.random_raw(-(-count // 64))
+        bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=count,
+                             bitorder="little")
+        expected = np.random.default_rng(seed).integers(0, 2, size=count, dtype=bool)
+        assert np.array_equal(bits.view(bool), expected)
 
     def test_sign_blocks_use_up_whole_words(self):
-        # an even row count makes every block but the last an even number of
-        # signs, so no block leaves half a raw word to the next
-        assert SIGMA_BLOCK_ROWS % 2 == 0
+        # a row count that is a multiple of 64 makes every block but the last
+        # a multiple of 64 signs, so no block leaves part of a raw word to the next
+        assert SIGMA_BLOCK_ROWS % 64 == 0
+
+    @pytest.mark.parametrize("m, n", [(7, 13), (8, 16)])
+    def test_sign_sums_match_the_exact_expectation(self, m, n):
+        # an oracle that shares nothing with the sign stream: on {u, -u} with
+        # u = ones(mn) a draw's maximum is |sum_j sigma_j| / mn, whose
+        # expectation is sum_k |2k - mn| C(mn, k) / (2^mn mn) exactly
+        mn = m * n
+        u = np.ones(mn)
+        est = estimate_rademacher(FiniteHypothesisSample(np.vstack([u, -u]), m=m, n=n),
+                                  20_000, seed=9)
+        exact = sum(abs(2 * k - mn) * math.comb(mn, k) for k in range(mn + 1)) / (2**mn * mn)
+        assert abs(est.value - exact) <= 4 * est.stderr
+
+    def test_sample_keeps_its_own_read_only_table(self):
+        table = np.random.default_rng(3).random((3, 6))
+        sample = FiniteHypothesisSample(table, m=2, n=3)
+        before = estimate_rademacher(sample, 100, seed=0)
+        table[0, 0] = np.nan
+        assert estimate_rademacher(sample, 100, seed=0) == before
+        assert not sample.loss_table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sample.loss_table[0, 0] = 1.0
 
     def test_rejects_empty_or_misshapen_tables(self):
         with pytest.raises(ValueError):
