@@ -15,6 +15,7 @@ from .algorithms import (
     fedgda_round_map,
     fedgda_round_map_norm,
     gda_step,
+    local_sgda_limit,
     local_sgda_residual,
     run_algorithm,
 )
@@ -29,7 +30,6 @@ from .analysis import (
     fixed_point_report,
     local_sgda_fixed_point,
     local_sgda_fixed_point_closed_form,
-    local_sgda_limit,
     robust_loss,
 )
 from .core import (

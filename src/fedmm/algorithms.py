@@ -1,7 +1,7 @@
 """The three optimization procedures and their fixed-point diagnostics.
 
-One round engine and one runner, ``run_algorithm``, serve all three methods;
-``AlgoConfig.algo`` names the method:
+One round engine serves all three methods, in ``run_algorithm`` and in
+``local_sgda_limit``; ``AlgoConfig.algo`` names the method:
 
 * GDA -- centralized simultaneous descent/ascent, projected onto X x Y.
 * Local SGDA -- uncorrected K-step local updates, then server averaging
@@ -10,7 +10,8 @@ One round engine and one runner, ``run_algorithm``, serve all three methods;
   the server projects the averaged iterate onto the feasible product set.
 
 ``gda_step`` is a separately written centralized step that tests hold the
-engine against.
+engine against. ``check_round_inputs`` is the one rule on every K and stepsize
+that the functions here and in ``analysis`` take.
 
 All three step z = (x, y) down the GDA field F = (grad_x f, -grad_y f).
 Within one communication round the m agents share nothing, so the engine
@@ -34,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Iterate, Vector, ascending_sum, average_vectors, optimality_gap
+from .core import Iterate, Vector, as_count, ascending_sum, average_vectors, optimality_gap
 from .problems import MinimaxProblem, UncoupledQuadratic, estimate_constants, require_family
 
 GDA = "GDA"
@@ -43,6 +44,7 @@ FEDGDA_GT = "FedGDAGT"
 ALGORITHMS = (GDA, LOCAL_SGDA, FEDGDA_GT)
 
 DIVERGENCE_LIMIT = 1e12
+LIMIT_TOL = 1e-13  # relative per-round displacement that ends ``local_sgda_limit``
 ETA_GRID_SIZE = 46  # halvings of 2/L that ``auto_eta_fedgda`` scans
 # round map norms within this of each other tie in ``auto_eta_fedgda``; the
 # larger stepsize wins
@@ -59,6 +61,16 @@ class DivergenceError(RuntimeError):
         super().__init__(f"{algo} diverged at round {round_index}: {reason}")
 
 
+def check_round_inputs(K, *etas: float) -> int:
+    """K as an int once it is an integer >= 1 and every stepsize is finite and positive."""
+    if not all(0 < eta < np.inf for eta in etas):
+        raise ValueError("stepsizes must be finite and positive")
+    K = as_count(K, "K")
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    return K
+
+
 @dataclass
 class AlgoConfig:
     """Stepsizes, local-update count, round budget and start point of one run."""
@@ -73,14 +85,12 @@ class AlgoConfig:
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}")
-        if not (0 < self.eta_x < np.inf and 0 < self.eta_y < np.inf):
-            raise ValueError("stepsizes must be finite and positive")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
+        self.K = check_round_inputs(self.K, self.eta_x, self.eta_y)
         if self.algo == GDA and self.K != 1:
             raise ValueError("GDA performs exactly one update per round; K must be 1")
         if self.algo == FEDGDA_GT and self.eta_x != self.eta_y:
             raise ValueError("FedGDA-GT uses a single stepsize; eta_x must equal eta_y")
+        self.rounds = as_count(self.rounds, "rounds")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
 
@@ -136,17 +146,18 @@ def _stacked_eta(problem: MinimaxProblem, eta_x: float, eta_y: float):
     return eta_x if eta_x == eta_y else np.repeat([eta_x, eta_y], [problem.p, problem.q])
 
 
-def _round(problem: MinimaxProblem, config: AlgoConfig, z: Vector, F: np.ndarray,
+def _round(problem: MinimaxProblem, config: AlgoConfig, t: int, z: Vector, F: np.ndarray,
            Fbar: Vector | None = None) -> Vector:
-    """One communication round of ``config.algo`` from the synchronized
-    iterate z, where F is every agent's field at z and ``Fbar`` its agent
-    average (needed by FedGDA-GT only).
+    """Round t of ``config.algo`` from the synchronized iterate z, where F is
+    every agent's field at z and ``Fbar`` its agent average (needed by
+    FedGDA-GT only).
 
     Every agent walks K local steps, the first along the supplied field, and
     the server averages the endpoints. FedGDA-GT adds to each local field
     the correction Fbar - F, which vanishes identically in the homogeneous
     case. GDA and FedGDA-GT project the average onto X and Y; Local SGDA
-    applies no projection.
+    applies no projection. A new iterate that is not finite or exceeds
+    ``DIVERGENCE_LIMIT`` raises ``DivergenceError``.
     """
     eta = _stacked_eta(problem, config.eta_x, config.eta_y)
     tracking = config.algo == FEDGDA_GT
@@ -160,17 +171,19 @@ def _round(problem: MinimaxProblem, config: AlgoConfig, z: Vector, F: np.ndarray
             F = F + C
         Z = Z - eta * F
     z = average_vectors(Z)
-    if config.algo == LOCAL_SGDA:
-        return z
-    p, sets = problem.p, problem.sets
-    return np.concatenate((sets.set_x.project(z[:p]), sets.set_y.project(z[p:])))
-
-
-def _check_divergence(algo: str, round_index: int, z: Vector) -> None:
+    if config.algo != LOCAL_SGDA:
+        p, sets = problem.p, problem.sets
+        z = np.concatenate((sets.set_x.project(z[:p]), sets.set_y.project(z[p:])))
     # np.maximum, unlike max(), keeps a NaN, and a NaN fails the comparison
     magnitude = float(np.maximum.reduce(np.abs(z)))
     if not magnitude <= DIVERGENCE_LIMIT:
-        raise DivergenceError(algo, round_index, magnitude)
+        raise DivergenceError(config.algo, t, magnitude)
+    return z
+
+
+def _block_norm(v: Vector, p: int) -> float:
+    """|v| as x's dot plus y's: one dot over all p + q entries sums in another order."""
+    return float(np.sqrt(np.dot(v[:p], v[:p]) + np.dot(v[p:], v[p:])))
 
 
 def run_algorithm(
@@ -196,17 +209,14 @@ def run_algorithm(
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(config.rounds + 1):
             if t:
-                z = _round(problem, config, z, F, Fbar)
-                _check_divergence(config.algo, t, z)
+                z = _round(problem, config, t, z, F, Fbar)
             F = problem.stacked_field(z[None].repeat(m, axis=0))
             Fbar = average_vectors(F)
-            fx, fy = Fbar[:p], Fbar[p:]
             it = Iterate(z[:p].copy(), z[p:].copy())
             trace.records.append(RoundRecord(
                 round=t,
                 iterate=it,
-                # two dots: one over all p + q entries would sum in another order
-                grad_norm=float(np.sqrt(np.dot(fx, fx) + np.dot(fy, fy))),
+                grad_norm=_block_norm(Fbar, p),
                 gap_sq=optimality_gap(it, z_star) if z_star is not None else None,
                 robust_loss=robust_loss_fn(it) if robust_loss_fn is not None else None,
                 elapsed_ns=time.perf_counter_ns() - start,
@@ -233,8 +243,7 @@ def local_sgda_residual(
     vanishes; with K = 1 it reduces to the averaged gradient, so it measures
     how far the scheme's limits drift from true stationarity.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    K = check_round_inputs(K, eta_x, eta_y)
     problem._check(z)
     eta = _stacked_eta(problem, eta_x, eta_y)
     Z = z.stacked[None].repeat(problem.m, axis=0)
@@ -246,6 +255,36 @@ def local_sgda_residual(
         acc += F
     r = average_vectors(acc)
     return np.concatenate((r[:problem.p], -r[problem.p:]))
+
+
+@dataclass
+class LimitResult:
+    iterate: Iterate
+    rounds: int
+    converged: bool
+
+
+def local_sgda_limit(
+    problem: MinimaxProblem,
+    K: int,
+    eta_x: float,
+    eta_y: float,
+    *,
+    max_rounds: int = 200_000,
+) -> LimitResult:
+    """Iterate the uncorrected scheme from the origin until the per-round
+    displacement falls below ``LIMIT_TOL * (1 + |z|)``; an independent
+    oracle for the closed form."""
+    p, m, z = problem.p, problem.m, np.zeros(problem.p + problem.q)
+    config = AlgoConfig(LOCAL_SGDA, eta_x, eta_y, K, max_rounds, Iterate(z[:p], z[p:]))
+    # overflow in a diverging run is left to the divergence check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, max_rounds + 1):
+            z_next = _round(problem, config, t, z, problem.stacked_field(z[None].repeat(m, 0)))
+            step, z = z_next - z, z_next
+            if _block_norm(step, p) <= LIMIT_TOL * (1.0 + _block_norm(z, p)):
+                return LimitResult(Iterate(z[:p], z[p:]), t, True)
+    return LimitResult(Iterate(z[:p], z[p:]), max_rounds, False)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +393,7 @@ def fedgda_round_map(problem: MinimaxProblem, eta: float, K: int) -> np.ndarray:
     x - eta Sbar (Qbar x + abar). The map is I - eta Sbar Qbar, which equals
     (1/m) sum_i [B_i^K - eta S_i (Qbar - Q_i)] since B_i^K = I - eta S_i Q_i.
     """
+    K = check_round_inputs(K, eta)
     problem = require_family(problem, UncoupledQuadratic, "no round map for {}")
     w, V = problem.spectra
     return _round_map(V, _round_map_weights(w, eta, K), problem.Q_sum / problem.m)
@@ -380,8 +420,7 @@ def auto_eta_fedgda(problem: MinimaxProblem, K: int) -> EtaSelection:
     the selection is bitwise that of building every map. Usually one or two
     maps get built.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    K = check_round_inputs(K)
     # mu and L come from eigvalsh, not from the eigh spectra below: on 130
     # of 133 quadratic federations checked, benchmark seeds 0, 7 and 11 among
     # them, the extremes of the two differ in the last bits (mu on 122, L on

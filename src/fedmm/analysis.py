@@ -1,7 +1,8 @@
 """Metrics, closed-form fixed points, robust-loss evaluation, theory checks.
 
 Everything here is a stateless function over immutable problems; results are
-deterministic given their inputs.
+deterministic given their inputs. ``local_sgda_limit``, ``LimitResult`` and
+``LIMIT_TOL`` live with the round engine in ``algorithms`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import (
-    LOCAL_SGDA,
-    AlgoConfig,
-    _check_divergence,
-    _round,
+    LIMIT_TOL,
+    LimitResult,
+    check_round_inputs,
+    local_sgda_limit,
     local_sgda_residual,
 )
-from .core import Iterate, Vector, as_vector, ascending_sum, norm, optimality_gap
+from .core import Iterate, Vector, as_count, as_vector, ascending_sum, norm, optimality_gap
 from .problems import (
     MinimaxProblem,
     RobustLinearRegression,
@@ -29,7 +30,6 @@ from .problems import (
 )
 
 
-LIMIT_TOL = 1e-13  # relative per-round displacement that ends ``local_sgda_limit``
 SAMPLE_SCALE = 10.0  # standard deviation of the property checks' random points
 MONOTONICITY_SLACK = 1e-9  # absolute tolerance of ``check_strong_monotonicity``
 POWER_BLOCK = 1 << 17  # powers a ``_geometric_sums`` block holds when K <= it (1 MiB)
@@ -77,8 +77,7 @@ def local_sgda_fixed_point(
     point is the true minimax point; for K >= 2 and heterogeneous agents it
     is biased away from it.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    K = check_round_inputs(K)
     problem = require_family(problem, UncoupledQuadratic,
                              "no closed-form Local SGDA fixed point for {}")
     w, V = problem.spectra
@@ -104,40 +103,6 @@ def local_sgda_fixed_point(
 def local_sgda_fixed_point_closed_form(K: int, eta_x: float, eta_y: float) -> Iterate:
     """``local_sgda_fixed_point`` of the two-agent scalar problem."""
     return local_sgda_fixed_point(ScalarTwoAgent(), K, eta_x, eta_y)
-
-
-@dataclass
-class LimitResult:
-    iterate: Iterate
-    rounds: int
-    converged: bool
-
-
-def local_sgda_limit(
-    problem: MinimaxProblem,
-    K: int,
-    eta_x: float,
-    eta_y: float,
-    *,
-    max_rounds: int = 200_000,
-) -> LimitResult:
-    """Iterate the uncorrected scheme from the origin until the per-round
-    displacement falls below ``LIMIT_TOL * (1 + |z|)``; an independent
-    oracle for the closed form."""
-    p, m, z = problem.p, problem.m, np.zeros(problem.p + problem.q)
-    config = AlgoConfig(LOCAL_SGDA, eta_x, eta_y, K, max_rounds, Iterate(z[:p], z[p:]))
-    # overflow in a diverging run is left to the divergence check
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, max_rounds + 1):
-            z_next = _round(problem, config, z, problem.stacked_field(z[None].repeat(m, 0)))
-            _check_divergence(LOCAL_SGDA, t, z_next)
-            # two dots each: one over all p + q entries would sum in another order
-            step, z = z_next - z, z_next
-            moved = float(np.sqrt(np.dot(step[:p], step[:p]) + np.dot(step[p:], step[p:])))
-            if moved <= LIMIT_TOL * (1.0 + float(np.sqrt(np.dot(z[:p], z[:p])
-                                                         + np.dot(z[p:], z[p:])))):
-                return LimitResult(Iterate(z[:p], z[p:]), t, True)
-    return LimitResult(Iterate(z[:p], z[p:]), max_rounds, False)
 
 
 @dataclass
@@ -241,6 +206,7 @@ def _sampled_pairs(problem: MinimaxProblem, trials: int, seed: int):
     """Yield (z, z', d, |d|^2, F(z) - F(z')) with d = z - z' for ``trials``
     random pairs, skipping coincident ones; F is the stacked descent/ascent
     field. Fewer than one trial is refused: a check would pass on nothing."""
+    trials, seed = as_count(trials, "trials"), as_count(seed, "seed")
     if trials < 1:
         raise ValueError(f"a property check needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)

@@ -8,6 +8,7 @@ how agent work is scheduled.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,6 +38,15 @@ def as_vector(v, dim: int | None = None, what: str = "vector") -> Vector:
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(dim, arr.shape[0], what)
     return arr
+
+
+def as_count(value, what: str) -> int:
+    """``value`` as a Python int, refused with a ``ValueError`` unless it is
+    a Python or numpy integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def check_finite(arr: Vector, what: str = "vector") -> Vector:

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import UNCONSTRAINED
+from .core import UNCONSTRAINED, as_count
 from .problems import RobustLinearRegression, UncoupledQuadratic
 
 PROBLEM_STREAM = 0
@@ -56,6 +56,8 @@ class QuadraticGenSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("m", "d", "n_i", "seed"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.m < 1 or self.d < 1:
             raise ValueError("m and d must be >= 1")
         if self.n_i < self.d:
@@ -73,6 +75,8 @@ class RlrGenSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("m", "d", "n_i", "seed"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.m < 1 or self.d < 1 or self.n_i < 1:
             raise ValueError("m, d and n_i must be >= 1")
         if not 0 <= self.alpha < np.inf:

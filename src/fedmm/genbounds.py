@@ -16,28 +16,20 @@ draws, so its memory is about 9 bytes per sign of one block (the float64
 block and its unpacked bits) plus one float per draw, whatever the number of
 draws.
 
-Counts (``m``, ``n``, ``cover_size``, ``vc_dim``, ``num_sigma_draws``) are
-read with ``operator.index``: a Python or numpy integer is taken as a Python
-int, anything else is refused with a ``ValueError``.
+Counts (``m``, ``n``, ``d``, ``cover_size``, ``vc_dim``, ``num_sigma_draws``)
+and the estimator's ``seed`` are read with ``core.as_count``: a Python or
+numpy integer is taken as a Python int, anything else is refused with a
+``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Vector, as_vector
-
-
-def _count(name: str, value) -> int:
-    """``value`` as a Python int, refused unless it is an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+from .core import Vector, as_count, as_vector
 
 
 @dataclass(frozen=True)
@@ -65,9 +57,9 @@ class BoundInputs:
         for name in ("delta", "epsilon", "L_y", "rademacher"):  # so no numpy scalar warns
             object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("m", "n", "cover_size"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.vc_dim is not None:
-            object.__setattr__(self, "vc_dim", _count("vc_dim", self.vc_dim))
+            object.__setattr__(self, "vc_dim", as_count(self.vc_dim, "vc_dim"))
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be >= 1")
         if self.M_i.shape[0] != self.m:
@@ -143,6 +135,7 @@ def worst_case_risk_bound(inputs: BoundInputs, worst_case_empirical: float) -> f
 def vc_rademacher_bound(m: int, n: int, d: int, max_sum_Mi2: float) -> float:
     """Complexity cap for finite-valued losses over a class of VC-dimension d:
     sqrt( 2 d * max_y{sum_i M_i^2(y)} / (m^2 n) * (1 + log(m n / d)) )."""
+    m, n, d = as_count(m, "m"), as_count(n, "n"), as_count(d, "d")
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     if d < 1:
@@ -175,8 +168,8 @@ class FiniteHypothesisSample:
         table = np.array(self.loss_table, dtype=np.float64)
         table.flags.writeable = False
         object.__setattr__(self, "loss_table", table)
-        object.__setattr__(self, "m", _count("m", self.m))
-        object.__setattr__(self, "n", _count("n", self.n))
+        object.__setattr__(self, "m", as_count(self.m, "m"))
+        object.__setattr__(self, "n", as_count(self.n, "n"))
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be >= 1")
         if table.ndim != 2:
@@ -223,11 +216,11 @@ def estimate_rademacher(
     product of the whole matrix only in the last bits, where BLAS orders a
     short block's sums differently.
     """
-    num_sigma_draws = _count("num_sigma_draws", num_sigma_draws)
+    num_sigma_draws = as_count(num_sigma_draws, "num_sigma_draws")
     if num_sigma_draws < 1:
         raise ValueError("need at least one sigma draw")
     mn = sample.m * sample.n
-    bitgen = np.random.default_rng(seed).bit_generator
+    bitgen = np.random.default_rng(as_count(seed, "seed")).bit_generator
     sups = np.empty(num_sigma_draws)
     block = np.empty((min(SIGMA_BLOCK_ROWS, num_sigma_draws), mn))
     for start in range(0, num_sigma_draws, SIGMA_BLOCK_ROWS):

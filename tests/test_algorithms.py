@@ -453,6 +453,11 @@ class TestResidual:
         with pytest.raises(ValueError):
             local_sgda_residual(prob, Iterate.zeros(1, 1), 0, 0.1, 0.1)
 
+    @pytest.mark.parametrize("eta_x", [np.nan, -0.1])
+    def test_rejects_a_stepsize_that_is_not_finite_and_positive(self, eta_x):
+        with pytest.raises(ValueError, match="^stepsizes must be finite and positive$"):
+            local_sgda_residual(ScalarTwoAgent(), Iterate.zeros(1, 1), 3, eta_x, 0.1)
+
     @pytest.mark.parametrize("make", [ScalarTwoAgent, lambda: small_quadratic(m=4, d=5, seed=3)])
     @pytest.mark.parametrize("K", [1, 2, 10])
     def test_batched_path_equals_the_per_agent_oracles_bitwise(self, make, K):
@@ -502,10 +507,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AlgoConfig(GDA, 0.1, 0.1, 1, -1, Iterate.zeros(1, 1))
 
-    @pytest.mark.parametrize("K", [0, -3])
-    def test_k_below_one_rejected(self, K):
-        with pytest.raises(ValueError, match="^K must be >= 1$"):
+    @pytest.mark.parametrize("K, message", [
+        (0, "K must be >= 1"), (-3, "K must be >= 1"), (2.5, r"K must be an integer, got 2\.5"),
+    ], ids=["0", "-3", "2.5"])
+    def test_k_below_one_rejected(self, K, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             AlgoConfig(LOCAL_SGDA, 0.1, 0.1, K, 1, Iterate.zeros(1, 1))
+
+    def test_rounds_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"^rounds must be an integer, got 2\.5$"):
+            AlgoConfig(LOCAL_SGDA, 0.1, 0.1, 2, 2.5, Iterate.zeros(1, 1))
+
+    def test_counts_are_kept_as_python_ints(self):
+        cfg = AlgoConfig(LOCAL_SGDA, 0.1, 0.1, np.int64(2), np.uint8(3), Iterate.zeros(1, 1))
+        assert (type(cfg.K), type(cfg.rounds)) == (int, int)
 
 
 
@@ -641,10 +656,21 @@ class TestStepsizeSelection:
         # selection that moves by one bit changes their bytes
         assert auto_eta_fedgda(federation(name), K).eta == eta
 
-    @pytest.mark.parametrize("K", [0, -2])
-    def test_auto_eta_rejects_k_below_one(self, K):
-        with pytest.raises(ValueError, match="K must be >= 1"):
+    @pytest.mark.parametrize("K, message", [
+        (0, "K must be >= 1"), (-2, "K must be >= 1"), (2.5, r"K must be an integer, got 2\.5"),
+    ], ids=["0", "-2", "2.5"])
+    def test_auto_eta_rejects_k_below_one(self, K, message):
+        with pytest.raises(ValueError, match=message):
             auto_eta_fedgda(ScalarTwoAgent(), K)
+
+    @pytest.mark.parametrize("eta, K, message", [
+        (1e-3, 0, "K must be >= 1"), (1e-3, -2, "K must be >= 1"),
+        (1e-3, 2.5, r"K must be an integer, got 2\.5"),
+        (np.nan, 3, "stepsizes must be finite and positive"),
+    ], ids=["K0", "K-2", "K2.5", "eta-nan"])
+    def test_round_map_refuses_invalid_round_inputs(self, eta, K, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fedgda_round_map_norm(ScalarTwoAgent(), eta, K)
 
     def test_round_map_refused_for_non_quadratic_problems(self):
         prob = gen_rlr(RlrGenSpec(m=3, d=2, n_i=5, alpha=1.0, seed=0))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fedmm import analysis
+from fedmm import algorithms, analysis
 from fedmm.analysis import (
     _geometric_sums,
     UnstableStepsizeError,
@@ -216,6 +216,14 @@ class TestLocalSgdaFixedPoint:
     def test_refuses_a_non_quadratic_problem(self):
         with pytest.raises(UnsupportedProblemError):
             local_sgda_fixed_point(tiny_rlr(), 10, 0.001, 0.001)
+
+    @pytest.mark.parametrize("study", [local_sgda_fixed_point, local_sgda_limit])
+    def test_closed_form_and_simulated_limit_refuse_a_non_integer_k(self, study):
+        with pytest.raises(ValueError, match=r"^K must be an integer, got 2\.5$"):
+            study(ScalarTwoAgent(), 2.5, 1e-3, 1e-3)
+
+    def test_the_simulated_limit_is_the_round_engines(self):
+        assert analysis.local_sgda_limit is algorithms.local_sgda_limit
 
 
 class TestGeometricSums:
@@ -545,6 +553,21 @@ def test_property_check_that_samples_nothing_is_refused(check, trials):
     # with no pair drawn there is nothing that could fail, so no pass to report
     with pytest.raises(ValueError, match="trials >= 1"):
         check(trials)
+
+
+@pytest.mark.parametrize("check", [
+    lambda trials, seed: check_strong_monotonicity(ScalarTwoAgent(), 2.0, trials, seed=seed),
+    lambda trials, seed: check_contraction(ScalarTwoAgent(), 2.0, 8.0, 0.01, trials, seed=seed),
+], ids=["monotonicity", "contraction"])
+@pytest.mark.parametrize("trials, seed, message", [
+    (2.5, 0, r"trials must be an integer, got 2\.5"),
+    # a seed of None would draw from the OS and give another answer every call
+    (5, None, "seed must be an integer, got None"),
+    (5, 1.5, r"seed must be an integer, got 1\.5"),
+])
+def test_property_check_counts_must_be_integers(check, trials, seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(trials, seed)
 
 
 class TestContractionCheck:

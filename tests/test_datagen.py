@@ -70,6 +70,25 @@ class TestQuadraticGeneration:
             QuadraticGenSpec(m=1, d=1, n_i=1, seed=-1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda **counts: QuadraticGenSpec(**{"m": 2, "d": 3, "n_i": 4, "seed": 0, **counts}),
+    lambda **counts: RlrGenSpec(**{"m": 2, "d": 3, "n_i": 4, "seed": 0, **counts}, alpha=1.0),
+], ids=["quadratic", "rlr"])
+@pytest.mark.parametrize("field, value", [
+    ("m", 2.5), ("d", 3.0), ("n_i", np.float64(4.0)), ("seed", 1.5), ("seed", None),
+])
+def test_spec_counts_must_be_integers(make, field, value):
+    # a float seed would generate the data of its integer part
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        make(**{field: value})
+
+
+def test_spec_keeps_python_ints():
+    spec = RlrGenSpec(m=np.int64(2), d=np.uint8(3), n_i=np.int32(4), alpha=1.0, seed=np.uint64(7))
+    assert [type(getattr(spec, f)) for f in ("m", "d", "n_i", "seed")] == [int] * 4
+    assert spec == RlrGenSpec(m=2, d=3, n_i=4, alpha=1.0, seed=7)
+
+
 class TestRlrGeneration:
     @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
     def test_alpha_must_be_finite_and_nonnegative(self, alpha):

@@ -26,6 +26,32 @@ def test_no_runtime_dependency_beyond_numpy(path):
     assert sorted(set(imported_top_level_modules(path)) - allowed) == []
 
 
+def private_imports(source):
+    """(module, name, line) of every underscore-prefixed name a source
+    imports from a ``fedmm`` module, relative or absolute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "fedmm"):
+            yield from ((node.module, alias.name, node.lineno) for alias in node.names
+                        if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("snippet, found", [
+    ("from .algorithms import _round, run_algorithm", [("algorithms", "_round", 1)]),
+    ("from fedmm.core import _x", [("fedmm.core", "_x", 1)]),
+    ("from . import _private", [(None, "_private", 1)]),
+    ("from numpy import _core\nfrom __future__ import annotations", []),
+])
+def test_private_imports_are_found(snippet, found):
+    assert list(private_imports(snippet)) == found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_name(path):
+    # a private name is its module's own; whatever another module needs is public
+    assert list(private_imports(path.read_text(encoding="utf-8"))) == []
+
+
 ONE_WRITER = ("datagen.py", "write_atomic")  # every output file goes through it
 
 

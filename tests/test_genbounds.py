@@ -216,6 +216,13 @@ class TestIntegerInputs:
         assert estimate_rademacher(sample, np.int64(10), seed=0) \
             == estimate_rademacher(sample, 10, seed=0)
 
+    @pytest.mark.parametrize("seed", [None, 1.5, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        # a seed of None would draw from the OS and give another estimate every call
+        sample = FiniteHypothesisSample(np.eye(4), m=2, n=2)
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            estimate_rademacher(sample, 10, seed)
+
 
 class TestWorstCaseBound:
     def test_reduces_to_population_bound_for_constant_inputs(self):
@@ -319,6 +326,9 @@ class TestVcBound:
         ((2, 3, 0, 1.0), "d must be >= 1"),
         ((2, 3, 1, -1.0), "max_sum_Mi2 must be nonnegative"),
         ((2, 3, 1, math.nan), "max_sum_Mi2 must be nonnegative"),
+        ((2.0, 3, 1, 1.0), r"m must be an integer, got 2\.0"),
+        ((2, 3.0, 1, 1.0), r"n must be an integer, got 3\.0"),
+        ((2, 3, 1.5, 1.0), r"d must be an integer, got 1\.5"),
     ])
     def test_rejects_invalid_arguments(self, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
