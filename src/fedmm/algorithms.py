@@ -275,6 +275,7 @@ def local_sgda_limit(
     """Iterate the uncorrected scheme from the origin until the per-round
     displacement falls below ``LIMIT_TOL * (1 + |z|)``; an independent
     oracle for the closed form."""
+    max_rounds = as_count(max_rounds, "max_rounds")
     p, m, z = problem.p, problem.m, np.zeros(problem.p + problem.q)
     config = AlgoConfig(LOCAL_SGDA, eta_x, eta_y, K, max_rounds, Iterate(z[:p], z[p:]))
     # overflow in a diverging run is left to the divergence check

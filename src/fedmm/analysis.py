@@ -206,7 +206,7 @@ def _sampled_pairs(problem: MinimaxProblem, trials: int, seed: int):
     """Yield (z, z', d, |d|^2, F(z) - F(z')) with d = z - z' for ``trials``
     random pairs, skipping coincident ones; F is the stacked descent/ascent
     field. Fewer than one trial is refused: a check would pass on nothing."""
-    trials, seed = as_count(trials, "trials"), as_count(seed, "seed")
+    seed = as_count(seed, "seed")
     if trials < 1:
         raise ValueError(f"a property check needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
@@ -228,6 +228,7 @@ def check_strong_monotonicity(
     <F(z)-F(z'), z-z'> >= mu |z-z'|^2 - MONOTONICITY_SLACK for the stacked
     descent/ascent field F; reports the smallest observed curvature ratio
     and a witness pair on failure."""
+    trials = as_count(trials, "trials")
     min_ratio = np.inf
     witness = None
     passed = True
@@ -263,6 +264,7 @@ def check_contraction(
 ) -> ContractionReport:
     """Test that the damped field u -> u - eta F(u) shrinks squared distances
     by at least the factor 1 - eta (2 mu - eta L^2) on random pairs."""
+    trials = as_count(trials, "trials")
     bound = 1.0 - eta * (2.0 * mu - eta * L**2)
     max_ratio = -np.inf
     witness = None

@@ -229,8 +229,9 @@ def estimate_rademacher(
         count = sigma.size
         words = bitgen.random_raw(-(-count // 64)).astype("<u8", copy=False)
         bits = np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
-        np.multiply(bits.reshape(sigma.shape), 2.0, out=sigma)
-        sigma -= 1.0
+        bits += bits  # then 2b - 1 in place: 0 wraps to 255, int8 -1; one cast
+        bits -= 1
+        sigma[...] = bits.view(np.int8).reshape(sigma.shape)
         sups[start:stop] = (sigma @ sample.loss_table.T).max(axis=1) / mn
     value = float(sups.mean())
     stderr = float(sups.std(ddof=1) / math.sqrt(num_sigma_draws)) if num_sigma_draws > 1 else 0.0

@@ -87,7 +87,12 @@ def finite_difference_gradients(obj: LocalObjective, x, y) -> tuple[Vector, Vect
 
 
 class QuadraticAgent(LocalObjective):
-    """f(x, y) = 1/2 x'Qx - 1/2 y'Qy + a'x - c'y with symmetric Q."""
+    """f(x, y) = 1/2 x'Qx - 1/2 y'Qy + a'x - c'y with symmetric Q.
+
+    Both gradients read their row of one two-row product [x; y] Q', the
+    product ``UncoupledQuadratic.stacked_field`` forms per agent, so the
+    batched field equals them bit for bit; no row depends on the other's values.
+    """
 
     def __init__(self, Q, a, c):
         Q = np.asarray(Q, dtype=np.float64)
@@ -116,13 +121,14 @@ class QuadraticAgent(LocalObjective):
             0.5 * x @ self.Q @ x - 0.5 * y @ self.Q @ y + self.a @ x - self.c @ y
         )
 
+    def _products(self, x, y):
+        return np.stack((as_vector(x, self.p, "x"), as_vector(y, self.q, "y"))) @ self.Q.T
+
     def grad_x(self, x, y):
-        x = as_vector(x, self.p, "x")
-        return self.Q @ x + self.a
+        return self._products(x, y)[0] + self.a
 
     def grad_y(self, x, y):
-        y = as_vector(y, self.q, "y")
-        return -(self.Q @ y) - self.c
+        return -self._products(x, y)[1] - self.c
 
 
 class RlrAgent(LocalObjective):
@@ -284,16 +290,16 @@ class UncoupledQuadratic(MinimaxProblem):
         return w, V
 
     def stacked_field(self, Z):
-        # F_i = Q_i (x_i, y_i) + (a_i, c_i): one broadcast np.matmul runs the
-        # matrix-vector product of Q_i @ x per agent and block, so rows equal
-        # the agent oracles bit for bit (np.einsum would not, nor Q_i times the
-        # (d, 2) matrix [x_i, y_i], a matrix-matrix kernel). For d = 1 it is
-        # one multiplication, which the elementwise product gives at less cost
+        # F_i = Q_i (x_i, y_i) + (a_i, c_i): one np.matmul forms, per agent,
+        # the two-row product [x_i; y_i] Q_i', which reads Q_i once in a
+        # matrix-matrix kernel and is already in F's layout. The agent oracles
+        # form the same product, so rows equal them bit for bit. For d = 1 it
+        # is one multiplication, which the elementwise product gives at less cost
         if self._curv_col is not None:
             F = self._curv_col * Z
         else:
             m, d = self.m, self.p
-            F = np.matmul(self.Q[:, None], Z.reshape(m, 2, d, 1)).reshape(m, 2 * d)
+            F = np.matmul(Z.reshape(m, 2, d), self.Q.transpose(0, 2, 1)).reshape(m, 2 * d)
         F += self._offset
         return F
 

@@ -82,6 +82,11 @@ class TestClosedFormFixedPoint:
         assert abs(z_formula.x[0] - limit.iterate.x[0]) <= 1e-6
         assert abs(z_formula.y[0] - limit.iterate.y[0]) <= 1e-6
 
+    @pytest.mark.parametrize("max_rounds", [2.5, "3"])
+    def test_limit_names_its_own_round_cap(self, max_rounds):
+        with pytest.raises(ValueError, match=f"^max_rounds must be an integer, got {max_rounds!r}$"):
+            local_sgda_limit(ScalarTwoAgent(), 2, 0.01, 0.01, max_rounds=max_rounds)
+
     def test_bias_grows_with_k(self):
         gaps = []
         for K in (1, 10, 20, 50):
@@ -568,6 +573,15 @@ def test_property_check_that_samples_nothing_is_refused(check, trials):
 def test_property_check_counts_must_be_integers(check, trials, seed, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         check(trials, seed)
+
+
+@pytest.mark.parametrize("check", [
+    lambda trials: check_strong_monotonicity(ScalarTwoAgent(), 2.0, trials),
+    lambda trials: check_contraction(ScalarTwoAgent(), 2.0, 8.0, 0.01, trials),
+], ids=["monotonicity", "contraction"])
+def test_property_report_keeps_the_python_int_it_read(check):
+    report = check(np.int64(5))
+    assert report.trials == 5 and type(report.trials) is int
 
 
 class TestContractionCheck:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -351,14 +353,21 @@ class TestStackedOracle:
     """``stacked_field`` puts agent i's field (grad_x, -grad_y) at row i of Z
     in row i of its result."""
 
-    @pytest.mark.parametrize("family", ["scalar2", "quadratic", "quadratic-d1", "agent-list"])
+    # the benchmark's d = 50 and sizes on both sides of BLAS kernel block edges
+    dims = (2, 7, 16, 17, 50, 65)
+
+    @pytest.mark.parametrize("family", ["scalar2", "quadratic", "quadratic-d1", "agent-list",
+                                        *(f"quadratic-d{d}" for d in dims)])
     def test_rows_equal_agent_oracles_bitwise(self, family):
-        prob = {"scalar2": ScalarTwoAgent,
-                "quadratic": lambda: random_quadratic(m=4, seed=15),
-                "quadratic-d1": lambda: random_quadratic(m=9, d=1, seed=15),
-                # no batched override: the default asks each agent's oracle
-                "agent-list": lambda: MinimaxProblem(random_rlr(m=3, d=4, n=6, seed=15).agents),
-                }[family]()
+        makers = {"scalar2": ScalarTwoAgent,
+                  "quadratic": lambda: random_quadratic(m=4, seed=15),
+                  "quadratic-d1": lambda: random_quadratic(m=9, d=1, seed=15),
+                  # no batched override: the default asks each agent's oracle
+                  "agent-list": lambda: MinimaxProblem(random_rlr(m=3, d=4, n=6, seed=15).agents),
+                  }
+        makers.update({f"quadratic-d{d}": lambda d=d: random_quadratic(m=4, d=d, seed=15)
+                       for d in self.dims})
+        prob = makers[family]()
         rng = np.random.default_rng(16)
         for _ in range(100):
             Z = rng.normal(0, 3, size=(prob.m, prob.p + prob.q))
@@ -382,6 +391,18 @@ class TestStackedOracle:
             FX, FY = split_rows(prob, prob.stacked_field(Z))
             assert np.array_equal(FX, np.matmul(prob.Q, X[:, :, None])[:, :, 0] + prob.a)
             assert np.array_equal(FY, np.matmul(prob.Q, Y[:, :, None])[:, :, 0] + prob.c)
+
+    def test_agent_gradient_reads_only_its_own_block(self):
+        # both gradients come from one two-row product; each row must not
+        # depend on the values in the other
+        agent = random_quadratic(m=1, d=50, seed=31).agents[0]
+        rng = np.random.default_rng(32)
+        x, y = rng.normal(size=50), rng.normal(size=50)
+        gx, gy = agent.grad_x(x, y), agent.grad_y(x, y)
+        for scale in (0.0, 1e-3, 1.0, 1e6):
+            other = rng.normal(0.0, scale, size=50)
+            assert np.array_equal(agent.grad_x(x, other), gx)
+            assert np.array_equal(agent.grad_y(other, y), gy)
 
     def test_rlr_rows_match_agent_oracles_and_central_differences(self):
         # unequal sample counts, so the zero padding of the batched
@@ -427,6 +448,32 @@ class TestStackedOracle:
             assert agent.Q.base is prob.Q and agent.c.base is prob.c
             assert agent.a.base is prob.a
             assert np.shares_memory(agent.Q, prob.Q[i])
+
+
+class TestExactQuadraticOracle:
+    """The quadratic field evaluated in ``fractions.Fraction``: every row of
+    ``stacked_field`` must lie within 2(d + 2) rounding units of the sum of
+    the absolute values of the terms of Q_i x_i + a_i and Q_i y_i + c_i, a
+    bound that holds whatever order BLAS sums the terms in."""
+
+    @pytest.mark.parametrize("d", [7, 17])
+    def test_field_rows(self, d):
+        rng = np.random.default_rng(33)
+        base = random_quadratic(m=3, d=d, seed=34)
+        prob = UncoupledQuadratic(base.Q, base.c, a_list=rng.normal(size=(3, d)))
+        tol = 2 * (d + 2) * np.finfo(np.float64).eps
+        for scale in (1e-2, 1.0, 10.0):
+            for _ in range(5):
+                Z = rng.normal(0.0, scale, size=(prob.m, 2 * d))
+                F = prob.stacked_field(Z)
+                for Q, a, c, z, f in zip(prob.Q, prob.a, prob.c, Z, F):
+                    Q = [list(map(Fraction, row)) for row in Q.tolist()]
+                    for block, offset in ((slice(0, d), a), (slice(d, 2 * d), c)):
+                        v = list(map(Fraction, z[block].tolist()))
+                        for row, shift, got in zip(Q, offset.tolist(), f[block].tolist()):
+                            terms = [q * vk for q, vk in zip(row, v)] + [Fraction(shift)]
+                            size = sum(abs(t) for t in terms)
+                            assert abs(Fraction(got) - sum(terms)) <= tol * size
 
 
 class TestOperatorProperties:
