@@ -314,8 +314,9 @@ def _round_map_weights(w: np.ndarray, eta: float, K: int) -> np.ndarray:
     curvature eigenvalues w, in closed form.
 
     ``analysis.local_sgda_fixed_point`` sums the same series term by term
-    instead: that keeps its output bitwise as it was, and stays accurate at
-    small eta w, where this closed form needs its series branch.
+    instead: that keeps the ``fixed-point`` digests pinned in
+    ``tests/test_cli.py::TestPinnedOutputs``, and stays accurate at small
+    eta w, where this closed form needs its series branch.
     """
     # geo = (1 - (1 - eta w)^K) / w, except the quotient cancels
     # catastrophically as eta*w -> 0; switch to its series there

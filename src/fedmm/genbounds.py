@@ -98,10 +98,13 @@ def _finite(name: str, evaluate) -> float:
 
 
 def concentration_term(inputs: BoundInputs) -> float:
-    """sqrt( sum_i M_i^2 / (2 m^2 n) * log(|Y_eps| / delta) )."""
+    """sqrt( sum_i M_i^2 / (2 m^2 n) * log(|Y_eps| / delta) ).
+
+    The log is taken as log |Y_eps| - log delta, so a cover size or a delta
+    whose quotient no float holds still gives the finite term."""
     return _finite("concentration_term", lambda: math.sqrt(
         inputs.sum_M_i_sq / (2.0 * inputs.m**2 * inputs.n)
-        * math.log(inputs.cover_size / inputs.delta)
+        * (math.log(inputs.cover_size) - math.log(inputs.delta))
     ))
 
 

@@ -782,25 +782,41 @@ rademacher = 0.0
                             captured.err)
 
 
-    # finite inputs whose bound overflows: 1e200 squared in sum M_i^2 (with
-    # numpy overflow warnings at the parent), cover_size / delta past the
-    # largest float (no warning at all), a cover size too large for a float
-    # (an OverflowError), and 0 * inf
+    # finite inputs whose bound overflows: 1e200 squared in sum M_i^2, and a
+    # product past the largest float
     OVERFLOWING = {
         "M_i": ("M_i = 1e200, 2", "vc_dim = 1"),
-        "log": ("cover_size = 100000000000000000000000", "delta = 1e-300"),
-        "int": ("cover_size = 1" + "0" * 400,),
-        "nan": ("M_i = 0, 0", "cover_size = 100000000000000000000000", "delta = 1e-300"),
         "rademacher": ("rademacher = 1e308",),
+    }
+    # finite bounds of inputs whose quotient cover_size / delta no float
+    # holds: a quotient past the largest float, a cover size no float holds,
+    # and that log times a zero sum of squares
+    FINITE = {
+        "log": (("cover_size = 100000000000000000000000", "delta = 1e-300"),
+                12.44768205528206),
+        "int": (("cover_size = 1" + "0" * 400,), 13.857362546511288),
+        "zero-M_i": (("M_i = 0, 0", "cover_size = 100000000000000000000000",
+                      "delta = 1e-300"), 0.0),
     }
 
     def overflowing_config(self, tmp_path, case):
-        lines = dict(line.split(" = ") for line in self.OVERFLOWING[case])
+        return self.bounds_config(tmp_path, self.OVERFLOWING[case])
+
+    def bounds_config(self, tmp_path, lines):
         valid = {"m": "2", "n": "3", "M_i": "1, 2", "cover_size": "2", "delta": "0.5",
                  "epsilon": "1", "L_y": "0", "rademacher": "0"}
-        valid.update(lines)
+        valid.update(line.split(" = ") for line in lines)
         return write(tmp_path / "b.ini", "\n".join(
             ["[bounds]", *(f"{key} = {raw}" for key, raw in valid.items()), ""]))
+
+    @pytest.mark.parametrize("case", sorted(FINITE))
+    def test_a_quotient_no_float_holds_prints_the_finite_bound(self, tmp_path, capsys, case):
+        lines, value = self.FINITE[case]
+        assert main(["bounds", self.bounds_config(tmp_path, lines)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"concentration_term  = {value!r}\n" in captured.out
+        assert f"empirical risk f(x,y) + {value!r}\n" in captured.out
 
     @pytest.mark.parametrize("case", sorted(OVERFLOWING))
     def test_overflowing_bound_exits_2_before_printing(self, tmp_path, capsys, case):

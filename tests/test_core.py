@@ -121,6 +121,14 @@ class TestVecOps:
             assert np.array_equal(average_vectors(X), expected)
             assert np.array_equal(average_vectors(list(X)), expected)
 
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_average_of_equal_rows_is_the_row_bitwise(self, m):
+        # so a homogeneous FedGDA-GT round has a zero correction for these m
+        # (README's contract); 3 x and 5 x round, so m = 3 or 8 need not hold
+        rng = np.random.default_rng(m)
+        row = rng.normal(size=100_000) * 10.0 ** rng.uniform(-100.0, 100.0, size=100_000)
+        assert np.array_equal(average_vectors(np.tile(row, (m, 1))), row)
+
     def test_average_rejects_ragged_list(self):
         with pytest.raises(DimensionMismatchError) as ei:
             average_vectors([np.zeros(3), np.ones(3), np.zeros(2)])

@@ -125,19 +125,22 @@ def overflowing_inputs(overrides):
 
 class TestOverflowRefused:
     # finite inputs whose bound overflows a float: 1e200 squared in sum M_i^2,
-    # cover_size / delta past the largest float, also with a numpy integer
-    # cover size, a cover size no float holds,
-    # 0 * inf, and products past the largest float, also of a numpy scalar
+    # and products past the largest float, also of a numpy scalar
     OVERFLOWING = {
         "M_i": (dict(M_i=[1e200, 2], vc_dim=1), "concentration_term = inf"),
-        "log": (dict(cover_size=10**23, delta=1e-300), "concentration_term = inf"),
-        "int": (dict(cover_size=10**400), "concentration_term = inf"),
-        "numpy-int": (dict(cover_size=np.int64(10**18), delta=1e-300),
-                      "concentration_term = inf"),
-        "nan": (dict(M_i=[0, 0], cover_size=10**23, delta=1e-300), "concentration_term = nan"),
         "rademacher": (dict(rademacher=1e308), "rademacher_term = inf"),
         "numpy-scalar": (dict(rademacher=np.float64(1e308)), "rademacher_term = inf"),
         "lipschitz": (dict(L_y=1e300, epsilon=1e300), "lipschitz_term = inf"),
+    }
+    # finite bounds of inputs whose quotient cover_size / delta no float
+    # holds: a cover size no float holds, a quotient past the largest float
+    # (also with a numpy integer cover size), and that log times a zero sum
+    # of squares. The concentration term is the whole bound here
+    FINITE = {
+        "int": (dict(cover_size=10**400), 13.857362546511288),
+        "log": (dict(cover_size=10**23, delta=1e-300), 12.44768205528206),
+        "numpy-int": (dict(cover_size=np.int64(10**18), delta=1e-300), 12.350962003457687),
+        "zero-M_i": (dict(M_i=[0, 0], cover_size=10**23, delta=1e-300), 0.0),
     }
     EVALUATORS = {
         "bound_terms": bound_terms,
@@ -158,10 +161,25 @@ class TestOverflowRefused:
         overrides, named = self.OVERFLOWING[case]
         self.refuses(self.EVALUATORS[evaluator], overflowing_inputs(overrides), named)
 
-    @pytest.mark.parametrize("case", ["M_i", "log", "int", "numpy-int", "nan"])
-    def test_concentration_term_refuses_on_its_own(self, case):
-        overrides, named = self.OVERFLOWING[case]
+    def test_concentration_term_refuses_on_its_own(self):
+        overrides, named = self.OVERFLOWING["M_i"]
         self.refuses(concentration_term, overflowing_inputs(overrides), named)
+
+    @pytest.mark.parametrize("case", sorted(FINITE))
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_a_quotient_no_float_holds_gives_the_finite_bound(self, case, evaluator):
+        overrides, value = self.FINITE[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = self.EVALUATORS[evaluator](overflowing_inputs(overrides))
+        if evaluator == "bound_terms":
+            bound = bound["concentration_term"]
+        assert bound == value
+
+    @pytest.mark.parametrize("case", sorted(FINITE))
+    def test_concentration_term_is_finite_on_its_own(self, case):
+        overrides, value = self.FINITE[case]
+        assert concentration_term(overflowing_inputs(overrides)) == value
 
     def test_sum_of_finite_terms_that_overflows_is_refused(self):
         inputs = make_inputs(rademacher=0.6e308, L_y=0.6e308, epsilon=1.0)
