@@ -305,13 +305,16 @@ class EtaSelection:
 
 
 def conservative_eta(mu: float, L: float, K: int) -> float:
-    """Half the minimum of the two closed-form stability ceilings."""
+    """Half the minimum of the two closed-form stability ceilings; mu > 0."""
+    if not mu > 0:
+        raise ValueError(f"the conservative stepsize needs mu > 0, got {mu}")
     return 0.5 * min(2.0 * mu / L**2, 1.0 / (2.0 * mu * K))
 
 
-def _round_map_weights(w: np.ndarray, eta: float, K: int) -> np.ndarray:
+def _round_map_weights(w: np.ndarray, eta: float | np.ndarray, K: int) -> np.ndarray:
     """Eigenvalues geo = eta sum_{j<K} (1 - eta w)^j of eta S_i at the
-    curvature eigenvalues w, in closed form.
+    curvature eigenvalues w, in closed form. Elementwise: an eta (n, 1, 1)
+    gives n candidates' weights, each bitwise what its own call gives.
 
     ``analysis.local_sgda_fixed_point`` sums the same series term by term
     instead: that keeps the ``fixed-point`` digests pinned in
@@ -366,9 +369,10 @@ def _diagonal_terms(V: np.ndarray, Qbar: np.ndarray) -> tuple[np.ndarray, np.nda
     return terms.reshape(d, m * d), np.linalg.norm(Qbar, axis=0)
 
 
-def _round_map_lower_bound(terms: tuple[np.ndarray, np.ndarray], geo: np.ndarray) -> float:
-    """A lower bound on the computed ``np.linalg.norm(M, 2)`` of the round map
-    built from ``geo``, from its diagonal: ||M|| >= max_k |M_kk|.
+def _round_map_lower_bound(terms: tuple[np.ndarray, np.ndarray], geo: np.ndarray) -> np.ndarray:
+    """Lower bounds (n,) on the computed ``np.linalg.norm(M, 2)`` of the maps
+    built from each of the n weights ``geo`` (n, m, d), by their diagonals,
+    ||M|| >= max_k |M_kk|, all from one (d, m d) x (m d, n) product.
 
     Every diagonal entry is reduced by ``_diagonal_slack(m, d)`` times a bound on
     the sum of its terms' absolute values, which covers the rounding of this
@@ -376,13 +380,13 @@ def _round_map_lower_bound(terms: tuple[np.ndarray, np.ndarray], geo: np.ndarray
     norm as computed, not only for the exact map.
     """
     products, column_norms = terms
-    m, d = geo.shape
-    diagonal = 1.0 - products @ geo.reshape(-1) / m
+    n, m, d = geo.shape
+    diagonal = 1.0 - products @ geo.reshape(n, m * d).T / m
     # sum_l |V_i[k, l] (V_i' Qbar)[l, k] geo_il| <= ||geo_i|| ||Qbar[:, k]||,
     # by Cauchy-Schwarz over the unit rows and columns of V_i; the same bound
     # covers the products that ``_round_map`` takes in another order
-    magnitude = 1.0 + np.linalg.norm(geo, axis=1).sum() / m * column_norms
-    return float(np.max(np.abs(diagonal) - _diagonal_slack(m, d) * magnitude))
+    magnitude = 1.0 + np.linalg.norm(geo, axis=2).sum(axis=1) / m * column_norms[:, None]
+    return np.max(np.abs(diagonal) - _diagonal_slack(m, d) * magnitude, axis=0)
 
 
 def fedgda_round_map(problem: MinimaxProblem, eta: float, K: int) -> np.ndarray:
@@ -411,35 +415,31 @@ def auto_eta_fedgda(problem: MinimaxProblem, K: int) -> EtaSelection:
     Scans a geometric grid below the per-step stability ceiling 2/L and keeps
     the stepsize whose exact round map has the smallest operator norm (larger
     stepsize wins ties within ``_TIE_TOL``). The closed-form conservative value is
-    always among the candidates, so the selection never does worse than it.
+    among the candidates whenever mu > 0, so the selection never does worse
+    than it; with a singular agent curvature (mu <= 0) the grid stands alone.
 
-    A candidate's map is built and normed only if it can still win: before
-    building, ``_round_map_lower_bound`` bounds its norm from below by the
-    map's diagonal, one (d, m d) matrix-vector product instead of d x d
-    products and an SVD. A candidate whose bound exceeds the best norm so far
+    A candidate's map is built and normed only if it can still win:
+    ``_round_map_lower_bound`` bounds every candidate's norm from below by its
+    map's diagonal, all in one matrix product instead of d x d products and
+    an SVD each. A candidate whose bound exceeds the best norm so far
     by more than the tie tolerance can neither beat nor tie it, and the
     running best is the one a scan of every candidate holds at that point, so
     the selection is bitwise that of building every map. Usually one or two
     maps get built.
     """
     K = check_round_inputs(K)
-    # mu and L come from eigvalsh, not from the eigh spectra below: on 130
-    # of 133 quadratic federations checked, benchmark seeds 0, 7 and 11 among
-    # them, the extremes of the two differ in the last bits (mu on 122, L on
-    # 108), which moves the grid and the selected stepsize
     mu, L = estimate_constants(problem)
     candidates = [2.0 / L * 0.5**j for j in range(1, ETA_GRID_SIZE + 1)]
-    candidates.append(conservative_eta(mu, L, K))
+    if mu > 0:
+        candidates.append(conservative_eta(mu, L, K))
     # estimate_constants refused every problem but a quadratic family
     w, V = problem.spectra
     Qbar = problem.Q_sum / problem.m
-    terms = _diagonal_terms(V, Qbar)
+    geos = _round_map_weights(w, np.array(candidates)[:, None, None], K)
+    bounds = _round_map_lower_bound(_diagonal_terms(V, Qbar), geos)
     best: EtaSelection | None = None
-    for eta in candidates:
-        geo = _round_map_weights(w, eta, K)
-        if best is not None and (
-            _round_map_lower_bound(terms, geo) > best.round_map_norm + _TIE_TOL
-        ):
+    for eta, geo, bound in zip(candidates, geos, bounds):
+        if best is not None and bound > best.round_map_norm + _TIE_TOL:
             continue
         s = float(np.linalg.norm(_round_map(V, geo, Qbar), 2))
         if best is None or s < best.round_map_norm - _TIE_TOL or (

@@ -460,9 +460,9 @@ def estimate_constants(problem: MinimaxProblem) -> tuple[float, float]:
     """(mu, L): worst strong-convexity and smoothness constants over agents.
 
     mu is the smallest eigenvalue over all per-agent curvature matrices and L
-    the largest, from one batched ``eigvalsh`` of a quadratic family's ``Q``.
+    the largest, read from a quadratic family's ``spectra``.
     """
     problem = require_family(problem, UncoupledQuadratic,
                              "constants are not estimated for {}; supply stepsizes explicitly")
-    eigs = np.linalg.eigvalsh(problem.Q)
-    return float(eigs[:, 0].min()), float(eigs[:, -1].max())
+    w, _ = problem.spectra
+    return float(w[:, 0].min()), float(w[:, -1].max())

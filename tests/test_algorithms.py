@@ -581,11 +581,16 @@ class TestStepsizeSelection:
     def test_diagonal_bound_is_below_every_candidate_norm(
         self, federation, exhaustive_scan, name, K
     ):
+        # every candidate's bound from one batched call, each below the norm
+        # of its own map
         prob = federation(name)
         w, V = prob.spectra
         terms = _diagonal_terms(V, prob.Q_sum / prob.m)
-        for eta, norm in exhaustive_scan(name, K):
-            bound = _round_map_lower_bound(terms, _round_map_weights(w, eta, K))
+        scan = exhaustive_scan(name, K)
+        etas = np.array([eta for eta, _ in scan])
+        bounds = _round_map_lower_bound(terms, _round_map_weights(w, etas[:, None, None], K))
+        assert bounds.shape == (ETA_GRID_SIZE + 1,)
+        for bound, (_, norm) in zip(bounds, scan):
             assert bound <= norm
             # a d = 1 map is its own diagonal: the bound is sharp but for
             # the rounding allowance, 1e-10 of terms of order one
@@ -618,8 +623,8 @@ class TestStepsizeSelection:
         monkeypatch.setattr(algorithms, "conservative_eta", lambda mu, L, K: tied)
         monkeypatch.setattr(
             algorithms, "_round_map_lower_bound",
-            lambda terms, geo: float(np.linalg.norm(
-                algorithms._round_map(V, geo, prob.Q_sum / prob.m), 2)),
+            lambda terms, geos: np.array([np.linalg.norm(
+                algorithms._round_map(V, geo, prob.Q_sum / prob.m), 2) for geo in geos]),
         )
         assert auto_eta_fedgda(prob, K) == EtaSelection(tied, fedgda_round_map_norm(prob, tied, K))
 
@@ -637,16 +642,49 @@ class TestStepsizeSelection:
         assert auto_eta_fedgda(prob, 20) == expected
         assert 1 <= len(builds) <= 3  # of ETA_GRID_SIZE + 1 = 47 candidates
 
+    @pytest.mark.parametrize("name,K", [("quad-seed-7", 20), ("scalar2", 50), ("small", 10)])
+    def test_batched_weights_equal_each_candidates_bitwise(self, federation, name, K):
+        # the search weighs all candidates in one broadcast; elementwise, so
+        # each candidate's weights are bitwise those of its own call
+        w, _ = federation(name).spectra
+        etas = 2.0 / w.max() * 0.5 ** np.arange(1, ETA_GRID_SIZE + 1)
+        batched = _round_map_weights(w, etas[:, None, None], K)
+        for eta, geo in zip(etas, batched):
+            assert np.array_equal(geo, _round_map_weights(w, float(eta), K))
+
+    @pytest.mark.parametrize("Q", [
+        [[[0.0]], [[2.0]]],
+        [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+    ], ids=["scalar", "diagonal"])
+    def test_a_singular_agent_curvature_is_searched_on_the_grid(self, Q):
+        # sum Q_i is positive definite, so the problem is well posed, but
+        # mu = 0 has no conservative stepsize. Along every eigenvector one
+        # agent has curvature 0 and the other L, so at eta = 1/(2L) and K = 5
+        # the map is 1 - (eta L K + 1 - (1 - eta L)^K) / 4 = 17/128 times I
+        prob = UncoupledQuadratic(Q, np.ones((2, len(Q[0]))))
+        mu, L = estimate_constants(prob)
+        assert mu == 0.0
+        grid = [2.0 / L * 0.5**j for j in range(1, ETA_GRID_SIZE + 1)]
+        sel = auto_eta_fedgda(prob, 5)
+        assert sel == EtaSelection(0.5 / L, 0.1328125)
+        assert sel.eta in grid
+        assert min(fedgda_round_map_norm(prob, eta, 5) for eta in grid) == 0.1328125
+
+    @pytest.mark.parametrize("mu", [0.0, -1e-16, np.nan])
+    def test_conservative_eta_refuses_a_curvature_floor_that_is_not_positive(self, mu):
+        with pytest.raises(ValueError, match=r"^the conservative stepsize needs mu > 0, got "):
+            conservative_eta(mu, 2.0, 5)
+
     @pytest.mark.parametrize("name,K,eta", [
-        ("quad-seed-0", 1, 0.00030892207727639995),
-        ("quad-seed-0", 20, 0.00030892207727639995),
-        ("quad-seed-0", 50, 0.00015446103863819998),
-        ("quad-seed-7", 1, 0.0002841936064702546),
-        ("quad-seed-7", 20, 0.0002841936064702546),
-        ("quad-seed-7", 50, 0.0001420968032351273),
-        ("quad-seed-11", 1, 0.00030231116668863104),
-        ("quad-seed-11", 20, 0.00030231116668863104),
-        ("quad-seed-11", 50, 0.00015115558334431552),
+        ("quad-seed-0", 1, 0.00030892207727640006),
+        ("quad-seed-0", 20, 0.00030892207727640006),
+        ("quad-seed-0", 50, 0.00015446103863820003),
+        ("quad-seed-7", 1, 0.00028419360647025473),
+        ("quad-seed-7", 20, 0.00028419360647025473),
+        ("quad-seed-7", 50, 0.00014209680323512737),
+        ("quad-seed-11", 1, 0.0003023111666886313),
+        ("quad-seed-11", 20, 0.0003023111666886313),
+        ("quad-seed-11", 50, 0.00015115558334431565),
         ("scalar2", 1, 0.125),
         ("scalar2", 20, 0.015625),
         ("scalar2", 50, 0.0078125),
@@ -680,22 +718,31 @@ class TestStepsizeSelection:
             auto_eta_fedgda(prob, 5)
 
     def test_one_eigendecomposition_per_problem(self, monkeypatch):
-        # the stepsize search, the public round map and the Local SGDA fixed
-        # point all read the problem's cached spectra
+        # the constants, the stepsize search, the public round map and the
+        # Local SGDA fixed point all read the problem's cached spectra
         prob = small_quadratic(m=4, d=5, seed=11)
-        eigh = np.linalg.eigh
-        calls = []
+        calls = {"eigh": [], "eigvalsh": []}
 
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
+        def counting(name):
+            original = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+            def counted(a, *args, **kwargs):
+                calls[name].append(np.shape(a))
+                return original(a, *args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        mu, L = estimate_constants(prob)
         eta = auto_eta_fedgda(prob, 10).eta
         fedgda_round_map(prob, eta, 10)
         fedgda_round_map(prob, 0.5 * eta, 3)
         local_sgda_fixed_point(prob, 10, eta, eta)
-        assert calls == [(4, 5, 5)]
+        assert calls == {"eigh": [(4, 5, 5)], "eigvalsh": []}
+        # the constants are the extreme eigenvalues of the spectra, bitwise
+        w, _ = prob.spectra
+        assert (mu, L) == (min(w_i[0] for w_i in w), max(w_i[-1] for w_i in w))
 
     def test_scalar_two_agent_selection_is_stable(self):
         prob = ScalarTwoAgent()

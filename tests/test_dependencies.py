@@ -136,3 +136,50 @@ def test_numpy_random_uses_are_found(snippet, found):
 def test_every_draw_is_seeded(path):
     uses = numpy_random_uses(path.read_text(encoding="utf-8"))
     assert [(path.name, name, line) for name, line in uses if name not in SEEDED_RANDOM] == []
+
+
+# every eigendecomposition is the quadratic family's cached spectra; the
+# constants, the round map, the stepsize search and the fixed point read it
+ONE_SPECTRA = ("problems.py", "UncoupledQuadratic.spectra")
+EIGEN_CALLS = {"eigh", "eigvalsh", "eig", "eigvals"}
+
+
+def eigen_calls(source):
+    """(enclosing class and function, dotted, line) of every call in one source
+    to a name in ``EIGEN_CALLS``: ``np.linalg.eigh(...)``, ``linalg.eig(...)``
+    or a bare ``eigvalsh(...)`` imported from numpy.linalg."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in EIGEN_CALLS:
+                    yield scope, child.lineno
+            yield from visit(child, scope)
+
+    yield from visit(ast.parse(source), None)
+
+
+@pytest.mark.parametrize("snippet, found", [
+    ("class A:\n    def f(self):\n        return np.linalg.eigh(q)", [("A.f", 3)]),
+    ("def g(q):\n    return numpy.linalg.eigvalsh(q)", [("g", 2)]),
+    ("from numpy.linalg import eig\nw = eig(q)", [(None, 2)]),
+    ("def h(q):\n    def inner():\n        return linalg.eigvals(q)\n", [("h.inner", 3)]),
+    ("np.linalg.svd(q)\nnp.linalg.norm(q, 2)", []),
+])
+def test_eigen_calls_are_found(snippet, found):
+    assert list(eigen_calls(snippet)) == found
+
+
+def test_one_spectra_is_found():
+    path = SOURCES[0].with_name(ONE_SPECTRA[0])
+    assert [where for where, _ in eigen_calls(path.read_text(encoding="utf-8"))] == [ONE_SPECTRA[1]]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_eigendecompositions_only_in_the_spectra(path):
+    calls = [(path.name, where, line)
+             for where, line in eigen_calls(path.read_text(encoding="utf-8"))]
+    assert [c for c in calls if c[:2] != ONE_SPECTRA] == []
