@@ -15,10 +15,18 @@ guaranteed within this implementation, not across libraries. A generator
 draws from its spec's seed alone and never retries under another, so the
 spec (which the dataset container stores as its header) names the data.
 
-Quadratic recipe (one problem): alpha ~ N(0, 10^2) from stream 0; per agent i,
-sub 0: A_i entries ~ N(0, (2/i)^2); sub 1: mu_i entries ~ N(alpha, 1);
-sub 2: theta_i ~ N(mu_i, I); sub 3: eps_i ~ N(0, 0.5^2 I). Then
-b_i = A_i theta_i + eps_i, Q_i = A_i'A_i, c_i = A_i'b_i (theta_i is ephemeral).
+Quadratic recipe (one problem): alpha ~ N(0, 10^2) from stream 0. Agent i's
+data are Q_i = A_i'A_i and c_i = A_i'(A_i theta_i + eps_i) for n_i samples
+A_i with entries ~ N(0, s^2), s = 2/i, and eps_i ~ N(0, 0.5^2 I); they are
+drawn from their exact joint law, in O(d^2) draws whatever n_i, never from
+samples. Q_i is Wishart_d(s^2 I, n_i), so Q_i = BB' with B = sL and L lower
+triangular (Bartlett decomposition): L_kk^2 ~ chi^2(n_i - k + 1) for
+k = 1..d, L_jk ~ N(0, 1) for j > k. Given A_i, A_i'eps_i ~ N(0, Q_i / 4)
+depends on A_i only through Q_i, so c_i = Q_i theta_i + B g / 2 with
+g ~ N(0, I). Per agent i: sub 0: the d chi^2 draws of diag(L), then the
+d(d-1)/2 normals below it, row by row (L_21, L_31, L_32, L_41, ...);
+sub 1: mu_i entries ~ N(alpha, 1); sub 2: theta_i ~ N(mu_i, I); sub 3: g.
+Q_i is exactly symmetric; theta_i is ephemeral.
 
 Robust-regression recipe: per agent i, sub 0: x_i* ~ N(0, I) (documented
 choice); sub 1: shift c_i entries ~ N(0, alpha^2); sub 2: mu_i ~ N(c_i, I);
@@ -61,7 +69,10 @@ class QuadraticGenSpec:
         if self.m < 1 or self.d < 1:
             raise ValueError("m and d must be >= 1")
         if self.n_i < self.d:
-            raise ValueError("n_i must be >= d so A'A is full rank almost surely")
+            raise ValueError("n_i must be >= d: the chi^2(n_i - k + 1) factors of "
+                             "Q_i, k = 1..d, need at least one degree of freedom")
+        if self.n_i >= 2**64:
+            raise ValueError("n_i must be below 2^64, the container's u64 field")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
@@ -86,20 +97,25 @@ class RlrGenSpec:
 
 
 def _quadratic_agent_data(seed: int, i: int, d: int, n: int, alpha: float):
-    A = substream(seed, i, 0).normal(0.0, 2.0 / i, size=(n, d))
+    rng = substream(seed, i, 0)
+    L = np.diag(np.sqrt(rng.chisquare(float(n) - np.arange(d))))
+    L[np.tri(d, k=-1, dtype=bool)] = rng.standard_normal(d * (d - 1) // 2)  # row by row
+    B = (2.0 / i) * L
     mu = substream(seed, i, 1).normal(alpha, 1.0, size=d)
     theta = substream(seed, i, 2).normal(mu, 1.0)
-    eps = substream(seed, i, 3).normal(0.0, 0.5, size=n)
-    b = A @ theta + eps
-    return A.T @ A, A.T @ b
+    g = substream(seed, i, 3).standard_normal(d)
+    Q = B @ B.T
+    Q = 0.5 * (Q + Q.T)  # Q_jk and Q_kj are one sum, whatever the product did
+    return Q, Q @ theta + 0.5 * (B @ g)
 
 
 def gen_quadratic(spec: QuadraticGenSpec) -> UncoupledQuadratic:
     """Generate the uncoupled quadratic federation for ``spec``, from
     ``spec.seed`` alone: there is no retry under another seed.
 
-    With ``n_i >= d`` each A_i'A_i is positive definite almost surely; a
-    numerically singular sum still raises ``SingularProblemError`` from the
+    Each agent takes O(d^2) draws whatever ``n_i`` (module docstring). With
+    ``n_i >= d`` each Q_i is positive definite almost surely; a numerically
+    singular sum still raises ``SingularProblemError`` from the
     ``UncoupledQuadratic`` constructor.
     """
     alpha = float(substream(spec.seed, PROBLEM_STREAM, 0).normal(0.0, 10.0))

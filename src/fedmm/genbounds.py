@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -97,15 +98,25 @@ def _finite(name: str, evaluate) -> float:
     return value
 
 
+def _root_of_quotient(numerator: float, count: int, factor: float) -> float:
+    """sqrt(numerator / count * factor), the quotient rounded once from the
+    exact integer ``count``: the plain expression's bits whenever ``count``
+    is a float of at most 2^64. A larger count scales the quotient by 4^k
+    first, so that it does not underflow, and the root undoes the scale."""
+    k = max(0, count.bit_length() - 64) // 2
+    quotient = float(Fraction(numerator) * 4**k / count)
+    return math.ldexp(math.sqrt(quotient * factor), -k)
+
+
 def concentration_term(inputs: BoundInputs) -> float:
     """sqrt( sum_i M_i^2 / (2 m^2 n) * log(|Y_eps| / delta) ).
 
     The log is taken as log |Y_eps| - log delta, so a cover size or a delta
-    whose quotient no float holds still gives the finite term."""
-    return _finite("concentration_term", lambda: math.sqrt(
-        inputs.sum_M_i_sq / (2.0 * inputs.m**2 * inputs.n)
-        * (math.log(inputs.cover_size) - math.log(inputs.delta))
-    ))
+    whose quotient no float holds still gives the finite term; so does an
+    m^2 n no float holds."""
+    return _finite("concentration_term", lambda: _root_of_quotient(
+        inputs.sum_M_i_sq, 2 * inputs.m**2 * inputs.n,
+        math.log(inputs.cover_size) - math.log(inputs.delta)))
 
 
 def bound_terms(inputs: BoundInputs) -> dict[str, float]:
@@ -147,9 +158,12 @@ def vc_rademacher_bound(m: int, n: int, d: int, max_sum_Mi2: float) -> float:
         raise ValueError(f"need m*n >= d, got m*n = {m * n} < d = {d}")
     if not max_sum_Mi2 >= 0:
         raise ValueError("max_sum_Mi2 must be nonnegative")
-    return _finite("vc_rademacher_bound", lambda: math.sqrt(
-        2.0 * d * max_sum_Mi2 / (m**2 * n) * (1.0 + math.log(m * n / d))
-    ))
+    try:
+        log_ratio = math.log(m * n / d)
+    except OverflowError:  # m n / d is past the largest float
+        log_ratio = math.log(m * n) - math.log(d)
+    return _finite("vc_rademacher_bound", lambda: _root_of_quotient(
+        2.0 * d * max_sum_Mi2, m**2 * n, 1.0 + log_ratio))
 
 
 # ---------------------------------------------------------------------------

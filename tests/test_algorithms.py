@@ -676,15 +676,15 @@ class TestStepsizeSelection:
             conservative_eta(mu, 2.0, 5)
 
     @pytest.mark.parametrize("name,K,eta", [
-        ("quad-seed-0", 1, 0.00030892207727640006),
-        ("quad-seed-0", 20, 0.00030892207727640006),
-        ("quad-seed-0", 50, 0.00015446103863820003),
-        ("quad-seed-7", 1, 0.00028419360647025473),
-        ("quad-seed-7", 20, 0.00028419360647025473),
-        ("quad-seed-7", 50, 0.00014209680323512737),
-        ("quad-seed-11", 1, 0.0003023111666886313),
-        ("quad-seed-11", 20, 0.0003023111666886313),
-        ("quad-seed-11", 50, 0.00015115558334431565),
+        ("quad-seed-0", 1, 0.0002993943442946296),
+        ("quad-seed-0", 20, 0.0002993943442946296),
+        ("quad-seed-0", 50, 0.0001496971721473148),
+        ("quad-seed-7", 1, 0.0003002746327313128),
+        ("quad-seed-7", 20, 0.0003002746327313128),
+        ("quad-seed-7", 50, 0.0001501373163656564),
+        ("quad-seed-11", 1, 0.00030657331326329907),
+        ("quad-seed-11", 20, 0.00030657331326329907),
+        ("quad-seed-11", 50, 0.00015328665663164954),
         ("scalar2", 1, 0.125),
         ("scalar2", 20, 0.015625),
         ("scalar2", 50, 0.0078125),

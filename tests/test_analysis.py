@@ -175,7 +175,7 @@ class TestLocalSgdaFixedPoint:
         plateau = optimality_gap(local_sgda_fixed_point(prob, 20, eta, eta), z_star)
         config = AlgoConfig(LOCAL_SGDA, eta, eta, 20, 60, Iterate.zeros(50, 50))
         final = run_algorithm(prob, config, z_star=z_star).records[-1].gap_sq
-        assert plateau == pytest.approx(135.92, abs=0.01)
+        assert plateau == pytest.approx(149.78, abs=0.01)
         assert final == pytest.approx(plateau, rel=1e-6)
 
     def test_own_x_term_and_distinct_stepsizes(self):

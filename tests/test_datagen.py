@@ -1,5 +1,6 @@
 import re
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fedmm.datagen import (
     MAGIC,
     QuadraticGenSpec,
     RlrGenSpec,
+    _quadratic_agent_data,
     gen_quadratic,
     gen_rlr,
     load_dataset,
@@ -23,6 +25,22 @@ from fedmm.problems import (
     UncoupledQuadratic,
     closed_form_minimax,
 )
+
+
+def sample_recipe(seed, i, d, n, alpha):
+    """Agent i's (Q_i, c_i) from n_i drawn samples: the law gen_quadratic
+    draws from its sufficient statistics. sub 0 holds A_i, sub 3 eps_i."""
+    A = substream(seed, i, 0).normal(0.0, 2.0 / i, size=(n, d))
+    mu = substream(seed, i, 1).normal(alpha, 1.0, size=d)
+    theta = substream(seed, i, 2).normal(mu, 1.0)
+    eps = substream(seed, i, 3).normal(0.0, 0.5, size=n)
+    b = A @ theta + eps
+    return A.T @ A, A.T @ b
+
+
+def theta_draw(seed, i, d, alpha):
+    mu = substream(seed, i, 1).normal(alpha, 1.0, size=d)
+    return substream(seed, i, 2).normal(mu, 1.0)
 
 
 class TestQuadraticGeneration:
@@ -39,19 +57,58 @@ class TestQuadraticGeneration:
         assert np.array_equal(p2.agents[0].Q, p3.agents[0].Q)
         assert np.array_equal(p2.agents[1].c, p3.agents[1].c)
 
-    def test_scalar_instance_algebra(self):
-        # replay the documented substreams to recover a, theta, eps, then
-        # check Q = a^2 and c = a (a t + e)
-        seed = 5
-        spec = QuadraticGenSpec(m=1, d=1, n_i=1, seed=seed)
-        prob = gen_quadratic(spec)
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_scalar_instance_replays_the_substreams(self, i):
+        # at d = 1, L is the root of one chi^2(n) draw and sub 0 holds no
+        # normal: Q = s^2 chi^2 and c = Q theta + s sqrt(chi^2) g / 2
+        seed, n, s = 5, 9, 2.0 / i
+        prob = gen_quadratic(QuadraticGenSpec(m=2, d=1, n_i=n, seed=seed))
         alpha = float(substream(seed, 0, 0).normal(0.0, 10.0))
-        a = float(substream(seed, 1, 0).normal(0.0, 2.0))
-        mu = float(substream(seed, 1, 1).normal(alpha, 1.0))
-        t = float(substream(seed, 1, 2).normal(mu, 1.0))
-        e = float(substream(seed, 1, 3).normal(0.0, 0.5))
-        assert prob.agents[0].Q[0, 0] == pytest.approx(a * a, rel=1e-15)
-        assert prob.agents[0].c[0] == pytest.approx(a * (a * t + e), rel=1e-14)
+        chi2 = float(substream(seed, i, 0).chisquare(n))
+        mu = float(substream(seed, i, 1).normal(alpha, 1.0))
+        theta = float(substream(seed, i, 2).normal(mu, 1.0))
+        g = float(substream(seed, i, 3).standard_normal())
+        Q = s * s * chi2
+        assert prob.Q[i - 1, 0, 0] == pytest.approx(Q, rel=1e-15)
+        assert prob.c[i - 1, 0] == pytest.approx(Q * theta + 0.5 * s * np.sqrt(chi2) * g,
+                                                  rel=1e-14)
+
+    def test_substreams_replay_in_the_documented_order(self):
+        # sub 0: the d chi^2 draws of diag(L), then the normals below it row
+        # by row; sub 1: mu; sub 2: theta; sub 3: g
+        seed, m, d, n = 3, 3, 4, 7
+        prob = gen_quadratic(QuadraticGenSpec(m=m, d=d, n_i=n, seed=seed))
+        alpha = float(substream(seed, 0, 0).normal(0.0, 10.0))
+        for i in range(1, m + 1):
+            rng = substream(seed, i, 0)
+            L = np.diag(np.sqrt(rng.chisquare([n - k for k in range(d)])))
+            for j in range(1, d):
+                L[j, :j] = rng.standard_normal(j)
+            B = (2.0 / i) * L
+            mu = substream(seed, i, 1).normal(alpha, 1.0, size=d)
+            theta = substream(seed, i, 2).normal(mu, 1.0)
+            g = substream(seed, i, 3).standard_normal(d)
+            np.testing.assert_allclose(prob.Q[i - 1], B @ B.T, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(prob.c[i - 1], B @ B.T @ theta + 0.5 * B @ g,
+                                       rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("spec", [
+        QuadraticGenSpec(m=3, d=4, n_i=10, seed=42),
+        QuadraticGenSpec(m=20, d=50, n_i=500, seed=7),
+    ], ids=["small", "benchmark"])
+    def test_every_q_is_symmetric_bitwise(self, spec):
+        Q = gen_quadratic(spec).Q
+        assert np.array_equal(Q, Q.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("n_i", [10**12, 2**64 - 1], ids=["1e12", "u64-max"])
+    def test_draws_do_not_grow_with_the_sample_count(self, n_i):
+        # the sample recipe would ask for n_i * d floats here
+        start = time.perf_counter()
+        prob = gen_quadratic(QuadraticGenSpec(m=2, d=3, n_i=n_i, seed=1))
+        assert time.perf_counter() - start < 1.0
+        assert np.isfinite(prob.Q).all() and np.isfinite(prob.c).all()
+        for Q in prob.Q:
+            np.linalg.cholesky(Q)  # raises unless positive definite
 
     def test_benchmark_scale_instance_is_solvable(self):
         prob = gen_quadratic(QuadraticGenSpec(m=20, d=50, n_i=500, seed=7))
@@ -68,6 +125,69 @@ class TestQuadraticGeneration:
             QuadraticGenSpec(m=1, d=5, n_i=4, seed=0)  # n_i < d
         with pytest.raises(ValueError):
             QuadraticGenSpec(m=1, d=1, n_i=1, seed=-1)
+
+
+# the law of one agent's (Q, c), compared between the two recipes on agent 1
+# (s = 2) at d = 3, n_i = 5: the generator over seeds 0..N-1 and the sample
+# recipe over the disjoint seeds N..2N-1, so the two samples are independent.
+# alpha = 0: it shifts theta, which none of the statistics below depends on
+LAW_SEEDS, LAW_D, LAW_N, LAW_S = 4000, 3, 5, 2.0
+
+
+def law_draws(recipe, seeds):
+    """(Q, r) per seed, with r = c - Q theta the noise term A'eps."""
+    Q, r = [], []
+    for seed in seeds:
+        q, c = recipe(seed, 1, LAW_D, LAW_N, 0.0)
+        Q.append(q)
+        r.append(c - q @ theta_draw(seed, 1, LAW_D, 0.0))
+    return np.array(Q), np.array(r)
+
+
+@pytest.fixture(scope="module")
+def law():
+    # the agent data of gen_quadratic, without building each federation
+    return (law_draws(_quadratic_agent_data, range(LAW_SEEDS)),
+            law_draws(sample_recipe, range(LAW_SEEDS, 2 * LAW_SEEDS)))
+
+
+def law_statistics(Q, r):
+    return {
+        "Q00": Q[:, 0, 0], "Q01": Q[:, 0, 1],
+        "Q00^2": Q[:, 0, 0] ** 2, "Q01^2": Q[:, 0, 1] ** 2,
+        "det Q": np.linalg.det(Q), "lambda_min": np.linalg.eigvalsh(Q)[:, 0],
+        "r0^2": r[:, 0] ** 2, "r0 r1": r[:, 0] * r[:, 1], "r0^2/Q00": r[:, 0] ** 2 / Q[:, 0, 0],
+    }
+
+
+class TestQuadraticLaw:
+    def test_generated_and_sampled_statistics_agree(self, law):
+        generated, sampled = (law_statistics(*draws) for draws in law)
+        z = {name: (generated[name].mean() - sampled[name].mean())
+             / np.sqrt((generated[name].var(ddof=1) + sampled[name].var(ddof=1)) / LAW_SEEDS)
+             for name in generated}
+        assert len(z) == 9
+        assert {name: round(v, 2) for name, v in z.items() if abs(v) > 4} == {}
+
+    def test_closed_form_moments(self, law):
+        # Wishart_d(s^2 I, n): E Q = n s^2 I, E det Q = n (n-1) (n-2) s^6 at d = 3
+        Q, _ = law[0]
+        n, s2 = LAW_N, LAW_S**2
+        se = Q.std(axis=0, ddof=1) / np.sqrt(LAW_SEEDS)
+        assert (np.abs(Q.mean(axis=0) - n * s2 * np.eye(LAW_D)) <= 4 * se).all()
+        det = np.linalg.det(Q)
+        expected = n * (n - 1) * (n - 2) * s2**3
+        assert abs(det.mean() - expected) <= 4 * det.std(ddof=1) / np.sqrt(LAW_SEEDS)
+
+
+@pytest.mark.parametrize("d, n_i, reason", [
+    (5, 4, r"n_i must be >= d: the chi\^2\(n_i - k \+ 1\) factors of Q_i, k = 1\.\.d, "
+           r"need at least one degree of freedom"),
+    (2, 2**64, r"n_i must be below 2\^64, the container's u64 field"),
+], ids=["below-d", "past-u64"])
+def test_sample_count_rules_give_their_reason(d, n_i, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        QuadraticGenSpec(m=1, d=d, n_i=n_i, seed=0)
 
 
 @pytest.mark.parametrize("make", [

@@ -249,7 +249,7 @@ STATED = {
     "`x* = y* = 3.3`": scalar_minimax,
     "in blocks of 256 draws": lambda _: [SIGMA_BLOCK_ROWS],
     "`m = 20`, `d = 50`, `n = 500`, seed 7 and `K = 20`, at the stepsize "
-    "`auto_eta_fedgda` selects, its squared distance to `z*` is 135.92": local_sgda_plateau,
+    "`auto_eta_fedgda` selects, its squared distance to `z*` is 149.78": local_sgda_plateau,
     "the 46 halvings": lambda _: [ETA_GRID_SIZE],
     f"`{CONSERVATIVE}`": conservative_formula,
     "tie within `1e-12`": lambda _: [_TIE_TOL],

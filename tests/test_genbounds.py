@@ -181,6 +181,33 @@ class TestOverflowRefused:
         overrides, value = self.FINITE[case]
         assert concentration_term(overflowing_inputs(overrides)) == value
 
+    # counts no float holds: m^2 n and m n / d past the largest float, and
+    # terms of about 1e-200 whose quotient alone would underflow
+    def test_a_sample_count_no_float_holds_gives_the_finite_term(self):
+        inputs = BoundInputs(m=1, n=10**400, M_i=[1.0], cover_size=2, delta=0.5,
+                             epsilon=1, L_y=0, rademacher=0)
+        expected = math.sqrt(math.log(2.0)) * 1e-200  # sqrt(2 log 2 / (2 10^400))
+        assert concentration_term(inputs) == pytest.approx(expected, rel=1e-15)
+        assert population_risk_bound(inputs, 0.0) == concentration_term(inputs)
+
+    def test_vc_bound_of_a_sample_count_no_float_holds_is_finite(self):
+        expected = math.sqrt(2.0 * (1.0 + 400 * math.log(10.0))) * 1e-200
+        assert vc_rademacher_bound(1, 10**400, 1, 1.0) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("m, n, M_i, cover_size, delta, d", [
+        (3, 50, [0.5, 1.5, 2.5], 7, 0.05, 4),  # README's bounds example
+        (2, 3, [1.0, 2.0], 2, 0.5, 1),
+        (7, 2**40 + 1, [0.3] * 7, 10**6, 1e-6, 33),
+    ], ids=["readme", "small", "large-n"])
+    def test_counts_a_float_holds_keep_the_formulas_bits(self, m, n, M_i, cover_size, delta, d):
+        inputs = BoundInputs(m=m, n=n, M_i=M_i, cover_size=cover_size, delta=delta,
+                             epsilon=1, L_y=0, rademacher=0)
+        S = inputs.sum_M_i_sq
+        assert concentration_term(inputs) == math.sqrt(
+            S / (2.0 * m**2 * n) * (math.log(cover_size) - math.log(delta)))
+        assert vc_rademacher_bound(m, n, d, S) == math.sqrt(
+            2.0 * d * S / (m**2 * n) * (1.0 + math.log(m * n / d)))
+
     def test_sum_of_finite_terms_that_overflows_is_refused(self):
         inputs = make_inputs(rademacher=0.6e308, L_y=0.6e308, epsilon=1.0)
         assert all(map(math.isfinite, bound_terms(inputs).values()))
