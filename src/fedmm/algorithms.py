@@ -16,8 +16,12 @@ that the functions here and in ``analysis`` take.
 All three step z = (x, y) down the GDA field F = (grad_x f, -grad_y f).
 Within one communication round the m agents share nothing, so the engine
 advances all of them together as the rows z_i of one (m, p + q) array: a
-local step is one batched ``stacked_field`` call and one array update. Every
-server aggregation is a deterministic ascending-index reduction over rows.
+local step is one batched ``stacked_field`` call and one array update. The
+stack is allocated once per round: later local steps update it in place,
+together with the new field array that ``stacked_field`` returns. The server
+projects the average block by block, in place, and skips unconstrained
+blocks. Every server aggregation is a deterministic ascending-index
+reduction over rows.
 The centralized step is computed as the average of per-agent steps
 (algebraically identical to stepping along the averaged gradient), so a K=1
 local run and a centralized run produce bitwise identical traces.
@@ -35,7 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Iterate, Vector, as_count, ascending_sum, average_vectors, optimality_gap
+from .core import (UNCONSTRAINED, Iterate, Vector, as_count, ascending_sum, average_vectors,
+                   optimality_gap)
 from .problems import MinimaxProblem, UncoupledQuadratic, estimate_constants, require_family
 
 GDA = "GDA"
@@ -155,25 +160,33 @@ def _round(problem: MinimaxProblem, config: AlgoConfig, t: int, z: Vector, F: np
     Every agent walks K local steps, the first along the supplied field, and
     the server averages the endpoints. FedGDA-GT adds to each local field
     the correction Fbar - F, which vanishes identically in the homogeneous
-    case. GDA and FedGDA-GT project the average onto X and Y; Local SGDA
-    applies no projection. A new iterate that is not finite or exceeds
-    ``DIVERGENCE_LIMIT`` raises ``DivergenceError``.
+    case. The first step writes a new stack and leaves z, F and Fbar as they
+    are; later steps update the stack in place. GDA and FedGDA-GT project
+    the average onto X and Y, each block in place and only where it is
+    constrained; Local SGDA applies no projection. A new iterate that is not
+    finite or exceeds ``DIVERGENCE_LIMIT`` raises ``DivergenceError``.
     """
     eta = _stacked_eta(problem, config.eta_x, config.eta_y)
     tracking = config.algo == FEDGDA_GT
     if tracking:
         C = Fbar - F
-    Z = z
-    for step in range(config.K):
-        if step:
-            F = problem.stacked_field(Z)
+        Z = z - eta * (F + C)
+    else:
+        Z = z - eta * F
+    # stacked_field returns a new array, so later steps take the same
+    # operations in place on it and on the stack
+    for _ in range(1, config.K):
+        F = problem.stacked_field(Z)
         if tracking:
-            F = F + C
-        Z = Z - eta * F
+            F += C
+        F *= eta
+        Z -= F
     z = average_vectors(Z)
     if config.algo != LOCAL_SGDA:
         p, sets = problem.p, problem.sets
-        z = np.concatenate((sets.set_x.project(z[:p]), sets.set_y.project(z[p:])))
+        for part, feasible in ((z[:p], sets.set_x), (z[p:], sets.set_y)):
+            if feasible.kind != UNCONSTRAINED:
+                part[...] = feasible.project(part)
     # np.maximum, unlike max(), keeps a NaN, and a NaN fails the comparison
     magnitude = float(np.maximum.reduce(np.abs(z)))
     if not magnitude <= DIVERGENCE_LIMIT:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import re
 import sys
@@ -399,6 +400,7 @@ def cmd_gen_data(config_path, out_path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; parsing leaves the parser unchanged
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="fedmm",

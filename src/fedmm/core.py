@@ -31,10 +31,13 @@ class DimensionMismatchError(ValueError):
 
 
 def as_vector(v, dim: int | None = None, what: str = "vector") -> Vector:
-    """Coerce ``v`` to a 1-D float64 array, optionally checking its length."""
-    arr = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    if arr.ndim != 1:
-        raise ValueError(f"{what}: expected a 1-D array, got shape {arr.shape}")
+    """Coerce ``v`` to a 1-D float64 array, optionally checking its length.
+    A 1-D float64 ``ndarray`` is returned as it is."""
+    arr = v
+    if not (type(arr) is np.ndarray and arr.dtype == np.float64 and arr.ndim == 1):
+        arr = np.atleast_1d(np.asarray(v, dtype=np.float64))
+        if arr.ndim != 1:
+            raise ValueError(f"{what}: expected a 1-D array, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(dim, arr.shape[0], what)
     return arr
@@ -50,7 +53,7 @@ def as_count(value, what: str) -> int:
 
 
 def check_finite(arr: Vector, what: str = "vector") -> Vector:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
 

@@ -98,12 +98,15 @@ def _finite(name: str, evaluate) -> float:
     return value
 
 
-def _root_of_quotient(numerator: float, count: int, factor: float) -> float:
+def _root_of_quotient(numerator: float | Fraction, count: int, factor: float) -> float:
     """sqrt(numerator / count * factor), the quotient rounded once from the
     exact integer ``count``: the plain expression's bits whenever ``count``
     is a float of at most 2^64. A larger count scales the quotient by 4^k
-    first, so that it does not underflow, and the root undoes the scale."""
-    k = max(0, count.bit_length() - 64) // 2
+    first, so that it does not underflow, and the root undoes the scale; a
+    numerator past the largest float, which only an exact one can be,
+    lowers k so that the scaled quotient does not overflow."""
+    excess = max(0, int(numerator).bit_length() - 1024)
+    k = max(0, count.bit_length() - 64 - excess) // 2
     quotient = float(Fraction(numerator) * 4**k / count)
     return math.ldexp(math.sqrt(quotient * factor), -k)
 
@@ -162,8 +165,15 @@ def vc_rademacher_bound(m: int, n: int, d: int, max_sum_Mi2: float) -> float:
         log_ratio = math.log(m * n / d)
     except OverflowError:  # m n / d is past the largest float
         log_ratio = math.log(m * n) - math.log(d)
+
+    def numerator():
+        try:
+            return 2.0 * d * max_sum_Mi2
+        except OverflowError:  # d is past the largest float: form it exactly
+            return 2 * d * Fraction(max_sum_Mi2)
+
     return _finite("vc_rademacher_bound", lambda: _root_of_quotient(
-        2.0 * d * max_sum_Mi2, m**2 * n, 1.0 + log_ratio))
+        numerator(), m**2 * n, 1.0 + log_ratio))
 
 
 # ---------------------------------------------------------------------------

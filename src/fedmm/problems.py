@@ -223,6 +223,10 @@ class MinimaxProblem:
         F_i = (grad_x f_i, -grad_y f_i) at row i = (x_i, y_i) of the (m, p + q)
         stack Z. Negation is exact, so the y half is bitwise -grad_y f_i.
 
+        The result is a new, writable array that shares no memory with Z or
+        with the problem's own arrays, and the caller owns it: the round
+        engine updates it in place. Every override keeps this rule.
+
         This default asks each agent's oracle in ascending order; the problem
         families below override it with one batched evaluation.
         """

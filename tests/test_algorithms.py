@@ -13,6 +13,7 @@ from fedmm.algorithms import (
     _TIE_TOL,
     _diagonal_slack,
     _diagonal_terms,
+    _round,
     _round_map_lower_bound,
     _round_map_weights,
     auto_eta_fedgda,
@@ -280,6 +281,60 @@ class TestStackedEngine:
             on_ball = [abs(np.linalg.norm(r.iterate.y) - radius) <= 1e-12
                        for r in stacked.records[1:]]
             assert sum(on_ball) >= 20
+
+
+def out_of_place_round(problem, config, z, F, Fbar):
+    """One round of ``config.algo`` from z as the engine took it with a new
+    array for every operation: the reference of the in-place engine."""
+    eta = (config.eta_x if config.eta_x == config.eta_y
+           else np.repeat([config.eta_x, config.eta_y], [problem.p, problem.q]))
+    tracking = config.algo == FEDGDA_GT
+    if tracking:
+        C = Fbar - F
+    Z = z
+    for step in range(config.K):
+        if step:
+            F = problem.stacked_field(Z)
+        if tracking:
+            F = F + C
+        Z = Z - eta * F
+    z = average_vectors(Z)
+    if config.algo != LOCAL_SGDA:
+        p, sets = problem.p, problem.sets
+        z = np.concatenate((sets.set_x.project(z[:p]), sets.set_y.project(z[p:])))
+    return z
+
+
+class TestInPlaceRound:
+    @pytest.mark.parametrize("algo,K", [(GDA, 1), (LOCAL_SGDA, 1), (LOCAL_SGDA, 5),
+                                        (FEDGDA_GT, 1), (FEDGDA_GT, 5)])
+    @pytest.mark.parametrize("make,eta", [
+        (lambda: small_quadratic(m=4, d=5, seed=30), 2e-2),
+        (quadratic_on_y_ball, 2e-2),
+        (rlr_on_small_ball, 2e-3),
+        (ScalarTwoAgent, 1e-2),
+    ], ids=["quadratic", "quadratic-ball", "rlr", "scalar2"])
+    def test_round_equals_an_out_of_place_round_bitwise(self, make, eta, algo, K):
+        prob = make()
+        # unequal stepsizes step with a vector of them; FedGDA-GT takes one
+        eta_x, eta_y = (eta, eta) if algo == FEDGDA_GT else (eta, 1.5 * eta)
+        init = Iterate(np.full(prob.p, 0.5), np.full(prob.q, -0.2))
+        cfg = AlgoConfig(algo, eta_x, eta_y, K, 20, init)
+        z = init.stacked
+        on_ball = 0
+        for t in range(1, cfg.rounds + 1):
+            F = prob.stacked_field(z[None].repeat(prob.m, axis=0))
+            Fbar = average_vectors(F)
+            before = z.copy(), F.copy(), Fbar.copy()
+            expected = out_of_place_round(prob, cfg, z, F, Fbar)
+            z_next = _round(prob, cfg, t, z, F, Fbar)
+            assert np.array_equal(z_next, expected)
+            for argument, copy in zip((z, F, Fbar), before):
+                assert np.array_equal(argument, copy)
+            z = z_next
+            on_ball += abs(np.linalg.norm(z[prob.p:]) - 0.5) <= 1e-12
+        if make is quadratic_on_y_ball and algo != LOCAL_SGDA:
+            assert on_ball >= 10
 
 
 class TestLocalSgda:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from fedmm.cli import _BOUNDS_TABLE, CSV_HEADER, main
+from fedmm.cli import _BOUNDS_TABLE, CSV_HEADER, _parser, main
 from fedmm.datagen import QuadraticGenSpec, RlrGenSpec, gen_quadratic, load_dataset
 from fedmm.genbounds import BoundInputs, bound_terms, vc_rademacher_bound
 
@@ -298,6 +298,18 @@ trace = {out}
 """)
         assert main(["run", cfg]) == 2
         assert "explicit stepsize" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert _parser() is _parser()
+
+    def test_a_bad_argv_exits_2_on_every_call(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["fixed-point", "--K", "ten", "--eta", "0.1"])
+            assert exc.value.code == 2
+            assert "invalid int value" in capsys.readouterr().err
 
 
 class TestConfigErrors:

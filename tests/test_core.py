@@ -167,3 +167,14 @@ class TestInputChecks:
     def test_as_vector_refuses_a_matrix(self):
         with pytest.raises(ValueError, match=r"^x: expected a 1-D array, got shape \(2, 2\)$"):
             as_vector(np.eye(2), what="x")
+
+    def test_as_vector_returns_a_float64_vector_as_it_is(self):
+        v = np.arange(3.0)
+        assert as_vector(v, 3) is v
+        with pytest.raises(DimensionMismatchError):
+            as_vector(v, 4)
+        # anything else is converted to a native float64 vector
+        for other in ([0.0, 1.0, 2.0], np.arange(3), v.astype(">f8")):
+            converted = as_vector(other, 3)
+            assert converted.dtype == np.float64 and converted.dtype.isnative
+            assert np.array_equal(converted, v)

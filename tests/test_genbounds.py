@@ -194,6 +194,15 @@ class TestOverflowRefused:
         expected = math.sqrt(2.0 * (1.0 + 400 * math.log(10.0))) * 1e-200
         assert vc_rademacher_bound(1, 10**400, 1, 1.0) == pytest.approx(expected, rel=1e-14)
 
+    def test_vc_bound_of_a_dimension_no_float_holds_is_finite(self):
+        # 2.0 * d overflows; the quotient 2 d max / (m^2 n) is formed exactly
+        # and rounded once, so it reads as the plain formula on its value
+        assert vc_rademacher_bound(1, 10**400, 10**400, 1.0) == math.sqrt(2.0)
+        assert vc_rademacher_bound(3, 10**400, 10**400, 2.5) == math.sqrt(
+            5 / 9 * (1.0 + math.log(3.0)))
+        assert vc_rademacher_bound(1, 10**400, 10**399, 1e300) == pytest.approx(
+            math.sqrt(2e299 * (1.0 + math.log(10.0))), rel=1e-15)
+
     @pytest.mark.parametrize("m, n, M_i, cover_size, delta, d", [
         (3, 50, [0.5, 1.5, 2.5], 7, 0.05, 4),  # README's bounds example
         (2, 3, [1.0, 2.0], 2, 0.5, 1),

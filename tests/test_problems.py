@@ -379,6 +379,29 @@ class TestStackedOracle:
                 assert np.array_equal(FX[i], agent.grad_x(X[i], Y[i]))
                 assert np.array_equal(FY[i], -agent.grad_y(X[i], Y[i]))
 
+    @pytest.mark.parametrize("make", [
+        ScalarTwoAgent,
+        lambda: random_quadratic(m=4, seed=26),
+        lambda: random_rlr(m=3, d=4, n=6, seed=26),
+        lambda: MinimaxProblem(random_rlr(m=3, d=4, n=6, seed=26).agents),
+    ], ids=["scalar2", "quadratic", "rlr", "agent-list"])
+    def test_field_is_a_new_writable_array_the_caller_owns(self, make):
+        # the round engine updates the returned field in place
+        prob = make()
+        Z = np.random.default_rng(27).normal(0, 3, size=(prob.m, prob.p + prob.q))
+        Z_before = Z.copy()
+        F = prob.stacked_field(Z)
+        first = F.copy()
+        assert F.flags.writeable
+        owned = [Z, *(getattr(prob, name) for name in ("Q", "a", "c", "_offset")
+                      if hasattr(prob, name))]
+        if isinstance(prob, RobustLinearRegression):
+            owned += prob.lifted
+        assert not any(np.shares_memory(F, array) for array in owned)
+        F[...] = np.nan
+        assert np.array_equal(Z, Z_before)
+        assert np.array_equal(prob.stacked_field(Z), first)
+
     @pytest.mark.parametrize("make", [ScalarTwoAgent,
                                       lambda: random_quadratic(m=9, d=1, seed=24)])
     def test_d1_product_equals_the_batched_matmul_bitwise(self, make):
