@@ -318,9 +318,12 @@ class EtaSelection:
 
 
 def conservative_eta(mu: float, L: float, K: int) -> float:
-    """Half the minimum of the two closed-form stability ceilings; mu > 0."""
+    """Half the minimum of the two closed-form stability ceilings; mu > 0, 0 < L < inf."""
+    K = check_round_inputs(K)
     if not mu > 0:
         raise ValueError(f"the conservative stepsize needs mu > 0, got {mu}")
+    if not 0 < L < np.inf:
+        raise ValueError(f"the conservative stepsize needs a finite L > 0, got {L}")
     return 0.5 * min(2.0 * mu / L**2, 1.0 / (2.0 * mu * K))
 
 

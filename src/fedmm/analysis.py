@@ -77,7 +77,7 @@ def local_sgda_fixed_point(
     point is the true minimax point; for K >= 2 and heterogeneous agents it
     is biased away from it.
     """
-    K = check_round_inputs(K)
+    K = check_round_inputs(K, eta_x, eta_y)
     problem = require_family(problem, UncoupledQuadratic,
                              "no closed-form Local SGDA fixed point for {}")
     w, V = problem.spectra
@@ -87,7 +87,7 @@ def local_sgda_fixed_point(
     for eta, linear in ((eta_x, problem.a), (eta_y, problem.c)):
         if eta not in weighted:
             ratio = 1.0 - eta * w
-            if not (eta > 0 and ratio.min() > -1.0):
+            if not ratio.min() > -1.0:
                 raise UnstableStepsizeError(
                     f"stepsize {eta} is unstable for local curvature {float(w.max())}"
                 )
@@ -202,15 +202,21 @@ class MonotonicityReport:
     witness: tuple[Iterate, Iterate] | None = None
 
 
-def _sampled_pairs(problem: MinimaxProblem, trials: int, seed: int):
-    """Yield (z, z', d, |d|^2, F(z) - F(z')) with d = z - z' for ``trials``
-    random pairs, skipping coincident ones; F is the stacked descent/ascent
-    field. Fewer than one trial is refused: a check would pass on nothing."""
+def _scan_pairs(problem: MinimaxProblem, trials, seed, lhs_of, fails, **constants):
+    """(trials, lhs / |d|^2 of every pair, the first pair where fails(lhs, |d|^2)
+    holds or None) over ``trials`` random pairs (z, z'), coincident ones
+    skipped, with d = z - z' and lhs = lhs_of(d, F(z) - F(z')) for the stacked
+    descent/ascent field F. Fewer than one trial is refused, and so is a
+    constant that is not finite: a check would pass on nothing."""
+    trials = as_count(trials, "trials")
     seed = as_count(seed, "seed")
     if trials < 1:
         raise ValueError(f"a property check needs trials >= 1, got {trials}")
+    if not all(map(np.isfinite, constants.values())):
+        raise ValueError(f"a property check needs finite constants, got {constants}")
     rng = np.random.default_rng(seed)
     p, q = problem.p, problem.q
+    ratios, witness = [], None
     for _ in range(trials):
         z = Iterate(rng.normal(0.0, SAMPLE_SCALE, p), rng.normal(0.0, SAMPLE_SCALE, q))
         zp = Iterate(rng.normal(0.0, SAMPLE_SCALE, p), rng.normal(0.0, SAMPLE_SCALE, q))
@@ -218,7 +224,11 @@ def _sampled_pairs(problem: MinimaxProblem, trials: int, seed: int):
         dsq = float(np.dot(diff, diff))
         if dsq == 0.0:
             continue
-        yield z, zp, diff, dsq, problem.gda_field(z) - problem.gda_field(zp)
+        lhs = lhs_of(diff, problem.gda_field(z) - problem.gda_field(zp))
+        ratios.append(lhs / dsq)
+        if witness is None and fails(lhs, dsq):
+            witness = (z, zp)
+    return trials, ratios, witness
 
 
 def check_strong_monotonicity(
@@ -228,19 +238,11 @@ def check_strong_monotonicity(
     <F(z)-F(z'), z-z'> >= mu |z-z'|^2 - MONOTONICITY_SLACK for the stacked
     descent/ascent field F; reports the smallest observed curvature ratio
     and a witness pair on failure."""
-    trials = as_count(trials, "trials")
-    min_ratio = np.inf
-    witness = None
-    passed = True
-    for z, zp, diff, dsq, dfield in _sampled_pairs(problem, trials, seed):
-        lhs = float(np.dot(dfield, diff))
-        ratio = lhs / dsq
-        if ratio < min_ratio:
-            min_ratio = ratio
-        if lhs < mu * dsq - MONOTONICITY_SLACK and witness is None:
-            passed = False
-            witness = (z, zp)
-    return MonotonicityReport(passed, mu, trials, float(min_ratio), witness)
+    trials, ratios, witness = _scan_pairs(
+        problem, trials, seed, lambda diff, dfield: float(np.dot(dfield, diff)),
+        lambda lhs, dsq: lhs < mu * dsq - MONOTONICITY_SLACK, mu=mu)
+    # a leading inf makes min skip NaN ratios, as a running minimum does
+    return MonotonicityReport(witness is None, mu, trials, min([np.inf, *ratios]), witness)
 
 
 @dataclass
@@ -263,19 +265,17 @@ def check_contraction(
     seed: int = 0,
 ) -> ContractionReport:
     """Test that the damped field u -> u - eta F(u) shrinks squared distances
-    by at least the factor 1 - eta (2 mu - eta L^2) on random pairs."""
-    trials = as_count(trials, "trials")
+    by at least the factor 1 - eta (2 mu - eta L^2) on random pairs; eta is
+    held to the round engine's stepsize rule."""
+    check_round_inputs(1, eta)
     bound = 1.0 - eta * (2.0 * mu - eta * L**2)
-    max_ratio = -np.inf
-    witness = None
-    passed = True
-    for z, zp, diff, dsq, dfield in _sampled_pairs(problem, trials, seed):
+
+    def lhs_of(diff, dfield):
         step_diff = diff - eta * dfield
-        lhs = float(np.dot(step_diff, step_diff))
-        ratio = lhs / dsq
-        if ratio > max_ratio:
-            max_ratio = ratio
-        if lhs > bound * dsq * (1.0 + 1e-10) + 1e-12 and witness is None:
-            passed = False
-            witness = (z, zp)
-    return ContractionReport(passed, eta, bound, trials, float(max_ratio), witness)
+        return float(np.dot(step_diff, step_diff))
+
+    trials, ratios, witness = _scan_pairs(
+        problem, trials, seed, lhs_of,
+        lambda lhs, dsq: lhs > bound * dsq * (1.0 + 1e-10) + 1e-12, mu=mu, L=L)
+    return ContractionReport(witness is None, eta, bound, trials, max([-np.inf, *ratios]),
+                             witness)

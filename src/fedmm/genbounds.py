@@ -168,9 +168,11 @@ def vc_rademacher_bound(m: int, n: int, d: int, max_sum_Mi2: float) -> float:
 
     def numerator():
         try:
-            return 2.0 * d * max_sum_Mi2
-        except OverflowError:  # d is past the largest float: form it exactly
-            return 2 * d * Fraction(max_sum_Mi2)
+            product = 2.0 * d * max_sum_Mi2
+        except OverflowError:  # d is past the largest float
+            product = math.inf
+        # past the largest float, form it exactly; Fraction refuses an inf max_sum_Mi2
+        return product if math.isfinite(product) else 2 * d * Fraction(max_sum_Mi2)
 
     return _finite("vc_rademacher_bound", lambda: _root_of_quotient(
         numerator(), m**2 * n, 1.0 + log_ratio))

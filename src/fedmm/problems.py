@@ -64,6 +64,10 @@ class LocalObjective(ABC):
     @abstractmethod
     def grad_y(self, x: Vector, y: Vector) -> Vector: ...
 
+    def _pair(self, x, y) -> tuple[Vector, Vector]:
+        """x and y as checked float64 vectors of dimensions p and q."""
+        return as_vector(x, self.p, "x"), as_vector(y, self.q, "y")
+
 
 def finite_difference_gradients(obj: LocalObjective, x, y) -> tuple[Vector, Vector]:
     """Central-difference estimate of (grad_x, grad_y) using only ``value``.
@@ -71,19 +75,12 @@ def finite_difference_gradients(obj: LocalObjective, x, y) -> tuple[Vector, Vect
     Deliberately independent of the oracle's analytic gradients so it can
     serve as a correctness check for them.
     """
-    x = as_vector(x, obj.p, "x")
-    y = as_vector(y, obj.q, "y")
-    gx = np.zeros(obj.p)
-    for k in range(obj.p):
-        e = np.zeros(obj.p)
-        e[k] = FD_STEP
-        gx[k] = (obj.value(x + e, y) - obj.value(x - e, y)) / (2.0 * FD_STEP)
-    gy = np.zeros(obj.q)
-    for k in range(obj.q):
-        e = np.zeros(obj.q)
-        e[k] = FD_STEP
-        gy[k] = (obj.value(x, y + e) - obj.value(x, y - e)) / (2.0 * FD_STEP)
-    return gx, gy
+    p = obj.p
+    z = np.concatenate(obj._pair(x, y))
+    steps = np.eye(z.size) * FD_STEP  # row k moves coordinate k of z = (x, y)
+    g = np.array([obj.value(u[:p], u[p:]) - obj.value(v[:p], v[p:])
+                  for u, v in zip(z + steps, z - steps)]) / (2.0 * FD_STEP)
+    return g[:p], g[p:]
 
 
 class QuadraticAgent(LocalObjective):
@@ -115,14 +112,13 @@ class QuadraticAgent(LocalObjective):
         self.p = self.q = c.shape[0]
 
     def value(self, x, y):
-        x = as_vector(x, self.p, "x")
-        y = as_vector(y, self.q, "y")
+        x, y = self._pair(x, y)
         return float(
             0.5 * x @ self.Q @ x - 0.5 * y @ self.Q @ y + self.a @ x - self.c @ y
         )
 
     def _products(self, x, y):
-        return np.stack((as_vector(x, self.p, "x"), as_vector(y, self.q, "y"))) @ self.Q.T
+        return np.stack(self._pair(x, y)) @ self.Q.T
 
     def grad_x(self, x, y):
         return self._products(x, y)[0] + self.a
@@ -163,24 +159,20 @@ class RlrAgent(LocalObjective):
         self.p = self.q = A.shape[1]
 
     def _residuals(self, x, y):
-        return (self.A + y) @ x - self.b
+        """The checked pair (x, y) and the residuals r = (A + y)x - b."""
+        x, y = self._pair(x, y)
+        return x, y, (self.A + y) @ x - self.b
 
     def value(self, x, y):
-        x = as_vector(x, self.p, "x")
-        y = as_vector(y, self.q, "y")
-        r = self._residuals(x, y)
+        x, _, r = self._residuals(x, y)
         return float(np.dot(r, r) / self.n + 0.5 * np.dot(x, x))
 
     def grad_x(self, x, y):
-        x = as_vector(x, self.p, "x")
-        y = as_vector(y, self.q, "y")
-        r = self._residuals(x, y)
+        x, y, r = self._residuals(x, y)
         return (2.0 / self.n) * ((self.A + y).T @ r) + x
 
     def grad_y(self, x, y):
-        x = as_vector(x, self.p, "x")
-        y = as_vector(y, self.q, "y")
-        r = self._residuals(x, y)
+        x, _, r = self._residuals(x, y)
         return (2.0 / self.n) * float(np.sum(r)) * x
 
 

@@ -730,6 +730,17 @@ class TestStepsizeSelection:
         with pytest.raises(ValueError, match=r"^the conservative stepsize needs mu > 0, got "):
             conservative_eta(mu, 2.0, 5)
 
+    @pytest.mark.parametrize("L", [0.0, -2.0, np.inf, np.nan])
+    def test_conservative_eta_refuses_a_smoothness_that_is_not_finite_and_positive(self, L):
+        with pytest.raises(ValueError, match=r"^the conservative stepsize needs a finite L > 0, got "):
+            conservative_eta(1.0, L, 5)
+
+    @pytest.mark.parametrize("K, message", [
+        (-3, "K must be >= 1"), (2.5, r"K must be an integer, got 2\.5")])
+    def test_conservative_eta_holds_k_to_the_round_rule(self, K, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            conservative_eta(1.0, 2.0, K)
+
     @pytest.mark.parametrize("name,K,eta", [
         ("quad-seed-0", 1, 0.0002993943442946296),
         ("quad-seed-0", 20, 0.0002993943442946296),
@@ -848,3 +859,18 @@ class TestRoundMapMatrixPowerOracle:
         expected /= prob.m
         M = fedgda_round_map(prob, eta, K)
         assert np.linalg.norm(M - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("study", [
+    lambda K: AlgoConfig(LOCAL_SGDA, 1e-3, 1e-3, K, 1, Iterate.zeros(1, 1)),
+    lambda K: fedgda_round_map(ScalarTwoAgent(), 1e-3, K),
+    lambda K: auto_eta_fedgda(ScalarTwoAgent(), K),
+    lambda K: conservative_eta(1.0, 2.0, K),
+    lambda K: local_sgda_residual(ScalarTwoAgent(), Iterate.zeros(1, 1), K, 1e-3, 1e-3),
+    lambda K: algorithms.local_sgda_limit(ScalarTwoAgent(), K, 1e-3, 1e-3),
+    lambda K: local_sgda_fixed_point(ScalarTwoAgent(), K, 1e-3, 1e-3),
+], ids=["AlgoConfig", "fedgda_round_map", "auto_eta_fedgda", "conservative_eta",
+        "local_sgda_residual", "local_sgda_limit", "local_sgda_fixed_point"])
+def test_every_function_taking_k_refuses_zero_local_steps(study):
+    with pytest.raises(ValueError, match="^K must be >= 1$"):
+        study(0)

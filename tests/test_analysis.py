@@ -215,7 +215,7 @@ class TestLocalSgdaFixedPoint:
             local_sgda_fixed_point(prob, 10, scale / L, 1e-3 / L)
 
     def test_nonpositive_stepsize_rejected(self):
-        with pytest.raises(UnstableStepsizeError):
+        with pytest.raises(ValueError, match="^stepsizes must be finite and positive$"):
             local_sgda_fixed_point(ScalarTwoAgent(), 10, 0.0, 0.001)
 
     def test_refuses_a_non_quadratic_problem(self):
@@ -582,6 +582,110 @@ def test_property_check_counts_must_be_integers(check, trials, seed, message):
 def test_property_report_keeps_the_python_int_it_read(check):
     report = check(np.int64(5))
     assert report.trials == 5 and type(report.trials) is int
+
+
+@pytest.mark.parametrize("check", [
+    lambda c: check_strong_monotonicity(ScalarTwoAgent(), c, 50),
+    lambda c: check_contraction(ScalarTwoAgent(), c, 8.0, 0.01, 50),
+    lambda c: check_contraction(ScalarTwoAgent(), 2.0, c, 0.01, 50),
+], ids=["monotonicity-mu", "contraction-mu", "contraction-L"])
+@pytest.mark.parametrize("constant", [np.nan, np.inf, -np.inf])
+def test_property_check_refuses_a_constant_that_is_not_finite(check, constant):
+    # no comparison with NaN holds and an infinite constant decides every
+    # pair alike, so such a check would pass or fail on nothing it measured
+    with pytest.raises(ValueError, match="^a property check needs finite constants, got "):
+        check(constant)
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, 0.0, -0.01])
+def test_contraction_check_holds_eta_to_the_round_rule(eta):
+    with pytest.raises(ValueError, match="^stepsizes must be finite and positive$"):
+        check_contraction(ScalarTwoAgent(), 2.0, 8.0, eta, 50)
+
+
+def reference_pairs(problem, trials, seed):
+    """The sampled pairs as the per-check loops drew them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        z = Iterate(rng.normal(0.0, 10.0, problem.p), rng.normal(0.0, 10.0, problem.q))
+        zp = Iterate(rng.normal(0.0, 10.0, problem.p), rng.normal(0.0, 10.0, problem.q))
+        diff = z.stacked - zp.stacked
+        dsq = float(np.dot(diff, diff))
+        if dsq == 0.0:
+            continue
+        yield z, zp, diff, dsq, problem.gda_field(z) - problem.gda_field(zp)
+
+
+def reference_monotonicity(problem, mu, trials, seed):
+    """(passed, min_ratio, witness) of a running minimum over the pairs."""
+    min_ratio, witness, passed = np.inf, None, True
+    for z, zp, diff, dsq, dfield in reference_pairs(problem, trials, seed):
+        lhs = float(np.dot(dfield, diff))
+        if lhs / dsq < min_ratio:
+            min_ratio = lhs / dsq
+        if lhs < mu * dsq - 1e-9 and witness is None:
+            passed, witness = False, (z, zp)
+    return passed, float(min_ratio), witness
+
+
+def reference_contraction(problem, mu, L, eta, trials, seed):
+    """(passed, max_ratio, bound, witness) of a running maximum over the pairs."""
+    bound = 1.0 - eta * (2.0 * mu - eta * L**2)
+    max_ratio, witness, passed = -np.inf, None, True
+    for z, zp, diff, dsq, dfield in reference_pairs(problem, trials, seed):
+        step_diff = diff - eta * dfield
+        lhs = float(np.dot(step_diff, step_diff))
+        if lhs / dsq > max_ratio:
+            max_ratio = lhs / dsq
+        if lhs > bound * dsq * (1.0 + 1e-10) + 1e-12 and witness is None:
+            passed, witness = False, (z, zp)
+    return passed, float(max_ratio), bound, witness
+
+
+def witness_bytes(witness):
+    return None if witness is None else [(z.x.tobytes(), z.y.tobytes()) for z in witness]
+
+
+class TestOnePairScan:
+    """Both checks' reports are bitwise those of their own loops over the pairs."""
+
+    FEDERATIONS = {
+        "quadratic": lambda: gen_quadratic(QuadraticGenSpec(m=4, d=6, n_i=12, seed=3)),
+        "rlr": lambda: gen_rlr(RlrGenSpec(m=3, d=4, n_i=9, alpha=5.0, seed=2)),
+        "ragged-rlr": lambda: statistics_case("ragged", np.random.default_rng(17)),
+        "scalar2": ScalarTwoAgent,
+    }
+
+    # RLR is not monotone at the sampled scale: mu = -1e3 passes there
+    @pytest.mark.parametrize("mu", [-1e3, 0.5, 50.0])
+    @pytest.mark.parametrize("family", sorted(FEDERATIONS))
+    def test_monotonicity_report(self, family, mu):
+        prob = self.FEDERATIONS[family]()
+        report = check_strong_monotonicity(prob, mu, 300, seed=4)
+        passed, min_ratio, witness = reference_monotonicity(prob, mu, 300, 4)
+        assert (report.passed, report.mu, report.trials) == (passed, mu, 300)
+        assert report.min_ratio.hex() == min_ratio.hex()
+        assert witness_bytes(report.witness) == witness_bytes(witness)
+
+    @pytest.mark.parametrize("mu, L, eta", [(-1e4, 10.0, 0.005), (0.5, 10.0, 0.005),
+                                            (1.0, 1.0, 0.5)])
+    @pytest.mark.parametrize("family", sorted(FEDERATIONS))
+    def test_contraction_report(self, family, mu, L, eta):
+        prob = self.FEDERATIONS[family]()
+        report = check_contraction(prob, mu, L, eta, 300, seed=5)
+        passed, max_ratio, bound, witness = reference_contraction(prob, mu, L, eta, 300, 5)
+        assert (report.passed, report.eta, report.trials) == (passed, eta, 300)
+        assert (report.max_ratio.hex(), report.bound.hex()) == (max_ratio.hex(), bound.hex())
+        assert witness_bytes(report.witness) == witness_bytes(witness)
+
+    def test_the_constants_make_both_outcomes(self):
+        # the bitwise cases above see passing and failing checks on every family
+        for make in self.FEDERATIONS.values():
+            prob = make()
+            assert {check_strong_monotonicity(prob, mu, 300, seed=4).passed
+                    for mu in (-1e3, 50.0)} == {True, False}
+            assert {check_contraction(prob, *c, 300, seed=5).passed
+                    for c in ((-1e4, 10.0, 0.005), (1.0, 1.0, 0.5))} == {True, False}
 
 
 class TestContractionCheck:

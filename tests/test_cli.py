@@ -721,6 +721,12 @@ class TestFixedPointCommand:
         assert main(["fixed-point", "--K", "10", "--eta", "0.5"]) == 2
         assert "unstable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eta", ["0", "-1", "nan"])
+    def test_stepsize_that_is_not_finite_and_positive_exits_2(self, capsys, eta):
+        # the round engine's stepsize rule, not the stability test, refuses it
+        assert main(["fixed-point", "--K", "10", "--eta", eta]) == 2
+        assert capsys.readouterr().err == "error: stepsizes must be finite and positive\n"
+
 
 class TestBoundsCommand:
     def test_matches_library_values(self, tmp_path, capsys):

@@ -229,10 +229,18 @@ class TestOverflowRefused:
             assert make_inputs(M_i=[1e200, 2.0, 0.0]).sum_M_i_sq == math.inf
         assert make_inputs().sum_M_i_sq == 0.25 + 2.25 + 6.25
 
-    @pytest.mark.parametrize("max_sum", [math.inf, 1e308])
+    @pytest.mark.parametrize("max_sum", [math.inf])
     def test_vc_bound_refuses_overflow(self, max_sum):
         self.refuses(lambda s: vc_rademacher_bound(2, 3, 1, s), max_sum,
                      "vc_rademacher_bound = inf")
+
+    def test_vc_bound_whose_float_numerator_overflows_is_finite(self):
+        # 2.0 * 1e308 is inf; the exact numerator gives sqrt(2e308 / 12 (1 + log 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = vc_rademacher_bound(2, 3, 1, 1e308)
+        assert bound == 6.821240685325086e+153
+        assert bound == pytest.approx(math.sqrt(1e308 / 6 * (1.0 + math.log(6.0))), rel=1e-14)
 
 
 class TestIntegerInputs:

@@ -18,7 +18,7 @@ from fedmm.problems import (
     finite_difference_gradients,
     solve_checked,
 )
-from fedmm.datagen import QuadraticGenSpec, gen_quadratic
+from fedmm.datagen import QuadraticGenSpec, RlrGenSpec, gen_quadratic, gen_rlr
 
 
 def random_quadratic(m=3, d=5, seed=0, scale=1.0) -> UncoupledQuadratic:
@@ -342,6 +342,52 @@ class TestFiniteDifferences:
                 gx, gy = agent.grad_x(x, y), agent.grad_y(x, y)
                 assert np.linalg.norm(fx - gx) <= 1e-5 * (1 + np.linalg.norm(gx))
                 assert np.linalg.norm(fy - gy) <= 1e-5 * (1 + np.linalg.norm(gy))
+
+
+def two_block_differences(agent, x, y):
+    """Central differences with one loop per block, the x loop first."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    step = 1e-5
+    gx = np.zeros(agent.p)
+    for k in range(agent.p):
+        e = np.zeros(agent.p)
+        e[k] = step
+        gx[k] = (agent.value(x + e, y) - agent.value(x - e, y)) / (2.0 * step)
+    gy = np.zeros(agent.q)
+    for k in range(agent.q):
+        e = np.zeros(agent.q)
+        e[k] = step
+        gy[k] = (agent.value(x, y + e) - agent.value(x, y - e)) / (2.0 * step)
+    return gx, gy
+
+
+def ragged_rlr(seed=17):
+    rng = np.random.default_rng(seed)
+    counts = (6, 9, 4)
+    return RobustLinearRegression([rng.normal(1.0, 2.0, size=(n, 4)) for n in counts],
+                                  [rng.normal(size=n) for n in counts])
+
+
+class TestOneCentralDifferenceLoop:
+    # one loop over z = (x, y) perturbs the same coordinate by the same step
+    # and divides the same difference as a loop per block
+    FEDERATIONS = {
+        "quadratic": lambda: gen_quadratic(QuadraticGenSpec(m=4, d=6, n_i=12, seed=3)),
+        "rlr": lambda: gen_rlr(RlrGenSpec(m=3, d=4, n_i=9, alpha=5.0, seed=2)),
+        "ragged-rlr": ragged_rlr,
+        "scalar2": ScalarTwoAgent,
+    }
+
+    @pytest.mark.parametrize("family", sorted(FEDERATIONS))
+    def test_bitwise_the_loops_per_block(self, family):
+        prob = self.FEDERATIONS[family]()
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            x, y = rng.normal(0.0, 3.0, size=prob.p), rng.normal(0.0, 3.0, size=prob.q)
+            for agent in prob.agents:
+                got = finite_difference_gradients(agent, x, y)
+                want = two_block_differences(agent, x, y)
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def split_rows(prob, Z):
