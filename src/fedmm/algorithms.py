@@ -16,12 +16,16 @@ that the functions here and in ``analysis`` take.
 All three step z = (x, y) down the GDA field F = (grad_x f, -grad_y f).
 Within one communication round the m agents share nothing, so the engine
 advances all of them together as the rows z_i of one (m, p + q) array: a
-local step is one batched ``stacked_field`` call and one array update. The
-stack is allocated once per round: later local steps update it in place,
-together with the new field array that ``stacked_field`` returns. The server
+local step is one batched ``stacked_field`` call and a few in-place array
+updates. A round starts from a stack whose rows hold the synchronized
+iterate and from the field its caller already took there, and updates both
+in place from its first step on; the stepsize is built once per run at the
+stack's shape, so no operand of a local step is broadcast. The server
 projects the average block by block, in place, and skips unconstrained
 blocks. Every server aggregation is a deterministic ascending-index
-reduction over rows.
+reduction over rows. ``local_sgda_limit`` takes the norms of its stop test
+only in rounds that a certified screen on the largest entries does not
+already fail.
 The centralized step is computed as the average of per-agent steps
 (algebraically identical to stepping along the averaged gradient), so a K=1
 local run and a centralized run produce bitwise identical traces.
@@ -146,42 +150,45 @@ def gda_step(
 # round engine
 # ---------------------------------------------------------------------------
 
-def _stacked_eta(problem: MinimaxProblem, eta_x: float, eta_y: float):
-    """Stepsize of z = (x, y): the scalar, or each block's over its entries."""
-    return eta_x if eta_x == eta_y else np.repeat([eta_x, eta_y], [problem.p, problem.q])
+def _stacked_eta(problem: MinimaxProblem, eta_x: float, eta_y: float) -> np.ndarray:
+    """Stepsize of every entry of the (m, p + q) agent stack: eta_x on the x
+    block, eta_y on the y block. Built once per run at the stack's shape, so
+    that no local step broadcasts or converts a Python float."""
+    eta = np.empty((problem.m, problem.p + problem.q))
+    eta[:, :problem.p] = eta_x
+    eta[:, problem.p:] = eta_y
+    return eta
 
 
-def _round(problem: MinimaxProblem, config: AlgoConfig, t: int, z: Vector, F: np.ndarray,
-           Fbar: Vector | None = None) -> Vector:
-    """Round t of ``config.algo`` from the synchronized iterate z, where F is
-    every agent's field at z and ``Fbar`` its agent average (needed by
-    FedGDA-GT only).
+def _round(problem: MinimaxProblem, config: AlgoConfig, eta: np.ndarray, t: int, Z: np.ndarray,
+           F: np.ndarray, Fbar: Vector | None = None) -> tuple[Vector, float]:
+    """Round t of ``config.algo`` from the synchronized iterate, held in every
+    row of the (m, p + q) stack Z. F is every agent's field there, ``Fbar``
+    its agent average (needed by FedGDA-GT only) and eta ``_stacked_eta``'s.
 
-    Every agent walks K local steps, the first along the supplied field, and
-    the server averages the endpoints. FedGDA-GT adds to each local field
-    the correction Fbar - F, which vanishes identically in the homogeneous
-    case. The first step writes a new stack and leaves z, F and Fbar as they
-    are; later steps update the stack in place. GDA and FedGDA-GT project
-    the average onto X and Y, each block in place and only where it is
-    constrained; Local SGDA applies no projection. A new iterate that is not
-    finite or exceeds ``DIVERGENCE_LIMIT`` raises ``DivergenceError``.
+    Every agent walks K local steps, the first along F, and the server
+    averages the endpoints in ascending row order. FedGDA-GT adds to each
+    local field the correction Fbar - F, which vanishes identically in the
+    homogeneous case. Z and F are consumed: every step, the first included,
+    updates both in place, and every operand of a step has the stack's shape;
+    ``Fbar`` is left as it is. GDA and FedGDA-GT project the average onto X
+    and Y, each block in place and only where it is constrained; Local SGDA
+    applies no projection.
+
+    Returns the new iterate and its largest absolute entry. An iterate whose
+    entry is not finite or exceeds ``DIVERGENCE_LIMIT`` raises ``DivergenceError``.
     """
-    eta = _stacked_eta(problem, config.eta_x, config.eta_y)
     tracking = config.algo == FEDGDA_GT
     if tracking:
         C = Fbar - F
-        Z = z - eta * (F + C)
-    else:
-        Z = z - eta * F
-    # stacked_field returns a new array, so later steps take the same
-    # operations in place on it and on the stack
-    for _ in range(1, config.K):
-        F = problem.stacked_field(Z)
+    for step in range(config.K):
+        if step:
+            F = problem.stacked_field(Z)
         if tracking:
             F += C
         F *= eta
         Z -= F
-    z = average_vectors(Z)
+    z = ascending_sum(Z) / problem.m
     if config.algo != LOCAL_SGDA:
         p, sets = problem.p, problem.sets
         for part, feasible in ((z[:p], sets.set_x), (z[p:], sets.set_y)):
@@ -191,7 +198,7 @@ def _round(problem: MinimaxProblem, config: AlgoConfig, t: int, z: Vector, F: np
     magnitude = float(np.maximum.reduce(np.abs(z)))
     if not magnitude <= DIVERGENCE_LIMIT:
         raise DivergenceError(config.algo, t, magnitude)
-    return z
+    return z, magnitude
 
 
 def _block_norm(v: Vector, p: int) -> float:
@@ -219,11 +226,14 @@ def run_algorithm(
     start = time.perf_counter_ns()
     trace = RunTrace(config)
     p, m, z = problem.p, problem.m, config.init.stacked
+    eta = _stacked_eta(problem, config.eta_x, config.eta_y)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(config.rounds + 1):
             if t:
-                z = _round(problem, config, t, z, F, Fbar)
-            F = problem.stacked_field(z[None].repeat(m, axis=0))
+                z, _ = _round(problem, config, eta, t, Z, F, Fbar)
+            # the next round consumes this stack and field
+            Z = z[None].repeat(m, axis=0)
+            F = problem.stacked_field(Z)
             Fbar = average_vectors(F)
             it = Iterate(z[:p].copy(), z[p:].copy())
             trace.records.append(RoundRecord(
@@ -277,6 +287,24 @@ class LimitResult:
     converged: bool
 
 
+def _stop_screen(n: int) -> Callable[[float, float], bool]:
+    """Whether a round of ``local_sgda_limit`` on n-entry iterates certainly
+    fails its stop test ||step|| <= LIMIT_TOL (1 + ||z||), read from the
+    largest absolute entries of the step and of the new iterate z alone.
+
+    It does when max|step| > LIMIT_TOL (1 + sqrt(n) max|z|) (1 + s), since
+    ||step|| >= max|step| and ||z|| <= sqrt(n) max|z|. The slack s covers the
+    rounding of both computed norms, length-n sums of squares, and of this
+    bound: sized by n as ``_diagonal_slack`` sizes the search's allowance,
+    and never below 1e-10. Squares of entries above LIMIT_TOL neither
+    underflow nor, below ``DIVERGENCE_LIMIT``, overflow, so the screen
+    never skips a round that the computed test accepts.
+    """
+    root_n = float(np.sqrt(n))
+    tol = LIMIT_TOL * (1.0 + max(_MIN_SLACK, _SLACK_FACTOR * (n + 3) * np.finfo(float).eps))
+    return lambda step_max, magnitude: step_max > tol * (1.0 + root_n * magnitude)
+
+
 def local_sgda_limit(
     problem: MinimaxProblem,
     K: int,
@@ -287,15 +315,26 @@ def local_sgda_limit(
 ) -> LimitResult:
     """Iterate the uncorrected scheme from the origin until the per-round
     displacement falls below ``LIMIT_TOL * (1 + |z|)``; an independent
-    oracle for the closed form."""
+    oracle for the closed form.
+
+    One stack is allocated per call and refilled with the iterate every
+    round. The norms of the stop test are taken only in rounds that
+    ``_stop_screen`` does not already fail, so the stop round and the
+    returned iterate are bitwise those of testing every round."""
     max_rounds = as_count(max_rounds, "max_rounds")
-    p, m, z = problem.p, problem.m, np.zeros(problem.p + problem.q)
+    p, z = problem.p, np.zeros(problem.p + problem.q)
     config = AlgoConfig(LOCAL_SGDA, eta_x, eta_y, K, max_rounds, Iterate(z[:p], z[p:]))
+    eta = _stacked_eta(problem, eta_x, eta_y)
+    Z, moving = np.empty(eta.shape), _stop_screen(len(z))
     # overflow in a diverging run is left to the divergence check
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, max_rounds + 1):
-            z_next = _round(problem, config, t, z, problem.stacked_field(z[None].repeat(m, 0)))
-            step, z = z_next - z, z_next
+            Z[...] = z
+            z_next, magnitude = _round(problem, config, eta, t, Z, problem.stacked_field(Z))
+            # |step| has the norm of the step, bit for bit: its squares are the same
+            step, z = np.abs(z_next - z), z_next
+            if moving(float(np.maximum.reduce(step)), magnitude):
+                continue
             if _block_norm(step, p) <= LIMIT_TOL * (1.0 + _block_norm(z, p)):
                 return LimitResult(Iterate(z[:p], z[p:]), t, True)
     return LimitResult(Iterate(z[:p], z[p:]), max_rounds, False)
@@ -318,10 +357,10 @@ class EtaSelection:
 
 
 def conservative_eta(mu: float, L: float, K: int) -> float:
-    """Half the minimum of the two closed-form stability ceilings; mu > 0, 0 < L < inf."""
+    """Half the minimum of the two closed-form stability ceilings; mu and L finite and positive."""
     K = check_round_inputs(K)
-    if not mu > 0:
-        raise ValueError(f"the conservative stepsize needs mu > 0, got {mu}")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"the conservative stepsize needs a finite mu > 0, got {mu}")
     if not 0 < L < np.inf:
         raise ValueError(f"the conservative stepsize needs a finite L > 0, got {L}")
     return 0.5 * min(2.0 * mu / L**2, 1.0 / (2.0 * mu * K))

@@ -206,8 +206,10 @@ def _scan_pairs(problem: MinimaxProblem, trials, seed, lhs_of, fails, **constant
     """(trials, lhs / |d|^2 of every pair, the first pair where fails(lhs, |d|^2)
     holds or None) over ``trials`` random pairs (z, z'), coincident ones
     skipped, with d = z - z' and lhs = lhs_of(d, F(z) - F(z')) for the stacked
-    descent/ascent field F. Fewer than one trial is refused, and so is a
-    constant that is not finite: a check would pass on nothing."""
+    descent/ascent field F. A pair whose field difference or lhs is not
+    finite fails too: an overflowing field bounds nothing. Fewer than one
+    trial is refused, and so is a constant that is not finite: a check would
+    pass on nothing."""
     trials = as_count(trials, "trials")
     seed = as_count(seed, "seed")
     if trials < 1:
@@ -217,17 +219,21 @@ def _scan_pairs(problem: MinimaxProblem, trials, seed, lhs_of, fails, **constant
     rng = np.random.default_rng(seed)
     p, q = problem.p, problem.q
     ratios, witness = [], None
-    for _ in range(trials):
-        z = Iterate(rng.normal(0.0, SAMPLE_SCALE, p), rng.normal(0.0, SAMPLE_SCALE, q))
-        zp = Iterate(rng.normal(0.0, SAMPLE_SCALE, p), rng.normal(0.0, SAMPLE_SCALE, q))
-        diff = z.stacked - zp.stacked
-        dsq = float(np.dot(diff, diff))
-        if dsq == 0.0:
-            continue
-        lhs = lhs_of(diff, problem.gda_field(z) - problem.gda_field(zp))
-        ratios.append(lhs / dsq)
-        if witness is None and fails(lhs, dsq):
-            witness = (z, zp)
+    # overflow in the field is reported as a failed pair, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(trials):
+            z = Iterate(rng.normal(0.0, SAMPLE_SCALE, p), rng.normal(0.0, SAMPLE_SCALE, q))
+            zp = Iterate(rng.normal(0.0, SAMPLE_SCALE, p), rng.normal(0.0, SAMPLE_SCALE, q))
+            diff = z.stacked - zp.stacked
+            dsq = float(np.dot(diff, diff))
+            if dsq == 0.0:
+                continue
+            dfield = problem.gda_field(z) - problem.gda_field(zp)
+            lhs = lhs_of(diff, dfield)
+            ratios.append(lhs / dsq)
+            finite = np.isfinite(lhs) and np.isfinite(dfield).all()
+            if witness is None and (not finite or fails(lhs, dsq)):
+                witness = (z, zp)
     return trials, ratios, witness
 
 

@@ -261,11 +261,13 @@ class UncoupledQuadratic(MinimaxProblem):
         self.Q.flags.writeable = self.a.flags.writeable = self.c.flags.writeable = False
         agents = [QuadraticAgent(Q, a, c) for Q, a, c in zip(self.Q, self.a, self.c)]
         super().__init__(agents, sets)
-        # the field's offset (a_i, c_i) as one (m, 2d) array, and the (m, 1)
-        # curvature column of a d = 1 federation; see stacked_field
+        # the field's offset (a_i, c_i) as one (m, 2d) array and, for d = 1,
+        # the curvature (Q_i, Q_i) at the same (m, 2) shape; see stacked_field
         self._offset = np.concatenate((self.a, self.c), axis=1)
         self._offset.flags.writeable = False
-        self._curv_col = self.Q[:, :, 0] if self.p == 1 else None
+        self._curv = self.Q[:, 0].repeat(2, axis=1) if self.p == 1 else None
+        if self._curv is not None:
+            self._curv.flags.writeable = False
         # positive definiteness of sum(Q_i) guarantees a unique stationary pair;
         # copied, so that the (m, d, d) buffer of running sums is not kept
         self.Q_sum = ascending_sum(self.Q).copy()
@@ -290,9 +292,10 @@ class UncoupledQuadratic(MinimaxProblem):
         # the two-row product [x_i; y_i] Q_i', which reads Q_i once in a
         # matrix-matrix kernel and is already in F's layout. The agent oracles
         # form the same product, so rows equal them bit for bit. For d = 1 it
-        # is one multiplication, which the elementwise product gives at less cost
-        if self._curv_col is not None:
-            F = self._curv_col * Z
+        # is one multiplication per entry: an elementwise product with the
+        # (m, 2) curvature, the stack's own shape, so numpy does not broadcast
+        if self._curv is not None:
+            F = self._curv * Z
         else:
             m, d = self.m, self.p
             F = np.matmul(Z.reshape(m, 2, d), self.Q.transpose(0, 2, 1)).reshape(m, 2 * d)

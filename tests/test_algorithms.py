@@ -3,24 +3,29 @@ import pytest
 
 from fedmm import algorithms
 from fedmm.algorithms import (
+    DIVERGENCE_LIMIT,
     ETA_GRID_SIZE,
     FEDGDA_GT,
     GDA,
+    LIMIT_TOL,
     LOCAL_SGDA,
     AlgoConfig,
     DivergenceError,
     EtaSelection,
     _TIE_TOL,
+    _block_norm,
     _diagonal_slack,
     _diagonal_terms,
     _round,
     _round_map_lower_bound,
     _round_map_weights,
+    _stop_screen,
     auto_eta_fedgda,
     conservative_eta,
     fedgda_round_map,
     fedgda_round_map_norm,
     gda_step,
+    local_sgda_limit,
     local_sgda_residual,
     run_algorithm,
 )
@@ -320,17 +325,20 @@ class TestInPlaceRound:
         eta_x, eta_y = (eta, eta) if algo == FEDGDA_GT else (eta, 1.5 * eta)
         init = Iterate(np.full(prob.p, 0.5), np.full(prob.q, -0.2))
         cfg = AlgoConfig(algo, eta_x, eta_y, K, 20, init)
+        eta = algorithms._stacked_eta(prob, eta_x, eta_y)
         z = init.stacked
         on_ball = 0
         for t in range(1, cfg.rounds + 1):
-            F = prob.stacked_field(z[None].repeat(prob.m, axis=0))
+            Z = z[None].repeat(prob.m, axis=0)
+            F = prob.stacked_field(Z)
             Fbar = average_vectors(F)
-            before = z.copy(), F.copy(), Fbar.copy()
-            expected = out_of_place_round(prob, cfg, z, F, Fbar)
-            z_next = _round(prob, cfg, t, z, F, Fbar)
+            before = Fbar.copy()
+            expected = out_of_place_round(prob, cfg, z, F.copy(), Fbar)
+            z_next, magnitude = _round(prob, cfg, eta, t, Z, F, Fbar)
             assert np.array_equal(z_next, expected)
-            for argument, copy in zip((z, F, Fbar), before):
-                assert np.array_equal(argument, copy)
+            assert magnitude == np.abs(expected).max()
+            # the stack and the field are consumed; the average is not
+            assert np.array_equal(Fbar, before)
             z = z_next
             on_ball += abs(np.linalg.norm(z[prob.p:]) - 0.5) <= 1e-12
         if make is quadratic_on_y_ball and algo != LOCAL_SGDA:
@@ -533,6 +541,115 @@ class TestResidual:
         assert np.linalg.norm(res - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def local_sgda_rounds(problem, K, eta_x, eta_y, rounds):
+    """The stacked iterates of ``rounds`` Local SGDA rounds of ``run_algorithm``
+    from the origin, round 0 included."""
+    config = AlgoConfig(LOCAL_SGDA, eta_x, eta_y, K, rounds, Iterate.zeros(problem.p, problem.q))
+    return [r.iterate.stacked for r in run_algorithm(problem, config).records]
+
+
+def constant_drift(s):
+    """A d = 1 federation whose Local SGDA rounds at eta = K = 1 add s to x,
+    for s near 2.5e11: 2**-60 x is below half an ulp of s for every x up to
+    1e12, so the field's x entry rounds to -s."""
+    return UncoupledQuadratic([[[2.0**-60]]], [[0.0]], a_list=[[-s]])
+
+
+class TestSimulatedLimit:
+    @pytest.mark.parametrize("max_rounds", [1, 2, 37])
+    def test_a_capped_run_returns_the_engines_iterate_unconverged(self, max_rounds):
+        prob = ScalarTwoAgent()
+        limit = local_sgda_limit(prob, 10, 1e-5, 1e-5, max_rounds=max_rounds)
+        assert (limit.rounds, limit.converged) == (max_rounds, False)
+        expected = local_sgda_rounds(prob, 10, 1e-5, 1e-5, max_rounds)[-1]
+        assert np.array_equal(limit.iterate.stacked, expected)
+
+    @pytest.mark.parametrize("make,K,eta_x,eta_y", [
+        *[(ScalarTwoAgent, K, eta, eta) for K in (1, 5, 10) for eta in (0.1, 5e-4)],
+        (lambda: small_quadratic(m=4, d=5, seed=3), 5, 2e-3, 1e-3),
+    ])
+    def test_stop_round_and_iterate_are_those_of_testing_every_round(
+            self, monkeypatch, make, K, eta_x, eta_y):
+        prob = make()
+        norms = []
+        monkeypatch.setattr(algorithms, "_block_norm",
+                            lambda v, p: norms.append(v) or _block_norm(v, p))
+        limit = local_sgda_limit(prob, K, eta_x, eta_y)
+        assert limit.converged
+        zs = local_sgda_rounds(prob, K, eta_x, eta_y, limit.rounds)
+        stops = [_block_norm(z - z_prev, prob.p) <= LIMIT_TOL * (1.0 + _block_norm(z, prob.p))
+                 for z_prev, z in zip(zs, zs[1:])]
+        assert stops.index(True) == limit.rounds - 1
+        assert np.array_equal(limit.iterate.stacked, zs[-1])
+        # the screen acted: the norms were not taken in every round
+        assert 2 <= len(norms) < 2 * limit.rounds
+
+    @pytest.mark.parametrize("n,p", [(2, 1), (10, 5), (100, 50)])
+    @pytest.mark.parametrize("magnitude", [0.0, 1.0, 3.3, 1e6, DIVERGENCE_LIMIT])
+    def test_screen_never_skips_a_round_the_stop_test_accepts(self, n, p, magnitude):
+        # adversarial for both of its bounds: ||step|| = max|step| for a step
+        # with one nonzero entry, ||z|| = sqrt(n) max|z| for equal magnitudes
+        z = np.full(n, magnitude)
+        z[::2] *= -1.0
+        moving = _stop_screen(n)
+        edge = LIMIT_TOL * (1.0 + _block_norm(z, p))
+        # the screen's own threshold, found by bisection over the floats
+        below, above = edge, 2.0 * edge
+        assert not moving(below, magnitude) and moving(above, magnitude)
+        while np.nextafter(below, np.inf) < above:
+            middle = below + (above - below) / 2.0
+            if moving(middle, magnitude):
+                above = middle
+            else:
+                below = middle
+        # the screen's threshold is within 1e-9 of the test's boundary
+        assert above <= edge * (1.0 + 1e-9)
+        for index in (0, n - 1):
+            for centre in (edge, above):
+                step_max = centre
+                for _ in range(50):
+                    step_max = np.nextafter(step_max, 0.0)
+                outcomes = set()
+                for _ in range(100):
+                    step = np.zeros(n)
+                    step[index] = step_max
+                    accepts = _block_norm(step, p) <= LIMIT_TOL * (1.0 + _block_norm(z, p))
+                    skips = moving(step_max, magnitude)
+                    assert not (accepts and skips), (step_max, magnitude)
+                    outcomes.add((accepts, skips))
+                    step_max = np.nextafter(step_max, np.inf)
+                # each sweep crosses its boundary
+                assert len(outcomes) == 2
+
+    @pytest.mark.parametrize("study", ["run_algorithm", "local_sgda_limit"])
+    def test_an_iterate_at_the_divergence_limit_is_accepted(self, study):
+        prob = constant_drift(2.5e11)
+        if study == "run_algorithm":
+            config = AlgoConfig(LOCAL_SGDA, 1.0, 1.0, 1, 4, Iterate.zeros(1, 1))
+            final = run_algorithm(prob, config).final
+        else:
+            limit = local_sgda_limit(prob, 1, 1.0, 1.0, max_rounds=4)
+            assert (limit.rounds, limit.converged) == (4, False)
+            final = limit.iterate
+        assert (final.x[0], final.y[0]) == (DIVERGENCE_LIMIT, 0.0)
+
+    @pytest.mark.parametrize("study", ["run_algorithm", "local_sgda_limit"])
+    def test_an_iterate_one_ulp_past_the_divergence_limit_diverges(self, study):
+        beyond = np.nextafter(DIVERGENCE_LIMIT, np.inf)
+        prob = constant_drift(beyond / 4.0)
+        x = 0.0
+        for _ in range(4):
+            x = x - (2.0**-60 * x - beyond / 4.0)
+        assert x == beyond
+        with pytest.raises(DivergenceError) as ei:
+            if study == "run_algorithm":
+                run_algorithm(prob, AlgoConfig(LOCAL_SGDA, 1.0, 1.0, 1, 10, Iterate.zeros(1, 1)))
+            else:
+                local_sgda_limit(prob, 1, 1.0, 1.0, max_rounds=10)
+        assert ei.value.round_index == 4
+        assert str(ei.value).startswith("LocalSGDA diverged at round 4: iterate magnitude 1.000e+12")
+
+
 class TestConfigValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
@@ -725,9 +842,9 @@ class TestStepsizeSelection:
         assert sel.eta in grid
         assert min(fedgda_round_map_norm(prob, eta, 5) for eta in grid) == 0.1328125
 
-    @pytest.mark.parametrize("mu", [0.0, -1e-16, np.nan])
-    def test_conservative_eta_refuses_a_curvature_floor_that_is_not_positive(self, mu):
-        with pytest.raises(ValueError, match=r"^the conservative stepsize needs mu > 0, got "):
+    @pytest.mark.parametrize("mu", [0.0, -1e-16, np.nan, np.inf])
+    def test_conservative_eta_refuses_a_curvature_floor_that_is_not_finite_and_positive(self, mu):
+        with pytest.raises(ValueError, match=r"^the conservative stepsize needs a finite mu > 0, got "):
             conservative_eta(mu, 2.0, 5)
 
     @pytest.mark.parametrize("L", [0.0, -2.0, np.inf, np.nan])

@@ -688,6 +688,25 @@ class TestOnePairScan:
                     for c in ((-1e4, 10.0, 0.005), (1.0, 1.0, 0.5))} == {True, False}
 
 
+class TestOverflowingField:
+    """A field that overflows at the sampled points bounds nothing: the first
+    pair whose field difference is not finite fails either check."""
+
+    @pytest.mark.parametrize("check", [
+        lambda prob, seed: check_strong_monotonicity(prob, 1.0, 20, seed=seed),
+        lambda prob, seed: check_contraction(prob, 1.0, 2.0, 0.1, 20, seed=seed),
+    ], ids=["monotonicity", "contraction"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_fails_with_the_first_overflowing_pair_as_witness(self, check, seed):
+        prob = UncoupledQuadratic([[[1e308]]], [[0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = next((z, zp) for z, zp, _, _, dfield in reference_pairs(prob, 20, seed)
+                         if not np.isfinite(dfield).all())
+        report = check(prob, seed)
+        assert report.passed is False
+        assert witness_bytes(report.witness) == witness_bytes(first)
+
+
 class TestContractionCheck:
     @pytest.mark.parametrize("factor", [0.1, 0.5, 0.9])
     def test_damped_field_contracts(self, factor):
