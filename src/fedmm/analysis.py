@@ -207,9 +207,9 @@ def _scan_pairs(problem: MinimaxProblem, trials, seed, lhs_of, fails, **constant
     holds or None) over ``trials`` random pairs (z, z'), coincident ones
     skipped, with d = z - z' and lhs = lhs_of(d, F(z) - F(z')) for the stacked
     descent/ascent field F. A pair whose field difference or lhs is not
-    finite fails too: an overflowing field bounds nothing. Fewer than one
-    trial is refused, and so is a constant that is not finite: a check would
-    pass on nothing."""
+    finite fails too, and its ratio is NaN: an overflowing field bounds
+    nothing. Fewer than one trial is refused, and so is a constant that is
+    not finite: a check would pass on nothing."""
     trials = as_count(trials, "trials")
     seed = as_count(seed, "seed")
     if trials < 1:
@@ -230,8 +230,8 @@ def _scan_pairs(problem: MinimaxProblem, trials, seed, lhs_of, fails, **constant
                 continue
             dfield = problem.gda_field(z) - problem.gda_field(zp)
             lhs = lhs_of(diff, dfield)
-            ratios.append(lhs / dsq)
             finite = np.isfinite(lhs) and np.isfinite(dfield).all()
+            ratios.append(lhs / dsq if finite else np.nan)
             if witness is None and (not finite or fails(lhs, dsq)):
                 witness = (z, zp)
     return trials, ratios, witness
@@ -247,8 +247,9 @@ def check_strong_monotonicity(
     trials, ratios, witness = _scan_pairs(
         problem, trials, seed, lambda diff, dfield: float(np.dot(dfield, diff)),
         lambda lhs, dsq: lhs < mu * dsq - MONOTONICITY_SLACK, mu=mu)
-    # a leading inf makes min skip NaN ratios, as a running minimum does
-    return MonotonicityReport(witness is None, mu, trials, min([np.inf, *ratios]), witness)
+    # np.min, unlike min, lets the NaN of a pair that overflowed through
+    return MonotonicityReport(witness is None, mu, trials,
+                              float(np.min([np.inf, *ratios])), witness)
 
 
 @dataclass
@@ -283,5 +284,5 @@ def check_contraction(
     trials, ratios, witness = _scan_pairs(
         problem, trials, seed, lhs_of,
         lambda lhs, dsq: lhs > bound * dsq * (1.0 + 1e-10) + 1e-12, mu=mu, L=L)
-    return ContractionReport(witness is None, eta, bound, trials, max([-np.inf, *ratios]),
-                             witness)
+    return ContractionReport(witness is None, eta, bound, trials,
+                             float(np.max([-np.inf, *ratios])), witness)

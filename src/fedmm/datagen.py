@@ -2,8 +2,9 @@
 
 RNG contract
 ------------
-Draws come from ``numpy.random.Generator`` (PCG64) instances keyed by
-``SeedSequence([seed, stream, sub])``:
+Draws come from ``numpy.random.Generator`` (PCG64) instances keyed by the
+little-endian 32-bit words of ``(seed, stream, sub)``, which ``SeedSequence``
+hashes; that is the key ``SeedSequence([seed, stream, sub])`` builds itself:
 
 * stream 0 is reserved for problem-level draws,
 * stream i (1-based) holds agent i's data, so changing the agent count never
@@ -50,10 +51,20 @@ PROBLEM_STREAM = 0
 
 
 def substream(seed: int, stream: int, sub: int) -> np.random.Generator:
-    """The deterministic generator for one tensor of one stream."""
+    """The deterministic generator for one tensor of one stream. Its key is
+    the little-endian 32-bit words of ``(seed, stream, sub)``, each integer
+    at least one word (0 is one zero word), which ``SeedSequence`` hashes:
+    bitwise the state ``SeedSequence([seed, stream, sub])`` gives, without
+    numpy's per-entry coercion of the list. A negative entry is refused."""
+    words = []
+    for n in (int(seed), int(stream), int(sub)):
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(n & 0xFFFFFFFF)
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([int(seed), int(stream), int(sub)]))
-    )
+        np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 @dataclass(frozen=True)

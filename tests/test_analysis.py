@@ -690,21 +690,29 @@ class TestOnePairScan:
 
 class TestOverflowingField:
     """A field that overflows at the sampled points bounds nothing: the first
-    pair whose field difference is not finite fails either check."""
+    pair whose field difference is not finite fails either check, and the
+    check reports its extreme ratio as NaN."""
 
-    @pytest.mark.parametrize("check", [
-        lambda prob, seed: check_strong_monotonicity(prob, 1.0, 20, seed=seed),
-        lambda prob, seed: check_contraction(prob, 1.0, 2.0, 0.1, 20, seed=seed),
+    @pytest.mark.parametrize("check, extreme", [
+        (lambda prob, trials, seed: check_strong_monotonicity(prob, 1.0, trials, seed=seed),
+         "min_ratio"),
+        (lambda prob, trials, seed: check_contraction(prob, 1.0, 2.0, 0.1, trials, seed=seed),
+         "max_ratio"),
     ], ids=["monotonicity", "contraction"])
+    @pytest.mark.parametrize("trials", [1, 20])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_fails_with_the_first_overflowing_pair_as_witness(self, check, seed):
+    def test_fails_with_the_first_overflowing_pair_as_witness(self, check, extreme, trials,
+                                                             seed):
         prob = UncoupledQuadratic([[[1e308]]], [[0.0]])
         with np.errstate(over="ignore", invalid="ignore"):
-            first = next((z, zp) for z, zp, _, _, dfield in reference_pairs(prob, 20, seed)
+            first = next((z, zp) for z, zp, _, _, dfield in reference_pairs(prob, trials, seed)
                          if not np.isfinite(dfield).all())
-        report = check(prob, seed)
+        report = check(prob, trials, seed)
         assert report.passed is False
         assert witness_bytes(report.witness) == witness_bytes(first)
+        # the sampled ratios are inf, or inf and NaN: a min or max that
+        # skipped NaN would claim unbounded curvature, or none
+        assert np.isnan(getattr(report, extreme))
 
 
 class TestContractionCheck:

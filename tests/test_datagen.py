@@ -272,6 +272,27 @@ class TestRngAdapter:
         assert not np.array_equal(a, c)
 
 
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 3]
+KEY_INDICES = [0, 1, 4, 2**32 + 1]
+
+
+class TestSubstreamKey:
+    """The substream key is the oracle's: numpy's own coercion of the list
+    [seed, stream, sub], so every draw is that of the documented key."""
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_state_equals_the_seed_sequence_of_the_list(self, seed):
+        for stream in KEY_INDICES:
+            for sub in KEY_INDICES:
+                oracle = np.random.PCG64(np.random.SeedSequence([seed, stream, sub]))
+                assert substream(seed, stream, sub).bit_generator.state == oracle.state
+
+    @pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, 0, -(2**40))])
+    def test_negative_entry_is_refused(self, key):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            substream(*key)
+
+
 # the documented header layout, stated independently of the module
 HEADER = struct.Struct("<6sBQQQQd")
 

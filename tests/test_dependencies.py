@@ -144,22 +144,28 @@ ONE_SPECTRA = ("problems.py", "UncoupledQuadratic.spectra")
 EIGEN_CALLS = {"eigh", "eigvalsh", "eig", "eigvals"}
 
 
-def eigen_calls(source):
-    """(enclosing class and function, dotted, line) of every call in one source
-    to a name in ``EIGEN_CALLS``: ``np.linalg.eigh(...)``, ``linalg.eig(...)``
-    or a bare ``eigvalsh(...)`` imported from numpy.linalg."""
+def scoped_nodes(source):
+    """(enclosing class and function, dotted, or None at module level; node)
+    of every node of one source, parents before their children."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Call):
-                name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                if name in EIGEN_CALLS:
-                    yield scope, child.lineno
+            yield scope, child
             yield from visit(child, scope)
 
     yield from visit(ast.parse(source), None)
+
+
+def eigen_calls(source):
+    """(enclosing class and function, line) of every call in one source to a
+    name in ``EIGEN_CALLS``: ``np.linalg.eigh(...)``, ``linalg.eig(...)`` or a
+    bare ``eigvalsh(...)`` imported from numpy.linalg."""
+    for scope, node in scoped_nodes(source):
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) in EIGEN_CALLS:
+            yield scope, node.lineno
 
 
 @pytest.mark.parametrize("snippet, found", [
@@ -183,3 +189,45 @@ def test_eigendecompositions_only_in_the_spectra(path):
     calls = [(path.name, where, line)
              for where, line in eigen_calls(path.read_text(encoding="utf-8"))]
     assert [c for c in calls if c[:2] != ONE_SPECTRA] == []
+
+
+# every generator's key is built by the substream, the one place that names
+# the seeding machinery; analysis and genbounds seed default_rng directly
+ONE_KEY = ("datagen.py", "substream")
+KEY_NAMES = {"SeedSequence", "PCG64"}
+
+
+def key_names(source):
+    """(enclosing class and function, name, line) of every mention in one
+    source of a name in ``KEY_NAMES``: an attribute (``np.random.PCG64``), a
+    bare name, or an import of one; text in strings is not a mention."""
+    for scope, node in scoped_nodes(source):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+        else:
+            names = [getattr(node, "attr", getattr(node, "id", None))]
+        yield from ((scope, name, node.lineno) for name in names if name in KEY_NAMES)
+
+
+@pytest.mark.parametrize("snippet, found", [
+    ("def f(s):\n    return np.random.PCG64(s)", [("f", "PCG64", 2)]),
+    ("from numpy.random import SeedSequence\nk = SeedSequence(1)",
+     [(None, "SeedSequence", 1), (None, "SeedSequence", 2)]),
+    ("class G:\n    bits = numpy.random.PCG64", [("G", "PCG64", 2)]),
+    ("'SeedSequence'\nrng = np.random.default_rng(0)", []),
+])
+def test_key_names_are_found(snippet, found):
+    assert list(key_names(snippet)) == found
+
+
+def test_one_key_is_found():
+    path = SOURCES[0].with_name(ONE_KEY[0])
+    assert [(where, name) for where, name, _ in key_names(path.read_text(encoding="utf-8"))] == [
+        (ONE_KEY[1], "PCG64"), (ONE_KEY[1], "SeedSequence")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_generators_are_keyed_only_by_the_substream(path):
+    mentions = [(path.name, where, name, line)
+                for where, name, line in key_names(path.read_text(encoding="utf-8"))]
+    assert [m for m in mentions if m[:2] != ONE_KEY] == []

@@ -12,13 +12,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedmm
 from fedmm import (BoundInputs, QuadraticGenSpec, RlrGenSpec, ScalarTwoAgent,
                    auto_eta_fedgda, bound_terms, closed_form_minimax, conservative_eta,
                    gen_quadratic, gen_rlr, local_sgda_fixed_point, optimality_gap,
-                   save_dataset)
+                   save_dataset, substream)
 from fedmm.algorithms import _TIE_TOL, DIVERGENCE_LIMIT, ETA_GRID_SIZE
 from fedmm.cli import (_ALGO_TABLE, _BOUNDS_TABLE, _OUTPUT_TABLE, _PROBLEM_TABLES,
                        main)
@@ -241,6 +242,15 @@ def container_header(*_):
     return [len(magic), quadratic, rlr, alpha]
 
 
+def substream_key(bits):
+    # a seed of two words and two one-word indices, split as README says
+    seed, agent, tensor = 5 << bits | 3, 2, 1
+    words = np.array([seed % 2**bits, seed >> bits, agent, tensor], dtype=np.uint32)
+    assert (substream(seed, agent, tensor).bit_generator.state
+            == np.random.PCG64(np.random.SeedSequence(words)).state)
+    return [bits]
+
+
 # README phrase -> check. A check takes the numbers the phrase states, in
 # order, and returns the values they must read as: a recomputed result, a
 # code constant, or the phrase's own inputs once it has checked its claim on
@@ -257,6 +267,7 @@ STATED = {
     "fixed-point --K 10 --eta 0.001": fixed_point_command,
     "beyond `1e12`": lambda _: [DIVERGENCE_LIMIT],
     "`M_i = 1e200, 2`": overflowing_bound,
+    "little-endian 32-bit words of those three integers": substream_key,
     "magic `FEDMM1` (6 bytes), kind `u8` (1 = quadratic, 2 = rlr), then "
     "`m, d, n, seed` as `u64` and `alpha` as `f64` (0.0 for quadratic)": container_header,
 }

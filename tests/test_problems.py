@@ -589,6 +589,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             QuadraticAgent(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_symmetry_tolerance_scales_with_the_largest_entry(self, scale):
+        # Q is held symmetric to atol = 1e-10 (1 + max|Q|): half that
+        # asymmetry passes, 1.25 and twice it are refused
+        tol = 1e-10 * (1 + scale)
+        for factor, accepted in ((0.5, True), (1.25, False), (2.0, False)):
+            Q = np.array([[scale, factor * tol], [0.0, scale]])
+            assert np.abs(Q).max() == scale
+            if accepted:
+                QuadraticAgent(Q, np.zeros(2), np.zeros(2))
+            else:
+                with pytest.raises(ValueError, match="^Q must be symmetric$"):
+                    QuadraticAgent(Q, np.zeros(2), np.zeros(2))
+
     def test_rlr_sample_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             RlrAgent(np.zeros((4, 2)), np.zeros(3))
