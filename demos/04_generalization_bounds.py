@@ -8,9 +8,10 @@ for the cover resolution. When the loss takes finitely many values, a
 VC-dimension argument caps the complexity in closed form.
 
 The Rademacher complexity itself is estimated empirically over a finite
-candidate set of models: draw random sign vectors, correlate them with every
-candidate's per-sample losses, and average the best correlation. A
-finite-class (Massart) cap bounds what the estimate can ever be.
+candidate set of models: draw random sign vectors, correlate them (and their
+negations) with every candidate's per-sample losses, and average the best
+correlation. A finite-class (Massart) cap bounds the complexity, the
+estimate's expectation.
 
 Run: python3 demos/04_generalization_bounds.py
 """

@@ -10,11 +10,13 @@ the first term that overflowed, with no numpy warning.
 
 The complexity estimator is the *empirical* (conditional on one drawn
 dataset) variant: the supremum over models is replaced by an exact maximum
-over the rows of a user-supplied loss table. It reads its signs 64 to each
+over the rows of a user-supplied loss table. It uses each sign vector twice,
+as sigma and as -sigma (antithetic pairs), so an even count of N draws costs
+N/2 products of a sign vector with the table. It reads its signs 64 to each
 raw word of a seeded PCG64 stream, in blocks of ``SIGMA_BLOCK_ROWS`` (256)
-draws, so its memory is about 9 bytes per sign of one block (the float64
-block and its unpacked bits) plus one float per draw, whatever the number of
-draws.
+sign vectors, so its memory is about 9 bytes per sign of one block (the
+float64 block and its unpacked bits) plus one float per pair, whatever the
+number of draws.
 
 Counts (``m``, ``n``, ``d``, ``cover_size``, ``vc_dim``, ``num_sigma_draws``)
 and the estimator's ``seed`` are read with ``core.as_count``: a Python or
@@ -221,9 +223,9 @@ class RademacherEstimate:
     num_draws: int
 
 
-# Sign draws that ``estimate_rademacher`` holds at once. Keep it a multiple
-# of 64: every block but the last then uses up whole 64-bit words of the sign
-# stream.
+# Sign vectors that ``estimate_rademacher`` holds at once. Keep it a
+# multiple of 64: every block but the last then uses up whole 64-bit words of
+# the sign stream.
 SIGMA_BLOCK_ROWS = 256
 
 
@@ -233,27 +235,37 @@ def estimate_rademacher(
     """Monte-Carlo average over sign draws of the per-draw maximum correlation
     max_rows (1/mn) sum_j sigma_j * loss_j, plus its standard error.
 
-    The signs are those of one ``default_rng(seed).integers(0, 2, size=(
-    num_sigma_draws, mn), dtype=bool)`` draw, False as -1 and True as +1.
-    numpy serves that draw as the bits of the generator's raw 64-bit words,
-    low bit first, so the signs are read straight off those words: 64 per
-    word. They are drawn in blocks of ``SIGMA_BLOCK_ROWS`` draws, written as
-    +-1 into one reused float64 block, multiplied by the loss table, and only
-    each draw's maximum is kept. Memory is therefore about 9 bytes per sign
-    of one SIGMA_BLOCK_ROWS x mn block plus one float per draw, not the whole
-    num_sigma_draws x mn sign matrix. The products can differ from a single
-    product of the whole matrix only in the last bits, where BLAS orders a
-    short block's sums differently.
+    The N = ``num_sigma_draws`` draws are P = N/2 sign vectors sigma_k, each
+    also used negated, so N must be even. With s_k = sigma_k . loss,
+    max_h(-s_kh) = -min_h s_kh, so a pair's mean is g_k = (max_h s_kh -
+    min_h s_kh) / (2 mn), whose expectation is the complexity because -sigma
+    has the law of sigma. The value is the mean of the g_k and the standard
+    error std(g, ddof=1) / sqrt(P), over the pairs: a pair's two draws are
+    not independent (on a sign-closed table they are equal), so a formula
+    over the 2P draws would understate it.
+
+    The vectors are the rows of one ``default_rng(seed).integers(0, 2,
+    size=(P, mn), dtype=bool)`` draw, False as -1 and True as +1. numpy
+    serves that draw as the bits of the generator's raw 64-bit words, low bit
+    first, so the signs are read straight off those words: 64 per word. They
+    are drawn in blocks of ``SIGMA_BLOCK_ROWS`` vectors, written as +-1 into
+    one reused float64 block, multiplied by the loss table, and only each
+    vector's g_k is kept. Memory is therefore about 9 bytes per sign of one
+    SIGMA_BLOCK_ROWS x mn block plus one float per pair, not the whole P x mn
+    sign matrix. The products can differ from a single product of the whole
+    matrix only in the last bits, where BLAS orders a short block's sums
+    differently.
     """
     num_sigma_draws = as_count(num_sigma_draws, "num_sigma_draws")
-    if num_sigma_draws < 1:
-        raise ValueError("need at least one sigma draw")
-    mn = sample.m * sample.n
+    if num_sigma_draws < 1 or num_sigma_draws % 2:
+        raise ValueError("num_sigma_draws must be a positive even number (each sign "
+                         f"vector is also used negated), got {num_sigma_draws}")
+    pairs, mn = num_sigma_draws // 2, sample.m * sample.n
     bitgen = np.random.default_rng(as_count(seed, "seed")).bit_generator
-    sups = np.empty(num_sigma_draws)
-    block = np.empty((min(SIGMA_BLOCK_ROWS, num_sigma_draws), mn))
-    for start in range(0, num_sigma_draws, SIGMA_BLOCK_ROWS):
-        stop = min(start + SIGMA_BLOCK_ROWS, num_sigma_draws)
+    gaps = np.empty(pairs)
+    block = np.empty((min(SIGMA_BLOCK_ROWS, pairs), mn))
+    for start in range(0, pairs, SIGMA_BLOCK_ROWS):
+        stop = min(start + SIGMA_BLOCK_ROWS, pairs)
         sigma = block[: stop - start]
         count = sigma.size
         words = bitgen.random_raw(-(-count // 64)).astype("<u8", copy=False)
@@ -261,15 +273,16 @@ def estimate_rademacher(
         bits += bits  # then 2b - 1 in place: 0 wraps to 255, int8 -1; one cast
         bits -= 1
         sigma[...] = bits.view(np.int8).reshape(sigma.shape)
-        sups[start:stop] = (sigma @ sample.loss_table.T).max(axis=1) / mn
-    value = float(sups.mean())
-    stderr = float(sups.std(ddof=1) / math.sqrt(num_sigma_draws)) if num_sigma_draws > 1 else 0.0
+        gaps[start:stop] = np.ptp(sigma @ sample.loss_table.T, axis=1) / (2 * mn)
+    value = float(gaps.mean())
+    stderr = float(gaps.std(ddof=1) / math.sqrt(pairs)) if pairs > 1 else 0.0
     return RademacherEstimate(value, stderr, num_sigma_draws)
 
 
 def massart_bound(sample: FiniteHypothesisSample) -> float:
     """Finite-class cap r * sqrt(2 log C) / (m n), with r the largest row norm
-    and C the number of candidates; the estimator can never exceed it."""
+    and C the number of candidates. It bounds the complexity, which is the
+    estimator's expectation; one estimate from a few draws can exceed it."""
     r = float(np.max(np.linalg.norm(sample.loss_table, axis=1)))
     C = sample.loss_table.shape[0]
     return r * math.sqrt(2.0 * math.log(C)) / (sample.m * sample.n)

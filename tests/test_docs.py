@@ -257,7 +257,7 @@ def substream_key(bits):
 # them
 STATED = {
     "`x* = y* = 3.3`": scalar_minimax,
-    "in blocks of 256 draws": lambda _: [SIGMA_BLOCK_ROWS],
+    "in blocks of 256 sign vectors": lambda _: [SIGMA_BLOCK_ROWS],
     "`m = 20`, `d = 50`, `n = 500`, seed 7 and `K = 20`, at the stepsize "
     "`auto_eta_fedgda` selects, its squared distance to `z*` is 149.78": local_sgda_plateau,
     "the 46 halvings": lambda _: [ETA_GRID_SIZE],
