@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (UNCONSTRAINED, Iterate, Vector, as_count, ascending_sum, average_vectors,
-                   optimality_gap)
+                   geometric_sums, optimality_gap)
 from .problems import MinimaxProblem, UncoupledQuadratic, estimate_constants, require_family
 
 GDA = "GDA"
@@ -367,23 +367,9 @@ def conservative_eta(mu: float, L: float, K: int) -> float:
 
 
 def _round_map_weights(w: np.ndarray, eta: float | np.ndarray, K: int) -> np.ndarray:
-    """Eigenvalues geo = eta sum_{j<K} (1 - eta w)^j of eta S_i at the
-    curvature eigenvalues w, in closed form. Elementwise: an eta (n, 1, 1)
-    gives n candidates' weights, each bitwise what its own call gives.
-
-    ``analysis.local_sgda_fixed_point`` sums the same series term by term
-    instead: that keeps the ``fixed-point`` digests pinned in
-    ``tests/test_cli.py::TestPinnedOutputs``, and stays accurate at small
-    eta w, where this closed form needs its series branch.
-    """
-    # geo = (1 - (1 - eta w)^K) / w, except the quotient cancels
-    # catastrophically as eta*w -> 0; switch to its series there
-    small = np.abs(eta * w) < 1e-8
-    return np.where(
-        small,
-        eta * K * (1.0 - 0.5 * (K - 1) * eta * w),
-        (1.0 - (1.0 - eta * w) ** K) / np.where(small, 1.0, w),
-    )
+    """Eigenvalues eta sum_{j<K} (1 - eta w)^j of eta S_i at the curvature eigenvalues w,
+    elementwise: an eta (n, 1, 1) gives n candidates' weights, each bitwise its own call's."""
+    return eta * geometric_sums(1.0 - eta * w, K)
 
 
 def _round_map(V: np.ndarray, geo: np.ndarray, Qbar: np.ndarray) -> np.ndarray:

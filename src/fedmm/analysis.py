@@ -18,7 +18,8 @@ from .algorithms import (
     local_sgda_limit,
     local_sgda_residual,
 )
-from .core import Iterate, Vector, as_count, as_vector, ascending_sum, norm, optimality_gap
+from .core import (Iterate, Vector, as_count, as_vector, ascending_sum, geometric_sums, norm,
+                   optimality_gap)
 from .problems import (
     MinimaxProblem,
     RobustLinearRegression,
@@ -32,7 +33,6 @@ from .problems import (
 
 SAMPLE_SCALE = 10.0  # standard deviation of the property checks' random points
 MONOTONICITY_SLACK = 1e-9  # absolute tolerance of ``check_strong_monotonicity``
-POWER_BLOCK = 1 << 17  # powers a ``_geometric_sums`` block holds when K <= it (1 MiB)
 
 
 class UnstableStepsizeError(ValueError):
@@ -42,25 +42,6 @@ class UnstableStepsizeError(ValueError):
 # ---------------------------------------------------------------------------
 # fixed points of the uncorrected local scheme on quadratic federations
 # ---------------------------------------------------------------------------
-
-def _geometric_sums(ratio: np.ndarray, K: int) -> np.ndarray:
-    """sum_{j<K} r^j for every entry r of ``ratio``, term by term.
-
-    Powers are formed for a block of entries at a time, each with its whole
-    row of K powers, so a block holds at most max(POWER_BLOCK, K) powers
-    besides the K exponents: memory is flat in K up to ``POWER_BLOCK`` and
-    grows linearly in K beyond it. Each entry's
-    sum is the pairwise sum ``np.sum`` takes over its own row of powers, so
-    the result is bitwise that of one (..., K) array of every power.
-    """
-    flat = ratio.reshape(-1)
-    powers = np.arange(K)
-    rows = max(1, POWER_BLOCK // K)
-    sums = np.empty_like(flat)
-    for start in range(0, flat.size, rows):
-        sums[start:start + rows] = np.sum(flat[start:start + rows, None] ** powers, axis=-1)
-    return sums.reshape(ratio.shape)
-
 
 def local_sgda_fixed_point(
     problem: UncoupledQuadratic, K: int, eta_x: float, eta_y: float
@@ -73,9 +54,10 @@ def local_sgda_fixed_point(
     averaged endpoint returns to x exactly at
     x_fp = -(sum_i S_i Q_i)^-1 sum_i S_i a_i; the y block is the same with
     c_i and eta_y. S_i shares the eigenvectors of Q_i, and its eigenvalues
-    are the geometric sums, evaluated term by term. With K = 1 the fixed
-    point is the true minimax point; for K >= 2 and heterogeneous agents it
-    is biased away from it.
+    are the geometric sums of ``core.geometric_sums``, the evaluator the
+    FedGDA-GT round map also reads: O(log K) array steps, memory flat in K.
+    With K = 1 the fixed point is the true minimax point; for K >= 2 and
+    heterogeneous agents it is biased away from it.
     """
     K = check_round_inputs(K, eta_x, eta_y)
     problem = require_family(problem, UncoupledQuadratic,
@@ -91,7 +73,7 @@ def local_sgda_fixed_point(
                 raise UnstableStepsizeError(
                     f"stepsize {eta} is unstable for local curvature {float(w.max())}"
                 )
-            weights = _geometric_sums(ratio, K)
+            weights = geometric_sums(ratio, K)
             SQ = np.matmul(V * (weights * w)[:, None, :], Vt)
             weighted[eta] = ascending_sum(SQ), weights[:, :, None]
         SQ_sum, weights = weighted[eta]

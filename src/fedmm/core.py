@@ -1,4 +1,4 @@
-"""Dense vector arithmetic, decision-pair iterates, feasible sets, projections.
+"""Vector arithmetic, decision-pair iterates, feasible sets, projections, geometric sums.
 
 All operations are pure value arithmetic on float64 arrays: no shared mutable
 state, safe to call from any number of threads. Sums over agents always
@@ -71,6 +71,23 @@ def ascending_sum(X: np.ndarray) -> np.ndarray:
     pairwise once m >= 8.
     """
     return np.add.accumulate(X, axis=0)[-1]
+
+
+def geometric_sums(ratio, K: int) -> np.ndarray:
+    """sum_{j<K} r^j, K >= 1, for every entry r of ``ratio``, elementwise, by
+    binary doubling: O(log K) array steps, memory flat in K. Over the bits of
+    K after the leading one, the n = K >> (shift + 1) terms so far double,
+    S(2n) = S(n) (1 + r^n), and a set bit adds one, S(n + 1) = 1 + r S(n).
+    Each r^n is one rounded ``ratio ** n``: powers by repeated squaring would
+    double their relative error at every level.
+    """
+    ratio = np.asarray(ratio, dtype=np.float64)
+    sums = np.ones(ratio.shape)
+    for shift in reversed(range(operator.index(K).bit_length() - 1)):
+        sums *= 1.0 + ratio ** (K >> (shift + 1))
+        if K >> shift & 1:
+            sums = 1.0 + ratio * sums
+    return sums
 
 
 def average_vectors(vectors: Sequence[Vector]) -> Vector:

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import UNCONSTRAINED, as_count
+from .core import UNCONSTRAINED, as_count, check_finite
 from .problems import RobustLinearRegression, UncoupledQuadratic
 
 PROBLEM_STREAM = 0
@@ -239,7 +239,9 @@ def save_dataset(path, problem, spec) -> None:
 
 def load_dataset(path):
     """Read a container back; returns (problem, spec), where ``spec`` is the
-    ``QuadraticGenSpec`` or ``RlrGenSpec`` it was saved under."""
+    ``QuadraticGenSpec`` or ``RlrGenSpec`` it was saved under. A header its
+    spec refuses, a payload of another size or with an entry that is not
+    finite is refused with the file's name."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size or raw[:6] != MAGIC:
@@ -251,26 +253,28 @@ def load_dataset(path):
             if alpha != 0.0 or np.signbit(alpha):
                 raise ValueError(f"a quadratic header has alpha 0.0, got {alpha!r}")
             spec = QuadraticGenSpec(m=m, d=d, n_i=n, seed=seed)
-            mat_shape, vec_len = (d, d), d
+            mat_shape, vec_len, names = (d, d), d, ("Q", "c")
         elif kind == KIND_RLR:
             spec = RlrGenSpec(m=m, d=d, n_i=n, alpha=alpha, seed=seed)
-            mat_shape, vec_len = (n, d), n
+            mat_shape, vec_len, names = (n, d), n, ("features", "targets")
         else:
             raise ValueError(f"unknown dataset kind {kind}")
+        mat_len = mat_shape[0] * mat_shape[1]
+        expected = _HEADER.size + 8 * m * (mat_len + vec_len)
+        if len(raw) != expected:
+            raise ValueError(
+                f"container size mismatch: expected {expected} bytes, got {len(raw)}"
+            )
+        # read-only views of the payload, one row per agent; the problems stack
+        # (quadratic) or keep (rlr) them without a per-agent copy
+        payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+        payload = payload.reshape(m, mat_len + vec_len)
+        mats = payload[:, :mat_len].reshape(m, *mat_shape)
+        vecs = payload[:, mat_len:]
+        for name, values in zip(names, (mats, vecs)):
+            check_finite(values, name)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    mat_len = mat_shape[0] * mat_shape[1]
-    expected = _HEADER.size + 8 * m * (mat_len + vec_len)
-    if len(raw) != expected:
-        raise ValueError(
-            f"container size mismatch: expected {expected} bytes, got {len(raw)}"
-        )
-    # read-only views of the payload, one row per agent; the problems stack
-    # (quadratic) or keep (rlr) them without a per-agent copy
-    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    payload = payload.reshape(m, mat_len + vec_len)
-    mats = payload[:, :mat_len].reshape(m, *mat_shape)
-    vecs = payload[:, mat_len:]
     if kind == KIND_QUADRATIC:
         return UncoupledQuadratic(mats, vecs), spec
     return RobustLinearRegression(mats, vecs), spec

@@ -254,7 +254,7 @@ def estimate_rademacher(
     SIGMA_BLOCK_ROWS x mn block plus one float per pair, not the whole P x mn
     sign matrix. The products can differ from a single product of the whole
     matrix only in the last bits, where BLAS orders a short block's sums
-    differently.
+    differently. Correlations that overflow are refused, as the bounds refuse.
     """
     num_sigma_draws = as_count(num_sigma_draws, "num_sigma_draws")
     if num_sigma_draws < 1 or num_sigma_draws % 2:
@@ -264,18 +264,20 @@ def estimate_rademacher(
     bitgen = np.random.default_rng(as_count(seed, "seed")).bit_generator
     gaps = np.empty(pairs)
     block = np.empty((min(SIGMA_BLOCK_ROWS, pairs), mn))
-    for start in range(0, pairs, SIGMA_BLOCK_ROWS):
-        stop = min(start + SIGMA_BLOCK_ROWS, pairs)
-        sigma = block[: stop - start]
-        count = sigma.size
-        words = bitgen.random_raw(-(-count // 64)).astype("<u8", copy=False)
-        bits = np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
-        bits += bits  # then 2b - 1 in place: 0 wraps to 255, int8 -1; one cast
-        bits -= 1
-        sigma[...] = bits.view(np.int8).reshape(sigma.shape)
-        gaps[start:stop] = np.ptp(sigma @ sample.loss_table.T, axis=1) / (2 * mn)
-    value = float(gaps.mean())
-    stderr = float(gaps.std(ddof=1) / math.sqrt(pairs)) if pairs > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, pairs, SIGMA_BLOCK_ROWS):
+            stop = min(start + SIGMA_BLOCK_ROWS, pairs)
+            sigma = block[: stop - start]
+            count = sigma.size
+            words = bitgen.random_raw(-(-count // 64)).astype("<u8", copy=False)
+            bits = np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
+            bits += bits  # then 2b - 1 in place: 0 wraps to 255, int8 -1; one cast
+            bits -= 1
+            sigma[...] = bits.view(np.int8).reshape(sigma.shape)
+            gaps[start:stop] = np.ptp(sigma @ sample.loss_table.T, axis=1) / (2 * mn)
+        value = _finite("rademacher_estimate", gaps.mean)
+        stderr = _finite("rademacher_stderr",
+                         lambda: gaps.std(ddof=1) / math.sqrt(pairs) if pairs > 1 else 0.0)
     return RademacherEstimate(value, stderr, num_sigma_draws)
 
 
@@ -283,6 +285,7 @@ def massart_bound(sample: FiniteHypothesisSample) -> float:
     """Finite-class cap r * sqrt(2 log C) / (m n), with r the largest row norm
     and C the number of candidates. It bounds the complexity, which is the
     estimator's expectation; one estimate from a few draws can exceed it."""
-    r = float(np.max(np.linalg.norm(sample.loss_table, axis=1)))
+    with np.errstate(over="ignore"):  # an overflowing row norm is refused below
+        r = float(np.max(np.linalg.norm(sample.loss_table, axis=1)))
     C = sample.loss_table.shape[0]
-    return r * math.sqrt(2.0 * math.log(C)) / (sample.m * sample.n)
+    return _finite("massart_bound", lambda: r * math.sqrt(2 * math.log(C)) / (sample.m * sample.n))

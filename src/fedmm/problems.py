@@ -31,6 +31,7 @@ from .core import (
     as_vector,
     ascending_sum,
     average_vectors,
+    check_finite,
 )
 
 
@@ -152,6 +153,8 @@ class RlrAgent(LocalObjective):
             raise DimensionMismatchError(A.shape[0], b.shape[0], "targets")
         if A.shape[0] < 1:
             raise ValueError("need at least one sample")
+        check_finite(A, "features")
+        check_finite(b, "targets")
         A.flags.writeable = b.flags.writeable = False
         self.A = A
         self.b = b
@@ -252,10 +255,13 @@ class UncoupledQuadratic(MinimaxProblem):
         if a_list is not None and len(a_list) != len(c_list):
             raise ValueError("need one a per c")
         # stored once, stacked (m, d, d), (m, d) and (m, d); each agent holds
-        # views. Doubling is exact, so a = 2c is bitwise the generated x term
-        self.Q = np.array(Q_list, dtype=np.float64)
-        self.c = np.array(c_list, dtype=np.float64)
-        self.a = 2.0 * self.c if a_list is None else np.array(a_list, dtype=np.float64)
+        # views. Doubling is exact, so a = 2c is bitwise the generated x term;
+        # each stack is checked finite before the agents' symmetry test reads Q
+        self.Q = check_finite(np.array(Q_list, dtype=np.float64), "Q")
+        self.c = check_finite(np.array(c_list, dtype=np.float64), "c")
+        with np.errstate(over="ignore"):
+            self.a = 2.0 * self.c if a_list is None else np.array(a_list, dtype=np.float64)
+        check_finite(self.a, "a")
         # read-only, like the agents' views of them: Q_sum, spectra and the
         # field's offset never go stale
         self.Q.flags.writeable = self.a.flags.writeable = self.c.flags.writeable = False

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedmm import algorithms
+from fedmm import algorithms, analysis
 from fedmm.algorithms import (
     DIVERGENCE_LIMIT,
     ETA_GRID_SIZE,
@@ -30,7 +30,7 @@ from fedmm.algorithms import (
     run_algorithm,
 )
 from fedmm.analysis import local_sgda_fixed_point
-from fedmm.core import FeasibleSet, Iterate, ProductSet, average_vectors
+from fedmm.core import FeasibleSet, Iterate, ProductSet, average_vectors, geometric_sums
 from fedmm.datagen import QuadraticGenSpec, RlrGenSpec, gen_quadratic, gen_rlr
 from fedmm.problems import (
     MinimaxProblem,
@@ -926,6 +926,39 @@ class TestStepsizeSelection:
         # the constants are the extreme eigenvalues of the spectra, bitwise
         w, _ = prob.spectra
         assert (mu, L) == (min(w_i[0] for w_i in w), max(w_i[-1] for w_i in w))
+
+    def test_one_evaluator_of_the_local_step_sums(self, monkeypatch):
+        # the round map, the stepsize search and the Local SGDA fixed point
+        # all take S_i's eigenvalues from core.geometric_sums, one call per
+        # stepsize (the search weighs every candidate in one call), at the
+        # ratios 1 - eta w of the cached spectra
+        prob = small_quadratic(m=4, d=5, seed=11)
+        w, _ = prob.spectra
+        calls = []
+
+        def counted(ratio, K):
+            calls.append((ratio, K))
+            return geometric_sums(ratio, K)
+
+        for module in (algorithms, analysis):
+            monkeypatch.setattr(module, "geometric_sums", counted)
+        eta = 1e-3
+        fedgda_round_map(prob, eta, 10)
+        fedgda_round_map_norm(prob, 0.5 * eta, 3)
+        (ratio, K), (half, K_half) = calls
+        assert K == 10 and np.array_equal(ratio, 1.0 - eta * w)
+        assert K_half == 3 and np.array_equal(half, 1.0 - 0.5 * eta * w)
+        calls.clear()
+        auto_eta_fedgda(prob, 10)
+        ((ratios, K),) = calls
+        assert K == 10 and ratios.shape == (ETA_GRID_SIZE + 1, *w.shape)
+        for eta_x, eta_y, count in ((eta, eta, 1), (eta, 2 * eta, 2)):
+            calls.clear()
+            local_sgda_fixed_point(prob, 7, eta_x, eta_y)
+            assert len(calls) == count
+            assert [K for _, K in calls] == [7] * count
+            assert np.array_equal(calls[0][0], 1.0 - eta_x * w)
+            assert np.array_equal(calls[-1][0], 1.0 - eta_y * w)
 
     def test_scalar_two_agent_selection_is_stable(self):
         prob = ScalarTwoAgent()

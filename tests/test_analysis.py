@@ -6,7 +6,6 @@ import pytest
 
 from fedmm import algorithms, analysis
 from fedmm.analysis import (
-    _geometric_sums,
     UnstableStepsizeError,
     check_contraction,
     check_strong_monotonicity,
@@ -25,7 +24,7 @@ from fedmm.algorithms import (
     auto_eta_fedgda,
     run_algorithm,
 )
-from fedmm.core import Iterate
+from fedmm.core import Iterate, geometric_sums
 from fedmm.datagen import QuadraticGenSpec, RlrGenSpec, gen_quadratic, gen_rlr
 from fedmm.problems import (
     MinimaxProblem,
@@ -114,14 +113,28 @@ class TestClosedFormFixedPoint:
 
 def scalar_fixed_coordinate(K, eta):
     """The two-agent scalar fixed point written out: the offsets and the
-    curvature values, each weighted by sum_{j<K} (1 - eta curv)^j, and their quotient."""
+    curvature values, each weighted by sum_{j<K} (1 - eta curv)^j from
+    ``geometric_sums``, and their quotient."""
     num = 0.0
     den = 0.0
     for curv, offset in ((2.0, 1.0), (8.0, 32.0)):
-        weights = float(np.sum((1.0 - eta * curv) ** np.arange(K)))
+        weights = float(geometric_sums(1.0 - eta * curv, K))
         num += offset * weights
         den += curv * weights
     return num / den
+
+
+def exact_geometric_sum(r, K):
+    """sum_{j<K} r^j in exact rational arithmetic, r a float."""
+    r = Fraction(r)
+    return Fraction(K) if r == 1 else (1 - r**K) / (1 - r)
+
+
+def exact_scalar_fixed_coordinate(K, eta):
+    """The two-agent scalar fixed point in exact rational arithmetic, at
+    the float stepsize ``eta`` and the float curvatures 1 - eta curv."""
+    weights = [exact_geometric_sum(1.0 - eta * curv, K) for curv in (2.0, 8.0)]
+    return (weights[0] + 32 * weights[1]) / (2 * weights[0] + 8 * weights[1])
 
 
 class TestLocalSgdaFixedPoint:
@@ -133,6 +146,17 @@ class TestLocalSgdaFixedPoint:
         for z in (local_sgda_fixed_point_closed_form(K, eta_x, eta_y),
                   local_sgda_fixed_point(ScalarTwoAgent(), K, eta_x, eta_y)):
             assert (z.x[0], z.y[0]) == expected
+
+    @pytest.mark.parametrize("K", [1, 10, 20, 50])
+    @pytest.mark.parametrize("etas", [(1e-3, 2e-3), (5e-4, 1e-4), (0.1, 0.2), (0.2, 0.01)])
+    def test_scalar_instance_is_within_four_ulps_of_the_exact_fixed_point(self, K, etas):
+        # the longhand test above holds the formula's plumbing; this one the
+        # numbers, against the fixed point of the rounded curvatures
+        # 1 - eta curv, summed and divided exactly
+        z = local_sgda_fixed_point(ScalarTwoAgent(), K, *etas)
+        for value, eta in ((z.x[0], etas[0]), (z.y[0], etas[1])):
+            exact = exact_scalar_fixed_coordinate(K, eta)
+            assert abs(Fraction(float(value)) - exact) <= 4 * Fraction(np.spacing(float(exact)))
 
     @pytest.mark.parametrize("case", ["scalar2", "quad-seed7"])
     @pytest.mark.parametrize("K", [2, 5, 20])
@@ -236,18 +260,24 @@ class TestGeometricSums:
     def eigenvalues(self):
         return gen_quadratic(QuadraticGenSpec(m=20, d=50, n_i=500, seed=7)).spectra[0]
 
-    @pytest.mark.parametrize("block", [analysis.POWER_BLOCK, 100])
-    @pytest.mark.parametrize("K", [1, 7, 10, 20, 50, 129, 2000])
-    def test_blocked_sums_equal_the_full_array_of_powers_bitwise(
-        self, eigenvalues, monkeypatch, K, block
-    ):
-        # a block of 100 powers puts row boundaries inside every K here
-        monkeypatch.setattr(analysis, "POWER_BLOCK", block)
-        w = eigenvalues
-        for eta in (1e-3 / w.max(), 1.9 / w.max()):
-            ratio = 1.0 - eta * w
-            full = np.sum(ratio[..., None] ** np.arange(K), axis=-1)
-            assert np.array_equal(_geometric_sums(ratio, K), full)
+    # r = 1 - eta w across (-1, 1]: eta w below 1e-8 and up to 1e-6, where
+    # the closed form (1 - r^K) / (1 - r) cancels, moderate, and r near -1
+    RATIOS = np.concatenate([
+        [1.0], 1.0 - 10.0 ** np.linspace(-16, -8.01, 9), 1.0 - 10.0 ** np.linspace(-8, -6.01, 9),
+        1.0 - 10.0 ** np.linspace(-6, -0.1, 13), np.linspace(-0.95, 0.95, 11),
+        -1.0 + 10.0 ** np.linspace(-12, -1, 12),
+    ])
+    # error bound, in units of eps sum_j |r|^j. On these ratios the doubling
+    # evaluator stays within 2.0 of them and term-by-term sums within 1.5;
+    # powers by repeated squaring reach 88 and the closed form 5e6
+    UNITS = 4
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 7, 10, 20, 50, 129, 1000])
+    def test_sums_are_within_the_bound_of_the_exact_sums(self, K):
+        eps = Fraction(np.finfo(float).eps)
+        for r, total in zip(self.RATIOS, geometric_sums(self.RATIOS, K)):
+            scale = exact_geometric_sum(abs(r), K)
+            assert abs(Fraction(float(total)) - exact_geometric_sum(r, K)) <= self.UNITS * eps * scale
 
     def test_fixed_point_memory_does_not_grow_with_K(self, eigenvalues):
         # every power at once would be 8 m d K bytes: 15.3 MiB here

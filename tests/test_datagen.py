@@ -460,6 +460,27 @@ class TestContainer:
         with pytest.raises(ValueError, match=expected):
             load_dataset(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("kind, offset, name", [
+        (KIND_QUADRATIC, 0, "Q"), (KIND_QUADRATIC, -1, "c"),
+        (KIND_RLR, 0, "features"), (KIND_RLR, -1, "targets"),
+    ])
+    def test_non_finite_payload_is_refused_with_the_file_name(self, tmp_path, kind, offset,
+                                                               name, bad):
+        # one payload float replaced in place: the first entry (a matrix
+        # entry of agent 1) or the last (a vector entry of agent m)
+        spec = (QuadraticGenSpec(m=2, d=3, n_i=6, seed=23) if kind == KIND_QUADRATIC
+                else RlrGenSpec(m=2, d=3, n_i=6, alpha=1.0, seed=23))
+        prob = gen_quadratic(spec) if kind == KIND_QUADRATIC else gen_rlr(spec)
+        path = tmp_path / "patched.fedmm"
+        save_dataset(path, prob, spec)
+        payload = np.frombuffer(path.read_bytes(), dtype="<f8", offset=HEADER.size).copy()
+        payload[offset] = bad
+        path.write_bytes(path.read_bytes()[:HEADER.size] + payload.tobytes())
+        expected = f"^{re.escape(str(path))}: {name} contains non-finite entries$"
+        with pytest.raises(ValueError, match=expected):
+            load_dataset(path)
+
     @pytest.mark.parametrize("kind, fields, reason", [
         (KIND_QUADRATIC, dict(n=1), "n_i must be >= d"),
         (KIND_QUADRATIC, dict(d=0), "m and d must be >= 1"),

@@ -427,6 +427,22 @@ class TestRademacherEstimator:
         est = estimate_rademacher(sample, 64, seed=4)
         assert est.value == 1.0
 
+    @pytest.mark.parametrize("table, estimate, cap", [
+        ([[1e308, 1e308]], "rademacher_estimate = nan", "massart_bound = nan"),
+        ([[1e308, 1e308], [0.0, 0.0]], "rademacher_estimate = inf", "massart_bound = inf"),
+    ], ids=["one-row", "zero-row"])
+    def test_overflowing_correlations_are_refused(self, table, estimate, cap):
+        # finite losses whose correlations 1e308 + 1e308 and squared row
+        # norms overflow: refused as the bounds refuse, with no numpy warning
+        sample = FiniteHypothesisSample(table, m=1, n=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for evaluate, named in ((lambda: estimate_rademacher(sample, 20, seed=0), estimate),
+                                    (lambda: massart_bound(sample), cap)):
+                with pytest.raises(ValueError, match="^" + re.escape(
+                        f"the inputs overflow the bounds ({named})") + "$"):
+                    evaluate()
+
     def test_nonnegative_for_sign_flip_closed_sets(self):
         rng = np.random.default_rng(5)
         sample = FiniteHypothesisSample(sign_closed(rng.normal(size=(6, 12))), m=3, n=4)

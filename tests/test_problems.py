@@ -603,6 +603,29 @@ class TestValidation:
                 with pytest.raises(ValueError, match="^Q must be symmetric$"):
                     QuadraticAgent(Q, np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["Q", "c", "a"])
+    def test_non_finite_quadratic_data_is_refused(self, field, bad):
+        # refused before the symmetry test, which would warn on a NaN Q
+        data = dict(Q=[np.eye(2), 2 * np.eye(2)], c=np.ones((2, 2)), a=np.ones((2, 2)))
+        data[field] = np.array(data[field], dtype=float)
+        data[field][1, 0] = bad
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite entries$"):
+            UncoupledQuadratic(data["Q"], data["c"], a_list=data["a"])
+
+    def test_an_x_term_2c_past_the_largest_float_is_refused(self):
+        with pytest.raises(ValueError, match="^a contains non-finite entries$"):
+            UncoupledQuadratic([[[1.0]]], [[1e308]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["features", "targets"])
+    def test_non_finite_rlr_samples_are_refused(self, field, bad):
+        rng = np.random.default_rng(4)
+        data = dict(features=rng.normal(size=(2, 5, 3)), targets=rng.normal(size=(2, 5)))
+        data[field][1, 2] = bad
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite entries$"):
+            RobustLinearRegression(data["features"], data["targets"])
+
     def test_rlr_sample_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             RlrAgent(np.zeros((4, 2)), np.zeros(3))
