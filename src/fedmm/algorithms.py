@@ -1,7 +1,8 @@
 """The three optimization procedures and their fixed-point diagnostics.
 
-One round engine serves all three methods, in ``run_algorithm`` and in
-``local_sgda_limit``; ``AlgoConfig.algo`` names the method:
+One driver runs the rounds of all three methods, and both round studies
+iterate it: ``run_algorithm`` records every round and ``local_sgda_limit``
+stops at its displacement test. ``AlgoConfig.algo`` names the method:
 
 * GDA -- centralized simultaneous descent/ascent, projected onto X x Y.
 * Local SGDA -- uncorrected K-step local updates, then server averaging
@@ -14,18 +15,15 @@ engine against. ``check_round_inputs`` is the one rule on every K and stepsize
 that the functions here and in ``analysis`` take.
 
 All three step z = (x, y) down the GDA field F = (grad_x f, -grad_y f).
-Within one communication round the m agents share nothing, so the engine
-advances all of them together as the rows z_i of one (m, p + q) array: a
-local step is one batched ``stacked_field`` call and a few in-place array
-updates. A round starts from a stack whose rows hold the synchronized
-iterate and from the field its caller already took there, and updates both
-in place from its first step on; the stepsize is built once per run at the
-stack's shape, so no operand of a local step is broadcast. The server
-projects the average block by block, in place, and skips unconstrained
-blocks. Every server aggregation is a deterministic ascending-index
-reduction over rows. ``local_sgda_limit`` takes the norms of its stop test
-only in rounds that a certified screen on the largest entries does not
-already fail.
+Within a round the m agents share nothing, so the driver advances them
+together as the rows of one (m, p + q) stack, allocated once per run and
+refilled with the synchronized iterate every round, beside a stepsize built
+once at the stack's shape: a local step is one batched ``stacked_field``
+call and a few in-place updates, none of which broadcasts. The server
+averages in ascending row order and projects block by block, in place,
+skipping unconstrained blocks. ``local_sgda_limit`` takes the norms of its
+stop test only in rounds that a certified screen on the largest entries
+does not already fail.
 The centralized step is computed as the average of per-agent steps
 (algebraically identical to stepping along the averaged gradient), so a K=1
 local run and a centralized run produce bitwise identical traces.
@@ -39,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -206,6 +204,22 @@ def _block_norm(v: Vector, p: int) -> float:
     return float(np.sqrt(np.dot(v[:p], v[:p]) + np.dot(v[p:], v[p:])))
 
 
+def _rounds(problem: MinimaxProblem, config: AlgoConfig) -> Iterator[tuple]:
+    """Yield (t, z, F, Fbar, magnitude) for t = 0, ..., ``config.rounds``: the
+    synchronized iterate, every agent's field there, its average (FedGDA-GT
+    only, else None) and z's largest absolute entry (None at t = 0). Resuming
+    runs round t + 1, which consumes F. Stepsize and stack are built once."""
+    eta = _stacked_eta(problem, config.eta_x, config.eta_y)
+    Z, z, magnitude = np.empty(eta.shape), config.init.stacked, None
+    for t in range(config.rounds + 1):
+        if t:
+            z, magnitude = _round(problem, config, eta, t, Z, F, Fbar)
+        Z[...] = z
+        F = problem.stacked_field(Z)
+        Fbar = average_vectors(F) if config.algo == FEDGDA_GT else None
+        yield t, z, F, Fbar, magnitude
+
+
 def run_algorithm(
     problem: MinimaxProblem,
     config: AlgoConfig,
@@ -225,16 +239,11 @@ def run_algorithm(
     problem._check(config.init)
     start = time.perf_counter_ns()
     trace = RunTrace(config)
-    p, m, z = problem.p, problem.m, config.init.stacked
-    eta = _stacked_eta(problem, config.eta_x, config.eta_y)
+    p = problem.p
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(config.rounds + 1):
-            if t:
-                z, _ = _round(problem, config, eta, t, Z, F, Fbar)
-            # the next round consumes this stack and field
-            Z = z[None].repeat(m, axis=0)
-            F = problem.stacked_field(Z)
-            Fbar = average_vectors(F)
+        for t, z, F, Fbar, _ in _rounds(problem, config):
+            # read before the next round consumes F
+            Fbar = average_vectors(F) if Fbar is None else Fbar
             it = Iterate(z[:p].copy(), z[p:].copy())
             trace.records.append(RoundRecord(
                 round=t,
@@ -317,23 +326,19 @@ def local_sgda_limit(
     displacement falls below ``LIMIT_TOL * (1 + |z|)``; an independent
     oracle for the closed form.
 
-    One stack is allocated per call and refilled with the iterate every
-    round. The norms of the stop test are taken only in rounds that
+    The norms of the stop test are taken only in rounds that
     ``_stop_screen`` does not already fail, so the stop round and the
     returned iterate are bitwise those of testing every round."""
     max_rounds = as_count(max_rounds, "max_rounds")
     p, z = problem.p, np.zeros(problem.p + problem.q)
     config = AlgoConfig(LOCAL_SGDA, eta_x, eta_y, K, max_rounds, Iterate(z[:p], z[p:]))
-    eta = _stacked_eta(problem, eta_x, eta_y)
-    Z, moving = np.empty(eta.shape), _stop_screen(len(z))
+    moving = _stop_screen(len(z))
     # overflow in a diverging run is left to the divergence check
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, max_rounds + 1):
-            Z[...] = z
-            z_next, magnitude = _round(problem, config, eta, t, Z, problem.stacked_field(Z))
+        for t, z_next, _, _, magnitude in _rounds(problem, config):
             # |step| has the norm of the step, bit for bit: its squares are the same
             step, z = np.abs(z_next - z), z_next
-            if moving(float(np.maximum.reduce(step)), magnitude):
+            if not t or moving(float(np.maximum.reduce(step)), magnitude):
                 continue
             if _block_norm(step, p) <= LIMIT_TOL * (1.0 + _block_norm(z, p)):
                 return LimitResult(Iterate(z[:p], z[p:]), t, True)

@@ -285,7 +285,12 @@ def massart_bound(sample: FiniteHypothesisSample) -> float:
     """Finite-class cap r * sqrt(2 log C) / (m n), with r the largest row norm
     and C the number of candidates. It bounds the complexity, which is the
     estimator's expectation; one estimate from a few draws can exceed it."""
+    table = sample.loss_table
+    # each row's largest |entry| times the norm of the row scaled by it, so
+    # that no square overflows; a zero row is left as it is
+    top = np.max(np.abs(table), axis=1)
+    scaled = table / np.where(top > 0, top, 1.0)[:, None]
     with np.errstate(over="ignore"):  # an overflowing row norm is refused below
-        r = float(np.max(np.linalg.norm(sample.loss_table, axis=1)))
-    C = sample.loss_table.shape[0]
+        r = float(np.max(top * np.linalg.norm(scaled, axis=1)))
+    C = table.shape[0]
     return _finite("massart_bound", lambda: r * math.sqrt(2 * math.log(C)) / (sample.m * sample.n))

@@ -275,8 +275,10 @@ class UncoupledQuadratic(MinimaxProblem):
         if self._curv is not None:
             self._curv.flags.writeable = False
         # positive definiteness of sum(Q_i) guarantees a unique stationary pair;
-        # copied, so that the (m, d, d) buffer of running sums is not kept
-        self.Q_sum = ascending_sum(self.Q).copy()
+        # copied, so that the (m, d, d) buffer of running sums is not kept. A
+        # sum past the largest float is refused, not warned about
+        with np.errstate(over="ignore"):
+            self.Q_sum = check_finite(ascending_sum(self.Q).copy(), "Q_sum")
         self.Q_sum.flags.writeable = False
         try:
             np.linalg.cholesky(self.Q_sum)
@@ -338,6 +340,7 @@ class RobustLinearRegression(MinimaxProblem):
         )
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # statistics past the largest float are refused
     def lifted(self) -> tuple[np.ndarray, np.ndarray]:
         """(L, Sbar), read-only, from one batched Gram matrix on first use.
 
@@ -371,6 +374,8 @@ class RobustLinearRegression(MinimaxProblem):
         S /= n[:, None, None]
         # copied, so that the (m, d + 2, d + 2) buffer of running sums is not kept
         Sbar = ascending_sum(S).copy()
+        check_finite(L, "lifted")
+        check_finite(Sbar, "lifted")
         L.flags.writeable = Sbar.flags.writeable = False
         return L, Sbar
 

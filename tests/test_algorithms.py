@@ -542,10 +542,15 @@ class TestResidual:
 
 
 def local_sgda_rounds(problem, K, eta_x, eta_y, rounds):
-    """The stacked iterates of ``rounds`` Local SGDA rounds of ``run_algorithm``
-    from the origin, round 0 included."""
+    """The stacked iterates of ``rounds`` Local SGDA rounds from the origin,
+    round 0 included, each one ``out_of_place_round`` from a new stack: an
+    oracle that shares no loop with ``local_sgda_limit``."""
     config = AlgoConfig(LOCAL_SGDA, eta_x, eta_y, K, rounds, Iterate.zeros(problem.p, problem.q))
-    return [r.iterate.stacked for r in run_algorithm(problem, config).records]
+    zs = [config.init.stacked]
+    for _ in range(rounds):
+        F = problem.stacked_field(zs[-1][None].repeat(problem.m, axis=0))
+        zs.append(out_of_place_round(problem, config, zs[-1], F, None))
+    return zs
 
 
 def constant_drift(s):
@@ -648,6 +653,71 @@ class TestSimulatedLimit:
                 local_sgda_limit(prob, 1, 1.0, 1.0, max_rounds=10)
         assert ei.value.round_index == 4
         assert str(ei.value).startswith("LocalSGDA diverged at round 4: iterate magnitude 1.000e+12")
+
+
+class FieldCounter:
+    """Counts the problem's ``stacked_field`` calls in ``field_calls``."""
+
+    field_calls = 0
+
+    def stacked_field(self, Z):
+        self.field_calls += 1
+        return super().stacked_field(Z)
+
+
+class CountingScalar(FieldCounter, ScalarTwoAgent):
+    pass
+
+
+class CountingQuadratic(FieldCounter, UncoupledQuadratic):
+    pass
+
+
+def counting_quadratic():
+    quad = small_quadratic(m=4, d=5, seed=3)
+    return CountingQuadratic(quad.Q, quad.c)
+
+
+# (problem, eta_x, eta_y) at which the limit converges for K = 1 and K = 5
+COUNTED = {"scalar2": (CountingScalar, 0.1, 0.1), "quadratic": (counting_quadratic, 2e-3, 1e-3)}
+
+
+class TestOracleCounts:
+    @pytest.fixture
+    def averages(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(algorithms, "average_vectors",
+                            lambda F: calls.append(len(F)) or average_vectors(F))
+        return calls
+
+    @pytest.mark.parametrize("rounds", [0, 1, 6])
+    @pytest.mark.parametrize("algo,K", [(GDA, 1), (LOCAL_SGDA, 1), (LOCAL_SGDA, 5),
+                                        (FEDGDA_GT, 1), (FEDGDA_GT, 5)])
+    @pytest.mark.parametrize("name", COUNTED)
+    def test_a_run_takes_a_field_per_local_step_and_an_average_per_iterate(
+            self, averages, name, algo, K, rounds):
+        make, eta, _ = COUNTED[name]
+        prob = make()
+        run_algorithm(prob, AlgoConfig(algo, eta, eta, K, rounds, Iterate.zeros(prob.p, prob.q)))
+        # the start point's field, then K per round: the first local step of
+        # a round moves along the field taken at its synchronized iterate
+        assert prob.field_calls == 1 + rounds * K
+        assert averages == [prob.m] * (rounds + 1)
+
+    @pytest.mark.parametrize("max_rounds", [3, 200_000])
+    @pytest.mark.parametrize("K", [1, 5])
+    @pytest.mark.parametrize("name", COUNTED)
+    def test_the_limit_takes_a_field_per_local_step_and_no_average(
+            self, averages, name, K, max_rounds):
+        make, eta_x, eta_y = COUNTED[name]
+        prob = make()
+        limit = local_sgda_limit(prob, K, eta_x, eta_y, max_rounds=max_rounds)
+        assert limit.converged == (max_rounds > 3)
+        # one more, unused, at the iterate it stops at: the driver takes the
+        # field at every iterate it yields. A driver that takes it lazily
+        # saves that call and updates this pin
+        assert prob.field_calls == limit.rounds * K + 1
+        assert averages == []
 
 
 class TestConfigValidation:

@@ -231,3 +231,39 @@ def test_generators_are_keyed_only_by_the_substream(path):
     mentions = [(path.name, where, name, line)
                 for where, name, line in key_names(path.read_text(encoding="utf-8"))]
     assert [m for m in mentions if m[:2] != ONE_KEY] == []
+
+
+# every round of every study runs in the one driver; run_algorithm and
+# local_sgda_limit iterate it, so no second round loop can return
+ONE_DRIVER = ("algorithms.py", "_rounds")
+
+
+def round_calls(source):
+    """(enclosing class and function, line) of every call in one source to
+    ``_round``: bare, or as an attribute (``algorithms._round(...)``)."""
+    for scope, node in scoped_nodes(source):
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "_round":
+            yield scope, node.lineno
+
+
+@pytest.mark.parametrize("snippet, found", [
+    ("def f(p, c):\n    z, _ = _round(p, c)", [("f", 2)]),
+    ("class A:\n    def g(self):\n        return algorithms._round(1)", [("A.g", 3)]),
+    ("for t in range(3):\n    _round(t)", [(None, 2)]),
+    ("_rounds(p, c)\n_round_map(V, geo, Q)\nround(x)", []),
+])
+def test_round_calls_are_found(snippet, found):
+    assert list(round_calls(snippet)) == found
+
+
+def test_one_driver_is_found():
+    path = SOURCES[0].with_name(ONE_DRIVER[0])
+    assert [where for where, _ in round_calls(path.read_text(encoding="utf-8"))] == [ONE_DRIVER[1]]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_rounds_run_only_in_the_driver(path):
+    calls = [(path.name, where, line)
+             for where, line in round_calls(path.read_text(encoding="utf-8"))]
+    assert [c for c in calls if c[:2] != ONE_DRIVER] == []

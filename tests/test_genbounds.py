@@ -427,21 +427,49 @@ class TestRademacherEstimator:
         est = estimate_rademacher(sample, 64, seed=4)
         assert est.value == 1.0
 
-    @pytest.mark.parametrize("table, estimate, cap", [
-        ([[1e308, 1e308]], "rademacher_estimate = nan", "massart_bound = nan"),
-        ([[1e308, 1e308], [0.0, 0.0]], "rademacher_estimate = inf", "massart_bound = inf"),
+    @pytest.mark.parametrize("table, estimate", [
+        ([[1e308, 1e308]], "rademacher_estimate = nan"),
+        ([[1e308, 1e308], [0.0, 0.0]], "rademacher_estimate = inf"),
     ], ids=["one-row", "zero-row"])
-    def test_overflowing_correlations_are_refused(self, table, estimate, cap):
-        # finite losses whose correlations 1e308 + 1e308 and squared row
-        # norms overflow: refused as the bounds refuse, with no numpy warning
+    def test_overflowing_correlations_are_refused(self, table, estimate):
+        # finite losses whose correlations 1e308 + 1e308 overflow: refused as
+        # the bounds refuse, with no numpy warning
         sample = FiniteHypothesisSample(table, m=1, n=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for evaluate, named in ((lambda: estimate_rademacher(sample, 20, seed=0), estimate),
-                                    (lambda: massart_bound(sample), cap)):
-                with pytest.raises(ValueError, match="^" + re.escape(
-                        f"the inputs overflow the bounds ({named})") + "$"):
-                    evaluate()
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"the inputs overflow the bounds ({estimate})") + "$"):
+                estimate_rademacher(sample, 20, seed=0)
+
+    @pytest.mark.parametrize("table, cap", [
+        # log 1 = 0: one candidate has no complexity
+        ([[1e308, 1e308]], 0.0),
+        ([[1e308, 1e308], [0.0, 0.0]], 1e308 * math.sqrt(2.0) * math.sqrt(2.0 * math.log(2.0)) / 2),
+    ], ids=["one-row", "zero-row"])
+    def test_massart_cap_of_rows_whose_squares_overflow(self, table, cap):
+        # the squared row norm 2e616 overflows, the cap does not
+        sample = FiniteHypothesisSample(table, m=1, n=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert massart_bound(sample) == pytest.approx(cap, rel=4e-16, abs=0.0)
+
+    def test_the_scaled_row_norm_is_the_row_norm(self):
+        # to rounding, wherever the plain norm's squares neither overflow nor underflow
+        rng = np.random.default_rng(8)
+        for scale in (1e-100, 1e-3, 1.0, 1e150):
+            table = scale * rng.normal(size=(6, 12))
+            sample = FiniteHypothesisSample(table, m=3, n=4)
+            r = float(np.max(np.linalg.norm(table, axis=1)))
+            assert massart_bound(sample) == pytest.approx(
+                r * math.sqrt(2 * math.log(6)) / 12, rel=1e-15, abs=0.0)
+
+    def test_massart_cap_past_the_largest_float_is_refused(self):
+        # the row norm 2.1e308 itself overflows
+        sample = FiniteHypothesisSample([[1.5e308, 1.5e308], [0.0, 0.0]], m=1, n=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("(massart_bound = inf)")):
+                massart_bound(sample)
 
     def test_nonnegative_for_sign_flip_closed_sets(self):
         rng = np.random.default_rng(5)

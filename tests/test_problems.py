@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -625,6 +626,28 @@ class TestValidation:
         data[field][1, 2] = bad
         with pytest.raises(ValueError, match=f"^{field} contains non-finite entries$"):
             RobustLinearRegression(data["features"], data["targets"])
+
+    def test_a_curvature_sum_past_the_largest_float_is_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^Q_sum contains non-finite entries$"):
+                UncoupledQuadratic([[[1e308]], [[1e308]]], [[0.0], [0.0]])
+
+    # a Gram entry 1e400 in the field stack; b'b = 1e400 in the loss
+    # matrix only; two agents' statistics 2e308 in their federation sum
+    @pytest.mark.parametrize("features, targets", [
+        ([[[1e200]]], [[1.0]]),
+        ([[[1.0]]], [[1e200]]),
+        ([[[1e154, 1e154]], [[1e154, 1e154]]], [[1.0], [1.0]]),
+    ], ids=["features", "targets", "federation"])
+    def test_rlr_statistics_past_the_largest_float_are_refused(self, features, targets):
+        prob = RobustLinearRegression(features, targets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for use in (lambda: prob.lifted,
+                        lambda: prob.stacked_field(np.zeros((prob.m, 2 * prob.p)))):
+                with pytest.raises(ValueError, match="^lifted contains non-finite entries$"):
+                    use()
 
     def test_rlr_sample_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
