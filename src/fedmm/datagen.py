@@ -3,18 +3,24 @@
 RNG contract
 ------------
 Draws come from ``numpy.random.Generator`` (PCG64) instances keyed by the
-little-endian 32-bit words of ``(seed, stream, sub)``, which ``SeedSequence``
-hashes; that is the key ``SeedSequence([seed, stream, sub])`` builds itself:
+little-endian 32-bit words of ``(seed, stream, sub)``, hashed as
+``SeedSequence`` hashes them (the key ``SeedSequence([seed, stream, sub])``
+builds itself), for all of a federation's keys in one pass (``substreams``);
+``tests/test_datagen.py::TestSubstreamKey`` holds every state to numpy's own:
 
 * stream 0 is reserved for problem-level draws,
 * stream i (1-based) holds agent i's data, so changing the agent count never
   changes the data of the agents that remain,
 * ``sub`` indexes the tensors of one stream in the documented order below.
 
-Normal variates use the Generator's native ziggurat sampler; determinism is
-guaranteed within this implementation, not across libraries. A generator
-draws from its spec's seed alone and never retries under another, so the
-spec (which the dataset container stores as its header) names the data.
+Normal variates use the Generator's native ziggurat sampler; one at an
+array location is drawn as ``loc + scale * standard_normal(shape)``, bitwise
+the Generator's ``normal(loc, scale)``
+(``tests/test_datagen.py::test_location_plus_scaled_standard_normal_is_numpys_normal``).
+Determinism is guaranteed within this implementation, not across
+libraries. A generator draws from its spec's seed alone and never retries
+under another, so the spec (which the dataset container stores as its
+header) names the data.
 
 Quadratic recipe (one problem): alpha ~ N(0, 10^2) from stream 0. Agent i's
 data are Q_i = A_i'A_i and c_i = A_i'(A_i theta_i + eps_i) for n_i samples
@@ -37,6 +43,7 @@ b_{i,j} = x_i*'a_{i,j} + eps_j.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -50,21 +57,146 @@ from .problems import RobustLinearRegression, UncoupledQuadratic
 PROBLEM_STREAM = 0
 
 
-def substream(seed: int, stream: int, sub: int) -> np.random.Generator:
-    """The deterministic generator for one tensor of one stream. Its key is
-    the little-endian 32-bit words of ``(seed, stream, sub)``, each integer
-    at least one word (0 is one zero word), which ``SeedSequence`` hashes:
-    bitwise the state ``SeedSequence([seed, stream, sub])`` gives, without
-    numpy's per-entry coercion of the list. A negative entry is refused."""
-    words = []
-    for n in (int(seed), int(stream), int(sub)):
-        if n < 0:
-            raise ValueError("expected non-negative integer")
+# SeedSequence's hash constants, as numpy's bit_generator module states them:
+# the entropy hash (A), the state hash (B) and the pool mix (L, R)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4  # SeedSequence's default pool size, in 32-bit words
+
+
+def _hash_chain(init: int, mult: int, count: int) -> list[int]:
+    """``init * mult**j mod 2**32`` for j = 0 .. count: the hash constant
+    before and after each of ``count`` multiplications."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return chain
+
+
+@functools.cache
+def _hash_schedule(width: int):
+    """The constants of SeedSequence's hash of a ``width``-word key, in the
+    order ``_state_words`` applies them, each a (xor, multiply) pair of
+    uint32 arrays: the first hash of the pool; per pool word, the hashes of it
+    mixed into the three others (its own slot holds a zero it never uses);
+    per entropy word past the pool, its hashes mixed into all four; and the
+    eight hashes of ``generate_state(4, np.uint64)``."""
+    a = _hash_chain(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * max(width - _POOL, 0))
+    def pair(xs, ys):
+        return np.array(xs, dtype=np.uint32), np.array(ys, dtype=np.uint32)
+
+    first, k = pair(a[:_POOL], a[1:_POOL + 1]), _POOL
+    mixes = []
+    for src in range(_POOL):
+        xs, ys = a[k:k + _POOL - 1], a[k + 1:k + _POOL]
+        mixes.append(pair(xs[:src] + [0] + xs[src:], ys[:src] + [0] + ys[src:]))
+        k += _POOL - 1
+    extra = []
+    for _ in range(width - _POOL):
+        extra.append(pair(a[k:k + _POOL], a[k + 1:k + _POOL + 1]))
+        k += _POOL
+    b = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL)
+    return first, mixes, extra, pair(b[:-1], b[1:])
+
+
+def _state_words(entropy: np.ndarray) -> np.ndarray:
+    """PCG64's seed words for every row of the (keys, width) uint32 array
+    ``entropy``: row k of the (keys, 4) uint64 result is bitwise
+    ``SeedSequence(entropy[k]).generate_state(4, np.uint64)``, the state
+    ``PCG64(SeedSequence(entropy[k]))`` asks for, with every key hashed at
+    once. SeedSequence hashes the first four words into its pool (a key
+    of fewer words as if padded with zero words), mixes every pool word into
+    the three others, then every further word into all four, and finally
+    hashes the pool, cycled to eight words."""
+    count, width = entropy.shape
+    first, mixes, extra, state = _hash_schedule(width)
+
+    def hashed(words, constants):  # SeedSequence's hashmix, one constant per column
+        words = words ^ constants[0]
+        words *= constants[1]
+        words ^= words >> 16
+        return words
+
+    def mixed(pool, words):  # SeedSequence's mix of each column of pool with words
+        pool = pool * _MIX_L
+        pool -= words * _MIX_R
+        pool ^= pool >> 16
+        return pool
+
+    pool = np.zeros((count, _POOL), dtype=np.uint32)
+    pool[:, :width] = entropy[:, :_POOL]
+    pool = hashed(pool, first)
+    for src, constants in enumerate(mixes):
+        pool, unmixed = mixed(pool, hashed(pool[:, src, None], constants)), pool
+        pool[:, src] = unmixed[:, src]
+    for src, constants in zip(range(_POOL, width), extra):
+        pool = mixed(pool, hashed(entropy[:, src, None], constants))
+    words = hashed(np.concatenate((pool, pool), axis=1), state)
+    # little-endian word pairs, as generate_state reads them on any host
+    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _generator_of_state():
+    """``words -> Generator`` on a PCG64 seeded with precomputed state words,
+    through the one method of a seed sequence PCG64 calls. The class is made
+    on first use, because subclassing numpy.random's ``ISeedSequence`` at
+    import would import numpy.random with fedmm, in processes that never
+    draw."""
+
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for 4 np.uint64 words, which these are
+
+    return lambda words: np.random.Generator(np.random.PCG64(StateWords(words)))
+
+
+def _words(n: int) -> tuple[int, ...]:
+    """The little-endian 32-bit words of a non-negative integer, at least
+    one (0 is one zero word): how SeedSequence splits an entry of its key."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
         words.append(n & 0xFFFFFFFF)
-        while n := n >> 32:
-            words.append(n & 0xFFFFFFFF)
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
+    return tuple(words)
+
+
+def substreams(keys) -> list[np.random.Generator]:
+    """One deterministic generator per ``(seed, stream, sub)`` key, in input
+    order. Each key is the little-endian 32-bit words of its integers
+    (``_words``), hashed as ``SeedSequence`` hashes them, for all keys of one
+    word count in one pass: each generator's state is bitwise that of
+    ``PCG64(SeedSequence([seed, stream, sub]))``, without a SeedSequence per
+    key (``tests/test_datagen.py::TestSubstreamKey`` holds it to numpy's
+    own). A negative entry is refused."""
+    memo, by_width = {}, {}  # integer -> its words; word count -> (indices, words)
+    for index, key in enumerate(keys):
+        entropy = ()
+        for n in key:
+            words = memo.get(n)
+            if words is None:
+                words = memo[n] = _words(int(n))
+            entropy += words
+        indices, flat = by_width.setdefault(len(entropy), ([], []))
+        indices.append(index)
+        flat += entropy
+    states = {}
+    for width, (indices, flat) in by_width.items():
+        states.update(zip(indices, _state_words(
+            np.array(flat, dtype=np.uint32).reshape(-1, width))))
+    generator = _generator_of_state()
+    return [generator(states[index]) for index in range(len(states))]
+
+
+def substream(seed: int, stream: int, sub: int) -> np.random.Generator:
+    """The deterministic generator for one tensor of one stream: the
+    one-key call of ``substreams``."""
+    return substreams([(seed, stream, sub)])[0]
 
 
 @dataclass(frozen=True)
@@ -107,14 +239,15 @@ class RlrGenSpec:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-def _quadratic_agent_data(seed: int, i: int, d: int, n: int, alpha: float):
-    rng = substream(seed, i, 0)
-    L = np.diag(np.sqrt(rng.chisquare(float(n) - np.arange(d))))
-    L[np.tri(d, k=-1, dtype=bool)] = rng.standard_normal(d * (d - 1) // 2)  # row by row
+def _quadratic_agent_data(rngs, i: int, d: int, n: int, alpha: float):
+    """Agent i's (Q_i, c_i) from ``rngs``, the generators of its subs 0-3."""
+    chol, mean, theta_rng, noise = rngs
+    L = np.diag(np.sqrt(chol.chisquare(float(n) - np.arange(d))))
+    L[np.tri(d, k=-1, dtype=bool)] = chol.standard_normal(d * (d - 1) // 2)  # row by row
     B = (2.0 / i) * L
-    mu = substream(seed, i, 1).normal(alpha, 1.0, size=d)
-    theta = substream(seed, i, 2).normal(mu, 1.0)
-    g = substream(seed, i, 3).standard_normal(d)
+    mu = mean.normal(alpha, 1.0, size=d)
+    theta = mu + theta_rng.standard_normal(d)  # bitwise normal(mu, 1.0)
+    g = noise.standard_normal(d)
     Q = B @ B.T
     Q = 0.5 * (Q + Q.T)  # Q_jk and Q_kj are one sum, whatever the product did
     return Q, Q @ theta + 0.5 * (B @ g)
@@ -129,21 +262,28 @@ def gen_quadratic(spec: QuadraticGenSpec) -> UncoupledQuadratic:
     singular sum still raises ``SingularProblemError`` from the
     ``UncoupledQuadratic`` constructor.
     """
-    alpha = float(substream(spec.seed, PROBLEM_STREAM, 0).normal(0.0, 10.0))
-    Qs, cs = zip(*(_quadratic_agent_data(spec.seed, i, spec.d, spec.n_i, alpha)
+    problem_rng, *rngs = substreams([(spec.seed, PROBLEM_STREAM, 0)] + [
+        (spec.seed, i, sub) for i in range(1, spec.m + 1) for sub in range(4)])
+    alpha = float(problem_rng.normal(0.0, 10.0))
+    Qs, cs = zip(*(_quadratic_agent_data(rngs[4 * i - 4:4 * i], i, spec.d, spec.n_i, alpha)
                    for i in range(1, spec.m + 1)))
     return UncoupledQuadratic(Qs, cs)
 
 
 def gen_rlr(spec: RlrGenSpec) -> RobustLinearRegression:
     """Generate the robust-linear-regression federation for ``spec``."""
+    m, d, n = spec.m, spec.d, spec.n_i
+    rngs = substreams((spec.seed, i, sub) for i in range(1, m + 1) for sub in range(5))
     features, targets = [], []
-    for i in range(1, spec.m + 1):
-        x_star = substream(spec.seed, i, 0).normal(0.0, 1.0, size=spec.d)
-        c = substream(spec.seed, i, 1).normal(0.0, spec.alpha, size=spec.d)
-        mu = substream(spec.seed, i, 2).normal(c, 1.0)
-        A = substream(spec.seed, i, 3).normal(mu, i ** -0.65, size=(spec.n_i, spec.d))
-        eps = substream(spec.seed, i, 4).normal(0.0, 1.0, size=spec.n_i)
+    for i in range(1, m + 1):
+        x_rng, c_rng, mu_rng, a_rng, eps_rng = rngs[5 * i - 5:5 * i]
+        x_star = x_rng.normal(0.0, 1.0, size=d)
+        c = c_rng.normal(0.0, spec.alpha, size=d)
+        # loc + scale * z is bitwise numpy's normal(loc, scale), without its
+        # broadcast of an array location; a scale of 1.0 multiplies exactly
+        mu = c + mu_rng.standard_normal(d)
+        A = mu + i ** -0.65 * a_rng.standard_normal((n, d))
+        eps = eps_rng.normal(0.0, 1.0, size=n)
         features.append(A)
         targets.append(A @ x_star + eps)
     return RobustLinearRegression(features, targets)

@@ -15,6 +15,7 @@ thread-safe.
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from functools import cached_property
 from typing import Sequence
@@ -153,8 +154,15 @@ class RlrAgent(LocalObjective):
             raise DimensionMismatchError(A.shape[0], b.shape[0], "targets")
         if A.shape[0] < 1:
             raise ValueError("need at least one sample")
-        check_finite(A, "features")
-        check_finite(b, "targets")
+        # one scan per array finds a non-finite entry (NaN propagates through
+        # the max) and gives max|V| for V = [A, 1, -b], which bounds the
+        # statistics a federation builds from it
+        self.magnitude = 1.0
+        for name, values in (("features", A), ("targets", b)):
+            largest = float(np.abs(values).max())
+            if not largest < np.inf:
+                raise ValueError(f"{name} contains non-finite entries")
+            self.magnitude = max(self.magnitude, largest)
         A.flags.writeable = b.flags.writeable = False
         self.A = A
         self.b = b
@@ -327,17 +335,25 @@ class RobustLinearRegression(MinimaxProblem):
     """Federated robust least squares: min over x, max over ||y|| <= radius.
 
     The batched paths read the agents' samples only through ``lifted``,
-    two read-only arrays of their statistics built on first use.
+    two read-only arrays of their statistics built on first use, or at
+    construction when the samples' size cannot rule out their overflow,
+    so that such samples are refused before any run.
     """
 
     def __init__(self, features_per_agent, targets_per_agent, y_radius: float = 1.0):
         if len(features_per_agent) != len(targets_per_agent):
             raise ValueError("need one target vector per feature matrix")
-        # the base class refuses an empty federation before p is read
-        super().__init__(RlrAgent(A, b) for A, b in zip(features_per_agent, targets_per_agent))
-        self.sets = ProductSet(
-            FeasibleSet.unconstrained(self.p), FeasibleSet.ball(np.zeros(self.p), y_radius)
-        )
+        agents = [RlrAgent(A, b) for A, b in zip(features_per_agent, targets_per_agent)]
+        d = agents[0].p if agents else 1  # an empty federation is the base class's to refuse
+        super().__init__(agents, ProductSet(FeasibleSet.unconstrained(d),
+                                            FeasibleSet.ball(np.zeros(d), y_radius)))
+        # every entry of lifted, and every partial sum that forms one, is at
+        # most max(n, m, 2) max|V|^2 + 1 in size. Unless twice that (room for
+        # rounding) is below the largest float, lifted is built now, and its
+        # check refuses the samples if a statistic overflowed
+        n, largest = max(a.n for a in agents), max(a.magnitude for a in agents)
+        if not 2.0 * (max(n, self.m, 2) * largest * largest + 1.0) < sys.float_info.max:
+            self.lifted
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")  # statistics past the largest float are refused

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import struct
 import time
@@ -17,6 +18,7 @@ from fedmm.datagen import (
     load_dataset,
     save_dataset,
     substream,
+    substreams,
 )
 from fedmm.core import FeasibleSet, ProductSet
 from fedmm.problems import (
@@ -27,20 +29,22 @@ from fedmm.problems import (
 )
 
 
-def sample_recipe(seed, i, d, n, alpha):
+def sample_recipe(rngs, i, d, n, alpha):
     """Agent i's (Q_i, c_i) from n_i drawn samples: the law gen_quadratic
-    draws from its sufficient statistics. sub 0 holds A_i, sub 3 eps_i."""
-    A = substream(seed, i, 0).normal(0.0, 2.0 / i, size=(n, d))
-    mu = substream(seed, i, 1).normal(alpha, 1.0, size=d)
-    theta = substream(seed, i, 2).normal(mu, 1.0)
-    eps = substream(seed, i, 3).normal(0.0, 0.5, size=n)
+    draws from its sufficient statistics. ``rngs`` are the generators of
+    agent i's subs 0-3; sub 0 holds A_i, sub 3 eps_i."""
+    A = rngs[0].normal(0.0, 2.0 / i, size=(n, d))
+    mu = rngs[1].normal(alpha, 1.0, size=d)
+    theta = rngs[2].normal(mu, 1.0)
+    eps = rngs[3].normal(0.0, 0.5, size=n)
     b = A @ theta + eps
     return A.T @ A, A.T @ b
 
 
-def theta_draw(seed, i, d, alpha):
-    mu = substream(seed, i, 1).normal(alpha, 1.0, size=d)
-    return substream(seed, i, 2).normal(mu, 1.0)
+def theta_draw(rngs, d, alpha):
+    """theta_i from fresh generators of subs 1 and 2."""
+    mu = rngs[0].normal(alpha, 1.0, size=d)
+    return rngs[1].normal(mu, 1.0)
 
 
 class TestQuadraticGeneration:
@@ -135,12 +139,16 @@ LAW_SEEDS, LAW_D, LAW_N, LAW_S = 4000, 3, 5, 2.0
 
 
 def law_draws(recipe, seeds):
-    """(Q, r) per seed, with r = c - Q theta the noise term A'eps."""
+    """(Q, r) per seed, with r = c - Q theta the noise term A'eps. Every
+    seed's generators, subs 0-3 for the recipe and 1-2 again for theta,
+    are keyed in one call."""
+    subs = (0, 1, 2, 3, 1, 2)
+    rngs = substreams((seed, 1, sub) for seed in seeds for sub in subs)
     Q, r = [], []
-    for seed in seeds:
-        q, c = recipe(seed, 1, LAW_D, LAW_N, 0.0)
+    for k in range(0, len(rngs), len(subs)):
+        q, c = recipe(rngs[k:k + 4], 1, LAW_D, LAW_N, 0.0)
         Q.append(q)
-        r.append(c - q @ theta_draw(seed, 1, LAW_D, 0.0))
+        r.append(c - q @ theta_draw(rngs[k + 4:k + 6], LAW_D, 0.0))
     return np.array(Q), np.array(r)
 
 
@@ -287,10 +295,65 @@ class TestSubstreamKey:
                 oracle = np.random.PCG64(np.random.SeedSequence([seed, stream, sub]))
                 assert substream(seed, stream, sub).bit_generator.state == oracle.state
 
+    def test_keys_of_mixed_word_counts_hash_in_one_call_in_input_order(self):
+        # keys of 3 to 8 words, interleaved, so each width's pass must put
+        # its states back at their keys' places
+        keys = [(seed, stream, sub) for stream in KEY_INDICES for sub in KEY_INDICES
+                for seed in (0, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 3)]
+        assert {sum(max(1, -(-n.bit_length() // 32)) for n in k) for k in keys} == set(range(3, 9))
+        states = [rng.bit_generator.state for rng in substreams(keys)]
+        assert states == [np.random.PCG64(np.random.SeedSequence(list(k))).state for k in keys]
+
     @pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, 0, -(2**40))])
     def test_negative_entry_is_refused(self, key):
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
             substream(*key)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            substreams([(7, 1, 0), key])
+
+
+# the normals gen_quadratic and gen_rlr draw at an array location, as
+# (location shape, scale, draw shape): theta_i and mu_i at d = 5, then rlr's
+# features at n = 50 and the scales i^-0.65 of agents 1, 2 and 10
+ARRAY_LOCATION_DRAWS = [((5,), 1.0, (5,))] + [
+    ((5,), i ** -0.65, (50, 5)) for i in (1, 2, 10)]
+
+
+@pytest.mark.parametrize("loc_shape, scale, shape", ARRAY_LOCATION_DRAWS)
+def test_location_plus_scaled_standard_normal_is_numpys_normal(loc_shape, scale, shape):
+    # the generators draw normal(loc, scale) as loc + scale * standard_normal:
+    # a numpy build that fused that multiply-add in its sampler would fail here
+    loc = np.random.default_rng(5).normal(0.0, 30.0, size=loc_shape)
+    ours, numpys = substreams([(9, 1, 2), (9, 1, 2)])
+    drawn = loc + scale * ours.standard_normal(shape)
+    assert drawn.tobytes() == numpys.normal(loc, scale, shape).tobytes()
+
+
+# SHA-256 of the containers of generated federations, so that a change which
+# moves one draw, or one rounding of what is made from the draws, fails. As
+# the determinism contract, they hold on one machine and numpy build: the
+# quadratic payloads go through matrix products
+PINNED_CONTAINERS = [
+    (QuadraticGenSpec(20, 50, 500, 7),
+     "8e57c718f6bd1d2caf50cf39e765aab7ef4c25699deab90f81813361ff5ce7f4"),
+    (QuadraticGenSpec(3, 4, 10, 2**64 - 1),
+     "9db50a4b7b1af4c23d72f923a3f64466a17052c177da5ab76ff398031486240b"),
+    (RlrGenSpec(10, 5, 50, 20.0, 11),
+     "d3cd8ba4c20d635c1207788e5154e4df17e02aae934271b22f6f7d63e3a8da2f"),
+    (RlrGenSpec(10, 5, 50, 1.0, 1011),
+     "fe34da33639c3a1d825c9db43baa34bb8046fb2e4bfa92a5d0ff7fee5d8abadb"),
+    (RlrGenSpec(10, 5, 50, 5.0, 12),
+     "a31327c81b9ed64587d11cd325e4a6cf4e583d22b4768ee93008b7e870243a4a"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", PINNED_CONTAINERS, ids=lambda v: v[:8] if isinstance(v, str)
+                         else f"{type(v).__name__[:-len('GenSpec')].lower()}-seed{v.seed}")
+def test_generated_containers_are_pinned(tmp_path, spec, digest):
+    generate = gen_quadratic if isinstance(spec, QuadraticGenSpec) else gen_rlr
+    path = tmp_path / "pinned.fedmm"
+    save_dataset(path, generate(spec), spec)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # the documented header layout, stated independently of the module

@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -96,8 +97,10 @@ def test_files_are_written_only_by_the_one_writer(path):
 
 
 # every draw comes from a generator the caller seeds; the rest of numpy.random
-# (seed, normal, rand, shuffle, ...) acts on the legacy global state
-SEEDED_RANDOM = {"default_rng", "Generator", "PCG64", "SeedSequence"}
+# (seed, normal, rand, shuffle, ...) acts on the legacy global state.
+# bit_generator is the module of the seed sequences (ISeedSequence among
+# them), which draws nothing
+SEEDED_RANDOM = {"default_rng", "Generator", "PCG64", "SeedSequence", "bit_generator"}
 
 
 def numpy_random_uses(source):
@@ -127,6 +130,7 @@ def numpy_random_uses(source):
     ("from numpy import random", [("numpy.random", 1)]),
     ("import numpy.random as npr", [("numpy.random", 1)]),
     ("rng = np.random.default_rng(0)\nrng.normal()", [("default_rng", 1)]),
+    ("class S(np.random.bit_generator.ISeedSequence): pass", [("bit_generator", 1)]),
 ])
 def test_numpy_random_uses_are_found(snippet, found):
     assert list(numpy_random_uses(snippet)) == found
@@ -191,10 +195,16 @@ def test_eigendecompositions_only_in_the_spectra(path):
     assert [c for c in calls if c[:2] != ONE_SPECTRA] == []
 
 
-# every generator's key is built by the substream, the one place that names
+# every generator of a substream key is built from its hashed state by one
+# function, the one place (with the seed-sequence class it makes) that names
 # the seeding machinery; analysis and genbounds seed default_rng directly
-ONE_KEY = ("datagen.py", "substream")
-KEY_NAMES = {"SeedSequence", "PCG64"}
+ONE_KEY = ("datagen.py", "_generator_of_state")
+KEY_NAMES = {"SeedSequence", "ISeedSequence", "PCG64"}
+
+
+def owner(scope):
+    """The module-level function or class a dotted scope lies in."""
+    return scope and scope.partition(".")[0]
 
 
 def key_names(source):
@@ -214,6 +224,8 @@ def key_names(source):
     ("from numpy.random import SeedSequence\nk = SeedSequence(1)",
      [(None, "SeedSequence", 1), (None, "SeedSequence", 2)]),
     ("class G:\n    bits = numpy.random.PCG64", [("G", "PCG64", 2)]),
+    ("def f():\n    class S(np.random.bit_generator.ISeedSequence):\n        pass",
+     [("f.S", "ISeedSequence", 2)]),
     ("'SeedSequence'\nrng = np.random.default_rng(0)", []),
 ])
 def test_key_names_are_found(snippet, found):
@@ -223,14 +235,23 @@ def test_key_names_are_found(snippet, found):
 def test_one_key_is_found():
     path = SOURCES[0].with_name(ONE_KEY[0])
     assert [(where, name) for where, name, _ in key_names(path.read_text(encoding="utf-8"))] == [
-        (ONE_KEY[1], "PCG64"), (ONE_KEY[1], "SeedSequence")]
+        (f"{ONE_KEY[1]}.StateWords", "ISeedSequence"), (ONE_KEY[1], "PCG64")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_generators_are_keyed_only_by_the_substream(path):
-    mentions = [(path.name, where, name, line)
+    mentions = [(path.name, owner(where), name, line)
                 for where, name, line in key_names(path.read_text(encoding="utf-8"))]
     assert [m for m in mentions if m[:2] != ONE_KEY] == []
+
+
+def test_importing_the_cli_leaves_numpy_random_unimported():
+    # the seed-sequence class is made on the first draw, so commands that
+    # never draw (fixed-point, bounds) do not import numpy.random
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fedmm.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 # every round of every study runs in the one driver; run_algorithm and

@@ -641,13 +641,33 @@ class TestValidation:
         ([[[1e154, 1e154]], [[1e154, 1e154]]], [[1.0], [1.0]]),
     ], ids=["features", "targets", "federation"])
     def test_rlr_statistics_past_the_largest_float_are_refused(self, features, targets):
-        prob = RobustLinearRegression(features, targets)
+        # at construction, so a run on such samples fails before it starts
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for use in (lambda: prob.lifted,
-                        lambda: prob.stacked_field(np.zeros((prob.m, 2 * prob.p)))):
-                with pytest.raises(ValueError, match="^lifted contains non-finite entries$"):
-                    use()
+            with pytest.raises(ValueError, match="^lifted contains non-finite entries$"):
+                RobustLinearRegression(features, targets)
+
+    def test_rlr_statistics_near_the_largest_float_are_built_at_construction(self):
+        # max|V|^2 = 6.4e307: the size bound cannot rule out overflow, but
+        # the largest statistic, 2 max|V|^2 in the field stack, is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = RobustLinearRegression([[[8e153]]], [[1.0]])
+        assert "lifted" in vars(prob)
+        assert prob.lifted[0][0, 0, 0] == 2.0 * 8e153 ** 2 + 1.0
+
+    def test_rlr_builds_only_its_own_feasible_sets(self, monkeypatch):
+        def unconstrained(p, q):
+            raise AssertionError("an unconstrained product set was built")
+
+        monkeypatch.setattr(ProductSet, "unconstrained", staticmethod(unconstrained))
+        sets = RobustLinearRegression(np.ones((1, 2, 3)), np.ones((1, 2)), y_radius=0.5).sets
+        assert (sets.set_x, sets.set_y.radius) == (FeasibleSet.unconstrained(3), 0.5)
+
+    def test_rlr_statistics_of_ordinary_samples_wait_for_first_use(self):
+        prob = RobustLinearRegression(np.full((2, 5, 3), -1e100), np.full((2, 5), 1e100))
+        assert "lifted" not in vars(prob)
+        assert np.isfinite(prob.lifted[1]).all()
 
     def test_rlr_sample_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
