@@ -16,6 +16,8 @@ factor, and the auto-selected stepsize comes from minimizing its norm.
 Run: python3 demos/02_quadratic_federation.py
 """
 
+import numpy as np
+
 from fedmm import (
     AlgoConfig,
     FEDGDA_GT,
@@ -25,7 +27,7 @@ from fedmm import (
     QuadraticGenSpec,
     auto_eta_fedgda,
     closed_form_minimax,
-    fedgda_round_map_norm,
+    fedgda_round_map,
     gen_quadratic,
     run_algorithm,
 )
@@ -38,7 +40,7 @@ init = Iterate.zeros(problem.p, problem.q)
 K, eta, rounds = 20, 1e-4, 400
 print(f"m={spec.m} agents, d={spec.d}, shared eta={eta}, K={K}, {rounds} rounds")
 print(f"certified round-map norm at this eta: "
-      f"{fedgda_round_map_norm(problem, eta, K):.4f}")
+      f"{np.linalg.norm(fedgda_round_map(problem, eta, K), 2):.4f}")
 print()
 
 runs = [

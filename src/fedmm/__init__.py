@@ -13,7 +13,6 @@ from .algorithms import (
     auto_eta_fedgda,
     conservative_eta,
     fedgda_round_map,
-    fedgda_round_map_norm,
     gda_step,
     local_sgda_limit,
     local_sgda_residual,
@@ -48,7 +47,7 @@ from .datagen import (
     gen_rlr,
     load_dataset,
     save_dataset,
-    substream,
+    substreams,
 )
 from .genbounds import (
     BoundInputs,

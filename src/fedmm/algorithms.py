@@ -451,10 +451,6 @@ def fedgda_round_map(problem: MinimaxProblem, eta: float, K: int) -> np.ndarray:
     return _round_map(V, _round_map_weights(w, eta, K), problem.Q_sum / problem.m)
 
 
-def fedgda_round_map_norm(problem: MinimaxProblem, eta: float, K: int) -> float:
-    return float(np.linalg.norm(fedgda_round_map(problem, eta, K), 2))
-
-
 def auto_eta_fedgda(problem: MinimaxProblem, K: int) -> EtaSelection:
     """Pick a stepsize for the gradient-tracking scheme on quadratic families.
 

@@ -18,8 +18,8 @@ from .algorithms import (
     local_sgda_limit,
     local_sgda_residual,
 )
-from .core import (Iterate, Vector, as_count, as_vector, ascending_sum, geometric_sums, norm,
-                   optimality_gap)
+from .core import (Iterate, Vector, as_count, as_vector, ascending_sum, check_finite,
+                   geometric_sums, norm, optimality_gap)
 from .problems import (
     MinimaxProblem,
     RobustLinearRegression,
@@ -153,10 +153,11 @@ def robust_loss(problem: RobustLinearRegression, x_hat) -> RobustLossResult:
     returned with its point; for x = 0 the loss is constant in y and the
     center is returned. Note this is the SUM of per-agent losses, not their
     mean: it exceeds the averaged objective by a factor of m. Any other
-    problem type is refused with ``UnsupportedProblemError``.
+    problem type is refused with ``UnsupportedProblemError``, and a model
+    with a non-finite entry with a ``ValueError``.
     """
     problem = require_family(problem, RobustLinearRegression, "no robust loss for {}")
-    x = as_vector(x_hat, problem.p, "x_hat")
+    x = check_finite(as_vector(x_hat, problem.p, "x_hat"), "x_hat")
     ball = problem.sets.set_y
     t = float(ball.center @ x)
     if not x.any():
@@ -186,12 +187,12 @@ class MonotonicityReport:
 
 def _scan_pairs(problem: MinimaxProblem, trials, seed, lhs_of, fails, **constants):
     """(trials, lhs / |d|^2 of every pair, the first pair where fails(lhs, |d|^2)
-    holds or None) over ``trials`` random pairs (z, z'), coincident ones
-    skipped, with d = z - z' and lhs = lhs_of(d, F(z) - F(z')) for the stacked
-    descent/ascent field F. A pair whose field difference or lhs is not
-    finite fails too, and its ratio is NaN: an overflowing field bounds
-    nothing. Fewer than one trial is refused, and so is a constant that is
-    not finite: a check would pass on nothing."""
+    holds or None) over ``trials`` random pairs (z, z'), with d = z - z' and
+    lhs = lhs_of(d, F(z) - F(z')) for the stacked descent/ascent field F. A
+    pair whose field difference or lhs is not finite fails too, and its ratio
+    is NaN: an overflowing field bounds nothing. Fewer than one trial is
+    refused, and so is a constant that is not finite: a check would pass on
+    nothing."""
     trials = as_count(trials, "trials")
     seed = as_count(seed, "seed")
     if trials < 1:
@@ -208,8 +209,6 @@ def _scan_pairs(problem: MinimaxProblem, trials, seed, lhs_of, fails, **constant
             zp = Iterate(rng.normal(0.0, SAMPLE_SCALE, p), rng.normal(0.0, SAMPLE_SCALE, q))
             diff = z.stacked - zp.stacked
             dsq = float(np.dot(diff, diff))
-            if dsq == 0.0:
-                continue
             dfield = problem.gda_field(z) - problem.gda_field(zp)
             lhs = lhs_of(diff, dfield)
             finite = np.isfinite(lhs) and np.isfinite(dfield).all()

@@ -15,11 +15,12 @@ absent metrics emit empty fields and rows are ordered by (algorithm, round).
 config + seed reruns produce byte-identical files.
 
 Exit codes: 0 success, 2 config error, a refusal by the library (say, bounds
-that overflow, from ``genbounds``) or unreadable/unwritable file, 3
-divergence abort; ``compare`` still writes the traces of the algorithms that
-finished before the diverging one. This module only parses, dispatches and
-prints: trace and plot files, like containers, go through
-``datagen.write_atomic``, so a failed write leaves an existing file intact.
+that overflow, from ``genbounds``), an allocation that fails, or an
+unreadable/unwritable file, 3 divergence abort; ``compare`` still writes the
+traces of the algorithms that finished before the diverging one. This module
+only parses, dispatches and prints: trace and plot files, like containers, go
+through ``datagen.write_atomic``, so a failed write leaves an existing file
+intact.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def _read_ini(path) -> configparser.ConfigParser:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         # configparser spreads its reason over several lines
@@ -440,10 +441,6 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:  # ConfigError and UnstableStepsizeError too
+    except (ValueError, OSError, MemoryError) as exc:  # ConfigError and UnstableStepsizeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -173,14 +173,16 @@ def substreams(keys) -> list[np.random.Generator]:
     word count in one pass: each generator's state is bitwise that of
     ``PCG64(SeedSequence([seed, stream, sub]))``, without a SeedSequence per
     key (``tests/test_datagen.py::TestSubstreamKey`` holds it to numpy's
-    own). A negative entry is refused."""
+    own). An entry that is not an integer (``core.as_count``) or is negative
+    is refused."""
     memo, by_width = {}, {}  # integer -> its words; word count -> (indices, words)
     for index, key in enumerate(keys):
         entropy = ()
         for n in key:
+            n = as_count(n, "a substream key entry")
             words = memo.get(n)
             if words is None:
-                words = memo[n] = _words(int(n))
+                words = memo[n] = _words(n)
             entropy += words
         indices, flat = by_width.setdefault(len(entropy), ([], []))
         indices.append(index)
@@ -191,12 +193,6 @@ def substreams(keys) -> list[np.random.Generator]:
             np.array(flat, dtype=np.uint32).reshape(-1, width))))
     generator = _generator_of_state()
     return [generator(states[index]) for index in range(len(states))]
-
-
-def substream(seed: int, stream: int, sub: int) -> np.random.Generator:
-    """The deterministic generator for one tensor of one stream: the
-    one-key call of ``substreams``."""
-    return substreams([(seed, stream, sub)])[0]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Vector, as_count, as_vector
+from .core import Vector, as_count, as_vector, check_finite
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,8 @@ def worst_case_risk_bound(inputs: BoundInputs, worst_case_empirical: float) -> f
 
 def vc_rademacher_bound(m: int, n: int, d: int, max_sum_Mi2: float) -> float:
     """Complexity cap for finite-valued losses over a class of VC-dimension d:
-    sqrt( 2 d * max_y{sum_i M_i^2(y)} / (m^2 n) * (1 + log(m n / d)) )."""
+    sqrt( 2 d * max_y{sum_i M_i^2(y)} / (m^2 n) * (1 + log(m n / d)) ), the
+    quotient 2 d max / (m^2 n) rounded once from its exact value."""
     m, n, d = as_count(m, "m"), as_count(n, "n"), as_count(d, "d")
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
@@ -167,17 +168,9 @@ def vc_rademacher_bound(m: int, n: int, d: int, max_sum_Mi2: float) -> float:
         log_ratio = math.log(m * n / d)
     except OverflowError:  # m n / d is past the largest float
         log_ratio = math.log(m * n) - math.log(d)
-
-    def numerator():
-        try:
-            product = 2.0 * d * max_sum_Mi2
-        except OverflowError:  # d is past the largest float
-            product = math.inf
-        # past the largest float, form it exactly; Fraction refuses an inf max_sum_Mi2
-        return product if math.isfinite(product) else 2 * d * Fraction(max_sum_Mi2)
-
+    # Fraction refuses an inf max_sum_Mi2, which _finite reports
     return _finite("vc_rademacher_bound", lambda: _root_of_quotient(
-        numerator(), m**2 * n, 1.0 + log_ratio))
+        2 * d * Fraction(max_sum_Mi2), m**2 * n, 1.0 + log_ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +205,7 @@ class FiniteHypothesisSample:
                 f"loss table must have m*n = {self.m * self.n} columns, "
                 f"got {table.shape[1]}"
             )
-        if not np.all(np.isfinite(table)):
-            raise ValueError("loss table contains non-finite entries")
+        check_finite(table, "loss table")
 
 
 @dataclass(frozen=True)

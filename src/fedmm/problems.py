@@ -103,10 +103,7 @@ class QuadraticAgent(LocalObjective):
             raise DimensionMismatchError(Q.shape[0], a.shape[0], "a")
         if Q.shape[0] != c.shape[0]:
             raise DimensionMismatchError(Q.shape[0], c.shape[0], "c")
-        # exact symmetry first: np.allclose costs more than the rest of the
-        # constructor
-        if not ((Q == Q.T).all()
-                or np.allclose(Q, Q.T, rtol=0, atol=1e-10 * (1 + np.abs(Q).max()))):
+        if not (Q == Q.T).all():
             raise ValueError("Q must be symmetric")
         self.Q = Q
         self.a = a

@@ -23,7 +23,6 @@ from fedmm.algorithms import (
     auto_eta_fedgda,
     conservative_eta,
     fedgda_round_map,
-    fedgda_round_map_norm,
     gda_step,
     local_sgda_limit,
     local_sgda_residual,
@@ -69,6 +68,10 @@ FEDERATIONS = {
 SEARCH_CASES = [(name, K) for name in FEDERATIONS if name != "small" for K in (1, 20, 50)]
 
 
+def round_map_norm(prob, eta, K):
+    return float(np.linalg.norm(fedgda_round_map(prob, eta, K), 2))
+
+
 @pytest.fixture(scope="module")
 def federation():
     """Each federation of ``FEDERATIONS``, built once per module."""
@@ -85,7 +88,7 @@ def federation():
 @pytest.fixture(scope="module")
 def exhaustive_scan(federation):
     """Every candidate of the stepsize grid, in the search's order, with the
-    public ``fedgda_round_map_norm`` of its map, computed once per case."""
+    2-norm of its public ``fedgda_round_map``, computed once per case."""
     scans = {}
 
     def get(name, K):
@@ -94,7 +97,7 @@ def exhaustive_scan(federation):
             mu, L = estimate_constants(prob)
             candidates = [2.0 / L * 0.5**j for j in range(1, ETA_GRID_SIZE + 1)]
             candidates.append(conservative_eta(mu, L, K))
-            scans[name, K] = [(eta, fedgda_round_map_norm(prob, eta, K)) for eta in candidates]
+            scans[name, K] = [(eta, round_map_norm(prob, eta, K)) for eta in candidates]
         return scans[name, K]
 
     return get
@@ -775,7 +778,7 @@ class TestStepsizeSelection:
         M = fedgda_round_map(prob, eta, K)
         np.testing.assert_allclose(M, np.diag([(1 - 0.1) ** 5, (1 - 0.4) ** 5]),
                                    atol=1e-14)
-        assert fedgda_round_map_norm(prob, eta, K) == pytest.approx(0.9**5, abs=1e-12)
+        assert round_map_norm(prob, eta, K) == pytest.approx(0.9**5, abs=1e-12)
 
     def test_round_map_predicts_observed_contraction(self):
         prob = small_quadratic(m=3, d=4, seed=6)
@@ -801,7 +804,7 @@ class TestStepsizeSelection:
         mu, L = estimate_constants(prob)
         K = 10
         sel = auto_eta_fedgda(prob, K)
-        fallback = fedgda_round_map_norm(prob, conservative_eta(mu, L, K), K)
+        fallback = round_map_norm(prob, conservative_eta(mu, L, K), K)
         assert sel.round_map_norm <= fallback + 1e-12
 
     @pytest.mark.parametrize("name,K", SEARCH_CASES + [("small", 10)])
@@ -855,7 +858,7 @@ class TestStepsizeSelection:
         lo, hi = best.eta, 2.0 * best.eta
         for _ in range(200):
             tied = 0.5 * (lo + hi)
-            excess = fedgda_round_map_norm(prob, tied, K) - best.round_map_norm
+            excess = round_map_norm(prob, tied, K) - best.round_map_norm
             if 0.0 < excess <= _TIE_TOL:
                 break
             lo, hi = (tied, hi) if excess <= 0.0 else (lo, tied)
@@ -868,7 +871,7 @@ class TestStepsizeSelection:
             lambda terms, geos: np.array([np.linalg.norm(
                 algorithms._round_map(V, geo, prob.Q_sum / prob.m), 2) for geo in geos]),
         )
-        assert auto_eta_fedgda(prob, K) == EtaSelection(tied, fedgda_round_map_norm(prob, tied, K))
+        assert auto_eta_fedgda(prob, K) == EtaSelection(tied, round_map_norm(prob, tied, K))
 
     def test_search_builds_only_the_maps_that_can_win(self, federation, monkeypatch):
         prob = federation("quad-seed-7")
@@ -910,7 +913,7 @@ class TestStepsizeSelection:
         sel = auto_eta_fedgda(prob, 5)
         assert sel == EtaSelection(0.5 / L, 0.1328125)
         assert sel.eta in grid
-        assert min(fedgda_round_map_norm(prob, eta, 5) for eta in grid) == 0.1328125
+        assert min(round_map_norm(prob, eta, 5) for eta in grid) == 0.1328125
 
     @pytest.mark.parametrize("mu", [0.0, -1e-16, np.nan, np.inf])
     def test_conservative_eta_refuses_a_curvature_floor_that_is_not_finite_and_positive(self, mu):
@@ -961,7 +964,7 @@ class TestStepsizeSelection:
     ], ids=["K0", "K-2", "K2.5", "eta-nan"])
     def test_round_map_refuses_invalid_round_inputs(self, eta, K, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            fedgda_round_map_norm(ScalarTwoAgent(), eta, K)
+            fedgda_round_map(ScalarTwoAgent(), eta, K)
 
     def test_round_map_refused_for_non_quadratic_problems(self):
         prob = gen_rlr(RlrGenSpec(m=3, d=2, n_i=5, alpha=1.0, seed=0))
@@ -1014,7 +1017,7 @@ class TestStepsizeSelection:
             monkeypatch.setattr(module, "geometric_sums", counted)
         eta = 1e-3
         fedgda_round_map(prob, eta, 10)
-        fedgda_round_map_norm(prob, 0.5 * eta, 3)
+        fedgda_round_map(prob, 0.5 * eta, 3)
         (ratio, K), (half, K_half) = calls
         assert K == 10 and np.array_equal(ratio, 1.0 - eta * w)
         assert K_half == 3 and np.array_equal(half, 1.0 - 0.5 * eta * w)

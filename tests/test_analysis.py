@@ -473,6 +473,18 @@ class TestRobustLoss:
         res = robust_loss(prob, np.array([1.0, 2.0, -0.5]))
         assert np.linalg.norm(res.y) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("x_hat", [[0.0, 0.0, 0.0], [1.0, 2.0, -0.5]], ids=["zero", "nonzero"])
+    def test_the_maximizer_takes_no_iterations(self, x_hat):
+        # both paths find the worst shift in closed form
+        assert robust_loss(tiny_rlr(m=2, d=3, n=4, seed=7), x_hat).iterations == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_model_is_refused(self, bad):
+        # refused before any arithmetic, so no RuntimeWarning either
+        prob = tiny_rlr(m=2, d=3, n=4, seed=7)
+        with pytest.raises(ValueError, match="^x_hat contains non-finite entries$"):
+            robust_loss(prob, [bad, 0.0, 0.0])
+
 
 def exact_residuals(agent, x, y):
     """Agent's shifted rows u_j = a_j + y and residuals r_j = x'u_j - b_j in

@@ -350,6 +350,41 @@ trace = x.csv
         assert main(["run", str(tmp_path / "nope.ini")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "bounds"])
+    def test_undecodable_config_names_the_file(self, tmp_path, capsys, command):
+        path = tmp_path / "c.ini"
+        path.write_bytes(b"\xff\xfe[problem]\n")
+        assert main([command, str(path)]) == 2
+        assert re.fullmatch(rf"error: cannot read config {re.escape(str(path))}: "
+                            r"'utf-8' codec can't decode byte 0xff [^\n]*\n",
+                            capsys.readouterr().err)
+
+    def test_failed_allocation_exits_2(self, tmp_path, capsys):
+        # 10^15 samples of 3 features are 21 PiB: numpy's request for them
+        # fails at once, before anything is touched
+        out = tmp_path / "t.csv"
+        cfg = write(tmp_path / "c.ini", f"""
+[problem]
+kind = rlr
+m = 2
+d = 3
+n = {10**15}
+alpha = 1.0
+seed = 3
+
+[algo]
+name = GDA
+rounds = 5
+eta = 1e-3
+
+[output]
+trace = {out}
+""")
+        assert main(["run", cfg]) == 2
+        assert re.fullmatch(r"error: Unable to allocate 21\.3 PiB [^\n]*\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unwritable_trace_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.ini", f"""
 [problem]

@@ -17,7 +17,6 @@ from fedmm.datagen import (
     gen_rlr,
     load_dataset,
     save_dataset,
-    substream,
     substreams,
 )
 from fedmm.core import FeasibleSet, ProductSet
@@ -67,11 +66,13 @@ class TestQuadraticGeneration:
         # normal: Q = s^2 chi^2 and c = Q theta + s sqrt(chi^2) g / 2
         seed, n, s = 5, 9, 2.0 / i
         prob = gen_quadratic(QuadraticGenSpec(m=2, d=1, n_i=n, seed=seed))
-        alpha = float(substream(seed, 0, 0).normal(0.0, 10.0))
-        chi2 = float(substream(seed, i, 0).chisquare(n))
-        mu = float(substream(seed, i, 1).normal(alpha, 1.0))
-        theta = float(substream(seed, i, 2).normal(mu, 1.0))
-        g = float(substream(seed, i, 3).standard_normal())
+        alpha_rng, chi2_rng, mu_rng, theta_rng, g_rng = substreams(
+            [(seed, 0, 0)] + [(seed, i, sub) for sub in range(4)])
+        alpha = float(alpha_rng.normal(0.0, 10.0))
+        chi2 = float(chi2_rng.chisquare(n))
+        mu = float(mu_rng.normal(alpha, 1.0))
+        theta = float(theta_rng.normal(mu, 1.0))
+        g = float(g_rng.standard_normal())
         Q = s * s * chi2
         assert prob.Q[i - 1, 0, 0] == pytest.approx(Q, rel=1e-15)
         assert prob.c[i - 1, 0] == pytest.approx(Q * theta + 0.5 * s * np.sqrt(chi2) * g,
@@ -82,16 +83,18 @@ class TestQuadraticGeneration:
         # by row; sub 1: mu; sub 2: theta; sub 3: g
         seed, m, d, n = 3, 3, 4, 7
         prob = gen_quadratic(QuadraticGenSpec(m=m, d=d, n_i=n, seed=seed))
-        alpha = float(substream(seed, 0, 0).normal(0.0, 10.0))
+        alpha_rng, *rngs = substreams(
+            [(seed, 0, 0)] + [(seed, i, sub) for i in range(1, m + 1) for sub in range(4)])
+        alpha = float(alpha_rng.normal(0.0, 10.0))
         for i in range(1, m + 1):
-            rng = substream(seed, i, 0)
+            rng, mu_rng, theta_rng, g_rng = rngs[4 * i - 4:4 * i]
             L = np.diag(np.sqrt(rng.chisquare([n - k for k in range(d)])))
             for j in range(1, d):
                 L[j, :j] = rng.standard_normal(j)
             B = (2.0 / i) * L
-            mu = substream(seed, i, 1).normal(alpha, 1.0, size=d)
-            theta = substream(seed, i, 2).normal(mu, 1.0)
-            g = substream(seed, i, 3).standard_normal(d)
+            mu = mu_rng.normal(alpha, 1.0, size=d)
+            theta = theta_rng.normal(mu, 1.0)
+            g = g_rng.standard_normal(d)
             np.testing.assert_allclose(prob.Q[i - 1], B @ B.T, rtol=1e-14, atol=0)
             np.testing.assert_allclose(prob.c[i - 1], B @ B.T @ theta + 0.5 * B @ g,
                                        rtol=1e-12, atol=0)
@@ -238,20 +241,23 @@ class TestRlrGeneration:
     def test_alpha_zero_means_zero_shift(self):
         # the per-agent prior shift c_i collapses to zero when alpha = 0
         seed = 13
-        for i in (1, 2, 3):
-            c = substream(seed, i, 1).normal(0.0, 0.0, size=4)
+        for c_rng in substreams((seed, i, 1) for i in (1, 2, 3)):
+            c = c_rng.normal(0.0, 0.0, size=4)
             assert np.array_equal(c, np.zeros(4))
         # and the generated data coincides with data drawn around mu_i ~ N(0, I)
         prob = gen_rlr(RlrGenSpec(m=2, d=4, n_i=5, alpha=0.0, seed=seed))
+        rngs = substreams((seed, idx, sub) for idx in (1, 2) for sub in (2, 3))
         for idx, agent in enumerate(prob.agents, start=1):
-            mu = substream(seed, idx, 2).normal(np.zeros(4), 1.0)
-            A = substream(seed, idx, 3).normal(mu, idx**-0.65, size=(5, 4))
+            mu_rng, a_rng = rngs[2 * idx - 2:2 * idx]
+            mu = mu_rng.normal(np.zeros(4), 1.0)
+            A = a_rng.normal(mu, idx**-0.65, size=(5, 4))
             assert np.array_equal(agent.A, A)
 
     def test_noise_law_has_unit_variance(self):
         spec = RlrGenSpec(m=1, d=3, n_i=100_000, alpha=2.0, seed=21)
         prob = gen_rlr(spec)
-        x_star = substream(21, 1, 0).normal(0.0, 1.0, size=3)
+        (x_rng,) = substreams([(21, 1, 0)])
+        x_star = x_rng.normal(0.0, 1.0, size=3)
         noise = prob.agents[0].b - prob.agents[0].A @ x_star
         assert np.var(noise) == pytest.approx(1.0, rel=0.05)
 
@@ -265,7 +271,8 @@ class TestRlrGeneration:
 class TestRngAdapter:
     def test_moments_within_four_standard_errors(self):
         n = 100_000
-        draws = substream(123, 2, 0).normal(1.5, 2.0, size=n)
+        (rng,) = substreams([(123, 2, 0)])
+        draws = rng.normal(1.5, 2.0, size=n)
         se_mean = 2.0 / np.sqrt(n)
         assert abs(draws.mean() - 1.5) <= 4 * se_mean
         # variance of the sample variance of a normal is ~ 2 sigma^4 / n
@@ -273,9 +280,7 @@ class TestRngAdapter:
         assert abs(draws.var() - 4.0) <= 4 * se_var
 
     def test_substreams_are_reproducible_and_distinct(self):
-        a = substream(7, 1, 0).normal(size=5)
-        b = substream(7, 1, 0).normal(size=5)
-        c = substream(7, 1, 1).normal(size=5)
+        a, b, c = (rng.normal(size=5) for rng in substreams([(7, 1, 0), (7, 1, 0), (7, 1, 1)]))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -290,10 +295,10 @@ class TestSubstreamKey:
 
     @pytest.mark.parametrize("seed", KEY_SEEDS)
     def test_state_equals_the_seed_sequence_of_the_list(self, seed):
-        for stream in KEY_INDICES:
-            for sub in KEY_INDICES:
-                oracle = np.random.PCG64(np.random.SeedSequence([seed, stream, sub]))
-                assert substream(seed, stream, sub).bit_generator.state == oracle.state
+        keys = [(seed, stream, sub) for stream in KEY_INDICES for sub in KEY_INDICES]
+        for key, rng in zip(keys, substreams(keys), strict=True):
+            oracle = np.random.PCG64(np.random.SeedSequence(list(key)))
+            assert rng.bit_generator.state == oracle.state
 
     def test_keys_of_mixed_word_counts_hash_in_one_call_in_input_order(self):
         # keys of 3 to 8 words, interleaved, so each width's pass must put
@@ -307,9 +312,25 @@ class TestSubstreamKey:
     @pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, 0, -(2**40))])
     def test_negative_entry_is_refused(self, key):
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
-            substream(*key)
+            substreams([key])
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
             substreams([(7, 1, 0), key])
+
+    @pytest.mark.parametrize("entry", [1.5, 1.0, np.float64(1.0), "3", None],
+                             ids=["1.5", "1.0", "float64", "str", "None"])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_entry_that_is_not_an_integer_is_refused(self, entry, position):
+        # read as core.as_count reads counts and seeds: 1.5 is not the key 1,
+        # even after the integer 1 has been hashed
+        key = [1, 1, 1]
+        key[position] = entry
+        with pytest.raises(ValueError, match="^a substream key entry must be an integer, got "):
+            substreams([(1, 1, 1), tuple(key)])
+
+    def test_numpy_integer_entries_are_their_python_ints(self):
+        keys = [(np.uint64(2**64 - 1), np.int32(3), np.int64(0)), (2**64 - 1, 3, 0)]
+        first, second = (rng.bit_generator.state for rng in substreams(keys))
+        assert first == second
 
 
 # the normals gen_quadratic and gen_rlr draw at an array location, as

@@ -19,7 +19,7 @@ import fedmm
 from fedmm import (BoundInputs, QuadraticGenSpec, RlrGenSpec, ScalarTwoAgent,
                    auto_eta_fedgda, bound_terms, closed_form_minimax, conservative_eta,
                    gen_quadratic, gen_rlr, local_sgda_fixed_point, optimality_gap,
-                   save_dataset, substream)
+                   save_dataset, substreams)
 from fedmm.algorithms import _TIE_TOL, DIVERGENCE_LIMIT, ETA_GRID_SIZE
 from fedmm.cli import (_ALGO_TABLE, _BOUNDS_TABLE, _OUTPUT_TABLE, _PROBLEM_TABLES,
                        main)
@@ -246,8 +246,8 @@ def substream_key(bits):
     # a seed of two words and two one-word indices, split as README says
     seed, agent, tensor = 5 << bits | 3, 2, 1
     words = np.array([seed % 2**bits, seed >> bits, agent, tensor], dtype=np.uint32)
-    assert (substream(seed, agent, tensor).bit_generator.state
-            == np.random.PCG64(np.random.SeedSequence(words)).state)
+    (rng,) = substreams([(seed, agent, tensor)])
+    assert rng.bit_generator.state == np.random.PCG64(np.random.SeedSequence(words)).state
     return [bits]
 
 

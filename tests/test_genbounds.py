@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,8 +232,10 @@ class TestOverflowRefused:
         S = inputs.sum_M_i_sq
         assert concentration_term(inputs) == math.sqrt(
             S / (2.0 * m**2 * n) * (math.log(cover_size) - math.log(delta)))
+        # the quotient 2 d S / (m^2 n) is rounded once from its exact value;
+        # the plain expression rounds 2 d S first, which moves large-n's bits
         assert vc_rademacher_bound(m, n, d, S) == math.sqrt(
-            2.0 * d * S / (m**2 * n) * (1.0 + math.log(m * n / d)))
+            float(2 * d * Fraction(S) / (m**2 * n)) * (1.0 + math.log(m * n / d)))
 
     def test_sum_of_finite_terms_that_overflows_is_refused(self):
         inputs = make_inputs(rademacher=0.6e308, L_y=0.6e308, epsilon=1.0)

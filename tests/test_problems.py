@@ -591,18 +591,17 @@ class TestValidation:
             QuadraticAgent(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2), np.zeros(2))
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
-    def test_symmetry_tolerance_scales_with_the_largest_entry(self, scale):
-        # Q is held symmetric to atol = 1e-10 (1 + max|Q|): half that
-        # asymmetry passes, 1.25 and twice it are refused
-        tol = 1e-10 * (1 + scale)
-        for factor, accepted in ((0.5, True), (1.25, False), (2.0, False)):
-            Q = np.array([[scale, factor * tol], [0.0, scale]])
-            assert np.abs(Q).max() == scale
-            if accepted:
-                QuadraticAgent(Q, np.zeros(2), np.zeros(2))
-            else:
-                with pytest.raises(ValueError, match="^Q must be symmetric$"):
-                    QuadraticAgent(Q, np.zeros(2), np.zeros(2))
+    def test_a_one_ulp_asymmetry_is_refused(self, scale):
+        # symmetry is exact: spectra read one triangle of Q and the field the
+        # whole matrix, so they must be the same matrix
+        Q = np.array([[scale, 0.5 * scale], [0.5 * scale, scale]])
+        QuadraticAgent(Q, np.zeros(2), np.zeros(2))
+        Q[1, 0] = np.nextafter(Q[1, 0], np.inf)
+        assert np.abs(Q).max() == scale
+        with pytest.raises(ValueError, match="^Q must be symmetric$"):
+            QuadraticAgent(Q, np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="^Q must be symmetric$"):
+            UncoupledQuadratic([np.eye(2), Q], np.zeros((2, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["Q", "c", "a"])
